@@ -55,7 +55,6 @@ from .numerics import (
     derivative,
     grid_derivative,
     integrate_cumulative,
-    reparameterize_arclength,
 )
 from .serialize import dumps_canonical
 from .surface_kernel import (
@@ -130,7 +129,6 @@ __all__ = [
     "lnorm",
     "offset_angle_profile",
     "offset_closed_forms",
-    "reparameterize_arclength",
     "study_residual",
     "synth_constant_invariant",
     "transfer_derivative_components",

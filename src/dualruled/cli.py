@@ -20,7 +20,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .dual_algebra import DualScalar
 from .errors import ConfigError, DegeneracyError, ValidationError
@@ -30,7 +29,7 @@ from .mannheim_offset import (
     consistency_report,
     offset_angle_profile,
 )
-from .numerics import SampledCurve
+from .numerics import SampledCurve, hermite, slopes
 from .serialize import dumps_canonical
 from .surface_kernel import (
     RuledSurfaceModel,
@@ -164,8 +163,8 @@ def build_model(cfg: SurfaceConfig) -> RuledSurfaceModel:
     grid = np.linspace(u[0], u[-1], cfg.samples)
     uniform = len(u) == cfg.samples and np.allclose(u, grid, rtol=0, atol=1e-12 * max(1.0, abs(u[-1])))
     if not uniform:
-        director = np.stack([PchipInterpolator(u, director[:, k])(grid) for k in range(3)], axis=-1)
-        base = np.stack([PchipInterpolator(u, base[:, k])(grid) for k in range(3)], axis=-1)
+        director = hermite(u, director, slopes(u, director), grid)
+        base = hermite(u, base, slopes(u, base), grid)
         u = grid
     return build_surface(SampledCurve(u, director), SampledCurve(u, base))
 

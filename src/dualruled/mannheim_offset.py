@@ -23,13 +23,13 @@ orientation-insensitive residuals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .dual_algebra import DualScalar, apply_function
-from .dual_lorentz import DualVec3, decode_line_point
+from .dual_lorentz import DualVec3, decode_line_point, dinner
 from .errors import (
     DegenerateOffsetIndicatrix,
     DegeneratePoint,
@@ -38,16 +38,8 @@ from .errors import (
     MismatchedInputs,
 )
 from .minkowski3 import lcross, linner
-from .numerics import MIN_SAMPLES, grid_derivative, integrate_cumulative, SampledCurve
-from .surface_kernel import (
-    DualApparatus,
-    RuledSurfaceModel,
-    _curvature_elements,
-    _darboux_fields,
-    _model_from_fields,
-    dual_apparatus,
-    dual_frame,
-)
+from .numerics import MIN_SAMPLES, grid_derivative, integrate_cumulative
+from .surface_kernel import RuledSurfaceModel, _curvature_elements, _darboux_fields, dual_frame
 
 SINH_GUARD = 1e-6
 GAMMA_GUARD = 1e-6
@@ -72,9 +64,6 @@ class OffsetModel:
     """Oracle reconstruction of a Mannheim offset, sampled at the base grid."""
 
     e1_dual: DualVec3
-    line_points: np.ndarray
-    recovered: RuledSurfaceModel
-    apparatus1: DualApparatus
     s1_grid: np.ndarray
     ds1_ds: np.ndarray
     orientation: int
@@ -157,12 +146,15 @@ def offset_angle_profile(m: RuledSurfaceModel, c_const: float, cstar_const: floa
     )
 
 
+def _window_frame(m: RuledSurfaceModel, spec: OffsetSpec) -> list:
+    """The base dual frame (e, t, g) on the spec's window."""
+    sl = slice(spec.lo_index, spec.hi_index)
+    return [DualVec3(x.re[sl], x.du[sl]) for x in dual_frame(m)]
+
+
 def transfer_dual_director(m: RuledSurfaceModel, spec: OffsetSpec) -> DualVec3:
     """Tilt the base ruling lines by the dual angle: e1 = cosh(tb) e + sinh(tb) t."""
-    sl = slice(spec.lo_index, spec.hi_index)
-    e_d, t_d, _ = dual_frame(m)
-    e_d = DualVec3(e_d.re[sl], e_d.du[sl])
-    t_d = DualVec3(t_d.re[sl], t_d.du[sl])
+    e_d, t_d, _ = _window_frame(m, spec)
     theta_bar = DualScalar(spec.theta, spec.theta_star)
     ch = apply_function("cosh", theta_bar)
     sh = apply_function("sinh", theta_bar)
@@ -197,17 +189,8 @@ def construct_offset(m: RuledSurfaceModel, spec: OffsetSpec) -> OffsetModel:
     mid = len(s) // 2
     drive = m.gamma[sl] * np.sinh(spec.theta)
     orient = -1 if drive[mid] > 0 else 1
-    if orient < 0:
-        u_feed = -s[::-1]
-        fields = _darboux_fields(u_feed, e1_dual.re[::-1], pts[::-1])
-        back = slice(None, None, -1)
-    else:
-        u_feed = s
-        fields = _darboux_fields(u_feed, e1_dual.re, pts)
-        back = slice(None)
-    recovered = _model_from_fields(
-        fields, SampledCurve(u_feed, pts[::-1] if orient < 0 else pts)
-    )
+    back = slice(None, None, orient)
+    fields = _darboux_fields(orient * s[back], e1_dual.re[back], pts[back])
 
     t1 = fields["t"][back]
     g1 = fields["g"][back]
@@ -235,8 +218,7 @@ def construct_offset(m: RuledSurfaceModel, spec: OffsetSpec) -> OffsetModel:
 
     v = c1 - c
     return OffsetModel(
-        e1_dual=e1_dual, line_points=pts, recovered=recovered,
-        apparatus1=dual_apparatus(recovered),
+        e1_dual=e1_dual,
         s1_grid=s1_grid, ds1_ds=ds1_ds, orientation=orient,
         t1=t1, g1=g1, c1=c1, gamma1=gamma1, delta1=delta1, Delta1=Delta1,
         gamma1_bar=gamma1_bar, R1_bar=R1, rho1_cosh=C1, rho1_sinh=S1,
@@ -412,24 +394,13 @@ def transfer_derivative_components(m: RuledSurfaceModel, spec: OffsetSpec) -> di
     to the central normal line: components along the director and tangent
     must vanish. Returned as DualScalar arrays keyed by frame leg.
     """
-    sl = slice(spec.lo_index, spec.hi_index)
-    sub = RuledSurfaceModel(
-        s_grid=m.s_grid[sl], e=m.e[sl], t=m.t[sl], g=m.g[sl], c=m.c[sl],
-        gamma=m.gamma[sl], delta=m.delta[sl], Delta=m.Delta[sl],
-        lambda0=m.lambda0[sl],
-        base_curve=m.base_curve,
-    )
-    e_d, t_d, g_d = dual_frame(sub)
+    e_d, t_d, g_d = _window_frame(m, spec)
     e1 = transfer_dual_director(m, spec)
-    s = sub.s_grid
-    recip = DualScalar(np.ones_like(s), sub.Delta)
+    s = spec.s
+    recip = DualScalar(np.ones_like(s), m.Delta[spec.lo_index:spec.hi_index])
     de1 = DualVec3(grid_derivative(s, e1.re), grid_derivative(s, e1.du)) * recip
-
-    def dual_dot(x: DualVec3, y: DualVec3) -> DualScalar:
-        return DualScalar(linner(x.re, y.re), linner(x.re, y.du) + linner(x.du, y.re))
-
     return {
-        "along_director": -1.0 * dual_dot(de1, e_d),
-        "along_tangent": dual_dot(de1, t_d),
-        "along_normal": dual_dot(de1, g_d),
+        "along_director": -1.0 * dinner(de1, e_d),
+        "along_tangent": dinner(de1, t_d),
+        "along_normal": dinner(de1, g_d),
     }

@@ -1,10 +1,14 @@
 """Grid calculus for the oracle pipeline: derivatives, cumulative quadrature,
-arc-length reparameterization.
+cubic Hermite resampling.
 
-Everything here assumes uniform grids (the resampler exists to produce
-them). Differentiation is 4th order: classic five-point central stencils
-inside, one-sided stencils of matching order on the two samples at each
-end, so the derivative lives on the same grid as the data.
+Differentiation and quadrature assume uniform grids. Differentiation is
+4th order: classic five-point central stencils inside, one-sided stencils
+of matching order on the two samples at each end, so the derivative lives
+on the same grid as the data.
+
+Resampling is one cubic Hermite evaluator, `hermite`, fed with slopes:
+the frame equations in the surface kernel, `slopes` (4th order on any
+grid) for raw non-uniform samples.
 
 Quadrature note: the cumulative Simpson rule seeds odd-index values with a
 single trapezoid over the first interval. That leaves an O(h^3 f''(x0))
@@ -18,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DegenerateSpeed, GridTooCoarse, NonUniformGrid, ValidationError
 
@@ -114,11 +117,42 @@ def integrate_cumulative(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     return out
 
 
+def slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """dy/dx at the nodes of any increasing grid: the derivative of the Lagrange
+    fit through the five nearest samples, exact on quartics. y is (N,) or (N, k)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if len(x) < 5:
+        raise GridTooCoarse(f"need at least 5 samples for slopes, got {len(x)}")
+    idx = np.clip(np.arange(len(x)) - 2, 0, len(x) - 5)[:, None] + np.arange(5)
+    r = x[:, None] - x[idx]
+    out = np.zeros_like(y)
+    for j in range(5):
+        others = [k for k in range(5) if k != j]
+        # L_j'(x) = sum_l prod_{k != j, l} (x - x_k) / prod_{k != j} (x_j - x_k)
+        num = sum(np.prod(r[:, [k for k in others if k != l]], axis=1) for l in others)
+        w = num / np.prod(r[:, others] - r[:, [j]], axis=1)
+        out += w.reshape((-1,) + (1,) * (y.ndim - 1)) * y[idx[:, j]]
+    return out
+
+
+def hermite(x: np.ndarray, y: np.ndarray, dy: np.ndarray, xq: np.ndarray) -> np.ndarray:
+    """Cubic Hermite interpolant of values y and slopes dy at increasing nodes x,
+    evaluated at xq. y and dy are (N,) or (N, k)."""
+    i = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, len(x) - 2)
+    shape = (-1,) + (1,) * (np.ndim(y) - 1)
+    h = (x[i + 1] - x[i]).reshape(shape)
+    t = (xq - x[i]).reshape(shape) / h
+    return ((1 + 2 * t) * (1 - t) ** 2 * y[i] + t * (1 - t) ** 2 * h * dy[i]
+            + t * t * (3 - 2 * t) * y[i + 1] + t * t * (t - 1) * h * dy[i + 1])
+
+
 def arclength_map(params: np.ndarray, speed: np.ndarray):
     """Arc length along the grid and the inverse map on a uniform s-grid.
 
     Returns (s_at_params, s_uniform, params_at_s_uniform). The s origin is
-    params[0], so a unit-speed curve maps to itself.
+    params[0], so a unit-speed curve maps to itself. The inverse map is the
+    cubic Hermite interpolant with the exact slopes du/ds = 1/speed.
     """
     params = np.asarray(params, dtype=float)
     speed = np.asarray(speed, dtype=float)
@@ -128,17 +162,5 @@ def arclength_map(params: np.ndarray, speed: np.ndarray):
         raise DegenerateSpeed(f"speed {speed[idx]:.3e} at sample {idx} (limit 1e-8)")
     s = params[0] + integrate_cumulative(params, speed)
     s_uniform = np.linspace(s[0], s[-1], len(params))
-    inv = PchipInterpolator(s, params)
-    u_at_s = np.clip(inv(s_uniform), params[0], params[-1])
+    u_at_s = np.clip(hermite(s, params, 1.0 / speed, s_uniform), params[0], params[-1])
     return s, s_uniform, u_at_s
-
-
-def reparameterize_arclength(c: SampledCurve, speed: np.ndarray) -> SampledCurve:
-    """Resample a curve on the uniform arc-length grid of the given speed.
-
-    Monotone cubic (PCHIP) interpolation per component: no overshoot, so
-    interpolated directors stay close to their causal class.
-    """
-    _, s_uniform, u_at_s = arclength_map(c.params, speed)
-    cols = [PchipInterpolator(c.params, c.values[:, k])(u_at_s) for k in range(3)]
-    return SampledCurve(s_uniform, np.stack(cols, axis=-1))

@@ -34,6 +34,23 @@ def cone_surface():
 
 
 @pytest.fixture(scope="session")
+def constant_family():
+    """Closed-form director e(s) and striction curve c(s) of the (0.5, 0.3, 0.2)
+    constant-invariant family at arbitrary arc lengths s (any grid)."""
+    A = 1.0 / np.sqrt(0.75)
+    B, k = -0.5 * A, 1.0 / A
+    alpha, beta = -0.3 * A + 0.2 * B, -0.3 * B + 0.2 * A
+
+    def sample(s):
+        ch, sh, zeros = np.cosh(k * s), np.sinh(k * s), np.zeros_like(s)
+        e = np.stack([A * ch, A * sh, B + zeros], axis=-1)
+        c = np.stack([alpha / k * sh, alpha / k * (ch - 1.0), beta * s], axis=-1)
+        return e, c
+
+    return sample
+
+
+@pytest.fixture(scope="session")
 def all_surfaces(planar_surface, constant_surface, cone_surface):
     return {
         "planar": planar_surface,

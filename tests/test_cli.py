@@ -1,6 +1,8 @@
 """CLI surface: config parsing, subcommands, OBJ grammar, exit codes."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -133,6 +135,31 @@ def test_build_model_resamples_nonuniform_input():
     assert np.max(np.abs(m.gamma)) < 1e-4
     assert np.max(np.abs(m.delta)) < 1e-4
     assert np.max(np.abs(m.Delta - 1.0)) < 1e-4
+
+
+@pytest.mark.parametrize("grid", ["smooth", "jittered"])
+def test_build_model_nonuniform_recovers_invariants(constant_family, grid):
+    n = 1024
+    x = np.linspace(0.0, 1.0, n)
+    if grid == "smooth":
+        u = 3.0 * (x + 0.1 * np.sin(2 * np.pi * x) / (2 * np.pi))
+    else:
+        jitter = np.random.default_rng(5).uniform(-0.45, 0.45, n - 2)
+        u = 3.0 * (x + np.concatenate([[0.0], jitter, [0.0]]) / (n - 1))
+    e, c = constant_family(u)
+    m = build_model(parse_config({
+        "name": grid, "kind": "sampled",
+        "params": {"u": u.tolist(), "director": e.tolist(), "base": c.tolist()},
+    }))
+    assert np.max(np.abs(m.gamma - 0.5)) < 1e-5
+    assert np.max(np.abs(m.delta - 0.3)) < 1e-5
+    assert np.max(np.abs(m.Delta - 0.2)) < 1e-5
+
+
+def test_import_leaves_scipy_out():
+    code = "import sys, dualruled, dualruled.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_analyze_deterministic(tmp_path):

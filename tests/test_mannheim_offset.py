@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from dualruled import (
+    SampledCurve,
+    build_surface,
     construct_offset,
     consistency_report,
     developability_predicates,
@@ -241,3 +243,13 @@ def test_wrong_slope_breaks_parallelism(offset_pieces):
     bad = dataclasses.replace(spec, theta=-1.05 * spec.s + 3.0)
     offset = construct_offset(m, bad)
     assert np.min(offset.mannheim_real_residual) > 1e-3
+
+
+def test_oracle_on_resampled_surface_at_large_n():
+    # the family passed through build_surface: the oracle takes second
+    # derivatives of the resampled frame, so it sees every resampling error
+    m0 = synth_constant_invariant(0.5, 0.3, 0.2, (0.0, 3.0), 16384)
+    m = build_surface(SampledCurve(m0.s_grid, m0.e), SampledCurve(m0.s_grid, m0.c))
+    spec = offset_angle_profile(m, 3.0, 0.3, (1.0, 2.0))
+    offset = construct_offset(m, spec)
+    assert np.max(np.abs(offset.gamma1 + 1.0 / np.tanh(spec.theta))) < 1e-4

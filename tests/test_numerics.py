@@ -1,4 +1,4 @@
-"""Grid differentiation, cumulative quadrature, arc-length resampling."""
+"""Grid differentiation, cumulative quadrature, Hermite resampling."""
 
 import numpy as np
 import pytest
@@ -9,10 +9,9 @@ from dualruled import (
     derivative,
     grid_derivative,
     integrate_cumulative,
-    linner,
-    reparameterize_arclength,
 )
 from dualruled.errors import DegenerateSpeed, GridTooCoarse, NonUniformGrid, ValidationError
+from dualruled.numerics import hermite, slopes
 
 
 def curve3(u, f):
@@ -124,36 +123,23 @@ def test_arclength_map_rejects_stalled_speed():
     assert "30" in str(err.value)
 
 
-def test_reparameterize_identity_when_already_arclength():
-    u = np.linspace(0.0, 1.0, 256)
-    vals = np.stack([np.cosh(u), np.sinh(u), np.zeros_like(u)], axis=-1)
-    out = reparameterize_arclength(SampledCurve(u, vals), np.ones_like(u))
-    assert np.max(np.abs(out.params - u)) < 1e-10
-    assert np.max(np.abs(out.values - vals)) < 1e-10
+def test_hermite_reproduces_cubics(rng):
+    x = np.sort(rng.uniform(0.0, 2.0, 40))
+    xq = rng.uniform(x[0], x[-1], 200)
+    coef = np.array([[0.3, -1.2, 0.7, 2.0], [1.0, 0.0, -0.5, 0.25]]).T
+    y = np.stack([np.polyval(coef[:, k], x) for k in range(2)], axis=-1)
+    dy = np.stack([np.polyval(np.polyder(coef[:, k]), x) for k in range(2)], axis=-1)
+    want = np.stack([np.polyval(coef[:, k], xq) for k in range(2)], axis=-1)
+    assert np.max(np.abs(hermite(x, y, dy, xq) - want)) < 1e-12
+    assert np.max(np.abs(hermite(x, y[:, 0], dy[:, 0], x) - y[:, 0])) < 1e-12
 
 
-def test_reparameterize_constant_speed_two():
-    u = np.linspace(0.0, 1.0, 512)
-    vals = np.stack([np.cosh(2 * u), np.sinh(2 * u), np.zeros_like(u)], axis=-1)
-    dv = grid_derivative(u, vals)
-    speed = np.sqrt(linner(dv, dv))
-    out = reparameterize_arclength(SampledCurve(u, vals), speed)
-    assert abs(out.params[-1] - 2.0) < 1e-8
-    want = np.stack(
-        [np.cosh(out.params), np.sinh(out.params), np.zeros_like(out.params)], axis=-1
-    )
-    assert np.max(np.abs(out.values - want)) < 1e-10
-
-
-def test_reparameterized_curve_has_unit_speed_interior():
-    u = np.linspace(0.0, 1.0, 1024)
-    w = u + 0.3 * u * u
-    vals = np.stack([np.cosh(w), np.sinh(w), np.zeros_like(u)], axis=-1)
-    dv = grid_derivative(u, vals)
-    speed = np.sqrt(linner(dv, dv))
-    out = reparameterize_arclength(SampledCurve(u, vals), speed)
-    total = 1.3  # integral of 1 + 0.6u over [0, 1]
-    assert abs(out.params[-1] - total) < 1e-8 * total
-    d_out = grid_derivative(out.params, out.values)
-    unit = np.sqrt(np.abs(linner(d_out, d_out)))
-    assert np.max(np.abs(unit[2:-2] - 1.0)) < 1e-6
+def test_slopes_reproduce_quartics(rng):
+    x = np.sort(rng.uniform(0.0, 2.0, 30))
+    coef = np.array([0.4, -1.0, 0.5, 2.0, -0.3])
+    got = slopes(x, np.stack([np.polyval(coef, x), np.polyval(-coef, x)], axis=-1))
+    want = np.polyval(np.polyder(coef), x)
+    assert np.max(np.abs(got[:, 0] - want)) < 1e-9
+    assert np.max(np.abs(got[:, 1] + want)) < 1e-9
+    with pytest.raises(GridTooCoarse):
+        slopes(x[:4], x[:4])

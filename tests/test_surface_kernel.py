@@ -19,6 +19,7 @@ from dualruled import (
     grid_derivative,
     hyperbola_curves,
     lcross,
+    linner,
     study_residual,
     synth_constant_invariant,
 )
@@ -244,3 +245,16 @@ def test_cone_accepts_custom_director():
     assert np.max(np.abs(norms + 1.0)) < 1e-12
     assert np.max(np.abs(m.c - np.array([0.0, 0.0, 1.0]))) < 1e-12
     assert classify(m) == {"developable": True, "cone": True}
+
+
+def test_reparameterized_input_keeps_frame_orthonormal(constant_family):
+    # ds/du = 1 + 0.3 sin 2u: resampling onto arc length is far from the
+    # identity, yet the resampled frame stays orthonormal to rounding
+    u = np.linspace(0.0, 3.0, 1025)
+    e, c = constant_family(u + 0.15 * (1.0 - np.cos(2.0 * u)))
+    m = build_surface(SampledCurve(u, 2.0 * e), SampledCurve(u, c + 0.3 * e))
+    assert np.max(np.abs(linner(m.e, m.t))) <= 1e-12
+    assert np.max(np.abs(linner(m.t, m.t) - 1.0)) <= 1e-12
+    assert np.max(np.abs(m.gamma - 0.5)) < 1e-6
+    assert np.max(np.abs(m.delta - 0.3)) < 1e-6
+    assert np.max(np.abs(m.Delta - 0.2)) < 1e-6
