@@ -10,7 +10,6 @@ are adjudicated against an independently reconstructed offset surface.
 
 from .dual_algebra import EPS, FUNCTION_NAMES, DualScalar, apply_function
 from .dual_lorentz import (
-    DualAngle,
     DualVec3,
     dcross,
     decode_line_point,
@@ -19,47 +18,20 @@ from .dual_lorentz import (
     dual_angle,
     encode_line,
 )
-from .errors import (
-    ConfigError,
-    DegeneracyError,
-    DegenerateOffsetIndicatrix,
-    DegenerateWindow,
-    DivisionByPureDual,
-    DomainError,
-    FrameDriftExceeded,
-    GridTooCoarse,
-    InvalidLine,
-    KernelError,
-    NotTimelike,
-    NullDarbouxAxis,
-    NullDirection,
-    ValidationError,
-)
+from .errors import DegeneracyError, KernelError, ValidationError
 from .fixtures import cone_curves, hyperbola_curves
 from .mannheim_offset import (
-    OffsetModel,
-    OffsetReport,
-    OffsetSpec,
     consistency_report,
     construct_offset,
     developability_predicates,
     offset_angle_profile,
     offset_closed_forms,
     transfer_derivative_components,
-    transfer_dual_director,
 )
 from .minkowski3 import Causal, causal_classify, det3, lcross, linner, lnorm
-from .numerics import (
-    SampledCurve,
-    arclength_map,
-    derivative,
-    grid_derivative,
-    integrate_cumulative,
-)
+from .numerics import SampledCurve, arclength_map, derivative, grid_derivative, integrate_cumulative
 from .serialize import dumps_canonical
 from .surface_kernel import (
-    DualApparatus,
-    RuledSurfaceModel,
     build_surface,
     classify,
     dual_apparatus,
@@ -74,29 +46,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Causal",
-    "ConfigError",
     "DegeneracyError",
-    "DegenerateOffsetIndicatrix",
-    "DegenerateWindow",
-    "DivisionByPureDual",
-    "DomainError",
-    "DualAngle",
-    "DualApparatus",
     "DualScalar",
     "DualVec3",
     "EPS",
     "FUNCTION_NAMES",
-    "FrameDriftExceeded",
-    "GridTooCoarse",
-    "InvalidLine",
     "KernelError",
-    "NotTimelike",
-    "NullDarbouxAxis",
-    "NullDirection",
-    "OffsetModel",
-    "OffsetReport",
-    "OffsetSpec",
-    "RuledSurfaceModel",
     "SampledCurve",
     "ValidationError",
     "apply_function",
@@ -132,5 +87,4 @@ __all__ = [
     "study_residual",
     "synth_constant_invariant",
     "transfer_derivative_components",
-    "transfer_dual_director",
 ]

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual_algebra import DualScalar
 from .errors import ConfigError, DegeneracyError, ValidationError
 from .fixtures import cone_curves, hyperbola_curves
 from .mannheim_offset import (
@@ -57,14 +56,33 @@ class SurfaceConfig:
     samples: int
 
 
+def _coerce(value, convert, what: str):
+    """convert(value), turning a value that does not fit into a one-line ConfigError."""
+    try:
+        out = convert(value)
+        if np.all(np.isfinite(out)):
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{what}, got {value!r:.60}")
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _integer(value) -> int:
+    n = int(value)
+    if n != float(value):  # int() would truncate 1024.5 silently
+        raise ValueError(value)
+    return n
+
+
 def _default_samples() -> int:
     raw = os.environ.get(SAMPLES_ENV)
     if raw is None:
         return DEFAULT_SAMPLES
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"{SAMPLES_ENV} must be an integer, got {raw!r}")
+    n = _coerce(raw, _integer, f"{SAMPLES_ENV} must be an integer")
     if n < 9:
         raise ConfigError(f"{SAMPLES_ENV} must be at least 9, got {n}")
     return n
@@ -88,20 +106,23 @@ def parse_config(data: dict, samples_override=None) -> SurfaceConfig:
         for key in ("u", "director", "base"):
             if key not in params:
                 raise ConfigError(f"sampled surface needs params.{key}")
-        u = np.asarray(params["u"], dtype=float)
+        u = _coerce(params["u"], _floats, "params.u must be an array of numbers")
         if u.ndim != 1 or np.any(np.diff(u) <= 0):
             raise ConfigError("params.u must be strictly increasing")
-        if len(params["director"]) != len(u) or len(params["base"]) != len(u):
-            raise ConfigError("u/director/base arrays must have equal length")
+        for key in ("director", "base"):
+            if _coerce(params[key], len, f"params.{key} must be an array") != len(u):
+                raise ConfigError("u/director/base arrays must have equal length")
         s_range = (float(u[0]), float(u[-1]))
-        samples = int(data.get("samples", len(u)))
     else:
-        s_range = tuple(float(x) for x in data.get("s_range", (0.0, 2.0)))
+        s_range = _coerce(data.get("s_range", (0.0, 2.0)), lambda r: tuple(map(float, r)),
+                          "s_range must be [lo, hi] numbers")
         if len(s_range) != 2 or not s_range[0] < s_range[1]:
             raise ConfigError(f"s_range must be [lo, hi] with lo < hi, got {list(s_range)}")
-        samples = int(data.get("samples", _default_samples()))
-    if samples_override is not None:
-        samples = int(samples_override)
+    # flag, then config, then the default; a source that is not used is not read
+    samples = samples_override if samples_override is not None else data.get("samples")
+    if samples is None:
+        samples = len(u) if kind == "sampled" else _default_samples()
+    samples = _coerce(samples, _integer, "samples must be an integer")
     if samples < 9:
         raise ConfigError(f"samples must be at least 9, got {samples}")
     return SurfaceConfig(name=str(name), kind=str(kind), params=params,
@@ -133,7 +154,8 @@ def build_model(cfg: SurfaceConfig) -> RuledSurfaceModel:
     if cfg.kind == "constant_invariant":
         p = cfg.params
         try:
-            gamma0, delta0, Delta0 = float(p["gamma"]), float(p["delta"]), float(p["Delta"])
+            gamma0, delta0, Delta0 = (_coerce(p[k], float, f"params.{k} must be a number")
+                                      for k in ("gamma", "delta", "Delta"))
         except KeyError as missing:
             raise ConfigError(f"constant_invariant needs params.{missing.args[0]}")
         return synth_constant_invariant(gamma0, delta0, Delta0, cfg.s_range, cfg.samples)
@@ -141,12 +163,12 @@ def build_model(cfg: SurfaceConfig) -> RuledSurfaceModel:
         director, base = hyperbola_curves(cfg.s_range, cfg.samples)
         return build_surface(director, base)
     if cfg.kind == "cone":
-        apex = cfg.params.get("apex", (1.0, 2.0, 3.0))
-        if len(apex) != 3:
+        apex = _coerce(cfg.params.get("apex", (1.0, 2.0, 3.0)), _floats, "cone apex must be a 3-vector")
+        if apex.shape != (3,):
             raise ConfigError("cone apex must be a 3-vector")
         director_values = cfg.params.get("director")
         if director_values is not None:
-            director_values = np.asarray(director_values, dtype=float)
+            director_values = _coerce(director_values, _floats, "cone director must be an array of numbers")
             if director_values.shape != (cfg.samples, 3):
                 raise ConfigError(
                     f"cone director must be samples x 3 = {cfg.samples} x 3, "
@@ -155,9 +177,8 @@ def build_model(cfg: SurfaceConfig) -> RuledSurfaceModel:
         director, base = cone_curves(apex, cfg.s_range, cfg.samples, director_values)
         return build_surface(director, base)
     # sampled
-    u = np.asarray(cfg.params["u"], dtype=float)
-    director = np.asarray(cfg.params["director"], dtype=float)
-    base = np.asarray(cfg.params["base"], dtype=float)
+    u, director, base = (_coerce(cfg.params[k], _floats, f"params.{k} must be an array of numbers")
+                         for k in ("u", "director", "base"))
     if director.shape != (len(u), 3) or base.shape != (len(u), 3):
         raise ConfigError("director/base must be N x 3 arrays")
     grid = np.linspace(u[0], u[-1], cfg.samples)
@@ -169,10 +190,6 @@ def build_model(cfg: SurfaceConfig) -> RuledSurfaceModel:
     return build_surface(SampledCurve(u, director), SampledCurve(u, base))
 
 
-def _dual_json(x: DualScalar) -> dict:
-    return {"du": np.asarray(x.du), "re": np.asarray(x.re)}
-
-
 def _analyze_payload(cfg: SurfaceConfig, model: RuledSurfaceModel, tol: float) -> dict:
     app = dual_apparatus(model)
     residuals = dict(frame_residuals(model))
@@ -182,11 +199,11 @@ def _analyze_payload(cfg: SurfaceConfig, model: RuledSurfaceModel, tol: float) -
         "classification": classify(model, tol),
         "dual_apparatus": {
             "branch": list(app.darboux_branch),
-            "curvature_radius": _dual_json(app.R_bar),
-            "gamma_bar": _dual_json(app.gamma_bar),
-            "rho_cosh": _dual_json(app.rho_cosh),
-            "rho_sinh": _dual_json(app.rho_sinh),
-            "s_bar": _dual_json(app.s_bar),
+            "curvature_radius": app.R_bar,
+            "gamma_bar": app.gamma_bar,
+            "rho_cosh": app.rho_cosh,
+            "rho_sinh": app.rho_sinh,
+            "s_bar": app.s_bar,
         },
         "name": cfg.name,
         "residual_maxima": residuals,
@@ -266,8 +283,7 @@ def cmd_offset(args) -> int:
     if args.verify:
         report = consistency_report(model, spec, offset, args.tol)
         verify_payload = {
-            "formulas": {k: (_dual_json(v) if isinstance(v, DualScalar) else v)
-                         for k, v in report.formulas.items()},
+            "formulas": report.formulas,
             "mannheim": {
                 "dual_max": report.mannheim_dual_max,
                 "real_max": report.mannheim_real_max,
@@ -275,8 +291,7 @@ def cmd_offset(args) -> int:
             "max_residual": report.max_residual,
             "mean_residual": report.mean_residual,
             "name": cfg.name,
-            "oracle": {k: (_dual_json(v) if isinstance(v, DualScalar) else v)
-                       for k, v in report.oracle.items()},
+            "oracle": report.oracle,
             "residuals": report.residuals,
             "s": report.s,
             "striction_shift": report.striction_shift,
@@ -297,22 +312,15 @@ def _write_obj(path: str, points: np.ndarray, e: np.ndarray,
     if v_samples < 2:
         raise ConfigError(f"need at least 2 ruling samples, got {v_samples}")
     vs = np.linspace(v_min, v_max, v_samples)
-    lines = []
-    for i in range(len(points)):
-        for v in vs:
-            p = points[i] + v * e[i]
-            lines.append(f"v {p[0]:.9f} {p[1]:.9f} {p[2]:.9f}")
+    # vertex (i, j) = points[i] + vs[j] e[i], row-major, 1-based in the faces
+    verts = (points[:, None, :] + vs[None, :, None] * e[:, None, :]).ravel()
     m = v_samples
-    for i in range(len(points) - 1):
-        for j in range(m - 1):
-            a = i * m + j + 1
-            b = (i + 1) * m + j + 1
-            cidx = (i + 1) * m + j + 2
-            d = i * m + j + 2
-            lines.append(f"f {a} {b} {cidx}")
-            lines.append(f"f {a} {cidx} {d}")
+    a = (np.arange(len(points) - 1)[:, None] * m + np.arange(1, m)).ravel()
+    # each grid cell (a, a+m, a+m+1, a+1) becomes two triangles
+    faces = np.stack([a, a + m, a + m + 1, a, a + m + 1, a + 1], axis=-1).ravel()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(("v %.9f %.9f %.9f\n" * (len(verts) // 3)) % tuple(verts.tolist()))
+        fh.write(("f %d %d %d\nf %d %d %d\n" * len(a)) % tuple(faces.tolist()))
 
 
 def cmd_export(args) -> int:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dual_algebra import DualScalar, apply_function
 from .errors import InvalidLine, NotTimelike, NotUnit, NullDirection, ParallelLines
-from .minkowski3 import Causal, causal_classify, lcross, linner, lnorm
+from .minkowski3 import lcross, linner, lnorm
 
 
 def _col(x):
@@ -72,17 +72,11 @@ def dcross(a: DualVec3, b: DualVec3) -> DualVec3:
 
 def dnorm(a: DualVec3) -> DualScalar:
     """Dual norm (||re||, <re, du>/||re||). Undefined for null directions."""
+    q = linner(a.re, a.re)
+    null = np.abs(q) <= 1e-9 * np.maximum(1.0, np.sum(a.re * a.re, axis=-1))
+    if np.any(null):
+        raise NullDirection(f"null direction at sample {int(np.argmax(null))}; dual norm undefined")
     n = lnorm(a.re)
-    single = a.re.ndim == 1
-    if single:
-        if causal_classify(a.re).tag is Causal.NULL:
-            raise NullDirection("direction part is null; dual norm undefined")
-    else:
-        q = linner(a.re, a.re)
-        scale = np.maximum(1.0, np.sum(a.re * a.re, axis=-1))
-        if np.any(np.abs(q) <= 1e-9 * scale):
-            idx = int(np.argmax(np.abs(q) <= 1e-9 * scale))
-            raise NullDirection(f"null direction at sample {idx}")
     return DualScalar(n, linner(a.re, a.du) / n)
 
 

@@ -39,7 +39,15 @@ from .errors import (
 )
 from .minkowski3 import lcross, linner
 from .numerics import MIN_SAMPLES, grid_derivative, integrate_cumulative
-from .surface_kernel import RuledSurfaceModel, _curvature_elements, _darboux_fields, dual_frame
+from .surface_kernel import (
+    RuledSurfaceModel,
+    _curvature_elements,
+    _d_ds_bar,
+    _darboux_fields,
+    _dual_fd,
+    _gamma_bar,
+    dual_frame,
+)
 
 SINH_GUARD = 1e-6
 GAMMA_GUARD = 1e-6
@@ -57,6 +65,11 @@ class OffsetSpec:
     lo_index: int
     hi_index: int
     source_model: RuledSurfaceModel
+
+    @property
+    def window(self) -> slice:
+        """The window's samples within the source model's grid."""
+        return slice(self.lo_index, self.hi_index)
 
 
 @dataclass
@@ -148,8 +161,8 @@ def offset_angle_profile(m: RuledSurfaceModel, c_const: float, cstar_const: floa
 
 def _window_frame(m: RuledSurfaceModel, spec: OffsetSpec) -> list:
     """The base dual frame (e, t, g) on the spec's window."""
-    sl = slice(spec.lo_index, spec.hi_index)
-    return [DualVec3(x.re[sl], x.du[sl]) for x in dual_frame(m)]
+    w = spec.window
+    return [DualVec3(x.re[w], x.du[w]) for x in dual_frame(m)]
 
 
 def transfer_dual_director(m: RuledSurfaceModel, spec: OffsetSpec) -> DualVec3:
@@ -161,6 +174,11 @@ def transfer_dual_director(m: RuledSurfaceModel, spec: OffsetSpec) -> DualVec3:
     return ch * e_d + sh * t_d
 
 
+def _distance_up_to_sign(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-sample Euclidean distance from a to whichever of +b, -b is nearer."""
+    return np.minimum(np.sqrt(np.sum((a - b) ** 2, axis=-1)), np.sqrt(np.sum((a + b) ** 2, axis=-1)))
+
+
 def construct_offset(m: RuledSurfaceModel, spec: OffsetSpec) -> OffsetModel:
     """Reconstruct the offset surface from its ruling lines alone.
 
@@ -170,9 +188,9 @@ def construct_offset(m: RuledSurfaceModel, spec: OffsetSpec) -> OffsetModel:
     """
     if spec.source_model is not m:
         raise MismatchedInputs("spec was built for a different model")
-    sl = slice(spec.lo_index, spec.hi_index)
-    s = m.s_grid[sl]
-    e, t, g, c = m.e[sl], m.t[sl], m.g[sl], m.c[sl]
+    w = spec.window
+    s = m.s_grid[w]
+    e, t, g, c = m.e[w], m.t[w], m.g[w], m.c[w]
     e1_dual = transfer_dual_director(m, spec)
     pts = decode_line_point(e1_dual)
 
@@ -181,49 +199,30 @@ def construct_offset(m: RuledSurfaceModel, spec: OffsetSpec) -> OffsetModel:
     if np.any(sig2 <= 1e-16):
         idx = int(np.argmax(sig2 <= 1e-16))
         raise DegenerateOffsetIndicatrix(
-            f"gamma = {m.gamma[sl][idx]:.3e}, sinh(theta) = {np.sinh(spec.theta[idx]):.3e} "
+            f"gamma = {m.gamma[w][idx]:.3e}, sinh(theta) = {np.sinh(spec.theta[idx]):.3e} "
             f"at s = {s[idx]:.6g}: offset indicatrix speed |gamma*sinh(theta)| vanishes"
         )
 
     # traverse against gamma*sinh(theta) so the Mannheim frame lands on t1 = -g
     mid = len(s) // 2
-    drive = m.gamma[sl] * np.sinh(spec.theta)
+    drive = m.gamma[w] * np.sinh(spec.theta)
     orient = -1 if drive[mid] > 0 else 1
     back = slice(None, None, orient)
     fields = _darboux_fields(orient * s[back], e1_dual.re[back], pts[back])
 
-    t1 = fields["t"][back]
-    g1 = fields["g"][back]
-    c1 = fields["c"][back]
-    gamma1 = fields["gamma"][back]
-    delta1 = fields["delta"][back]
-    Delta1 = fields["Delta"][back]
-    s1_grid = fields["s"][back]
-    ds1_ds = orient * fields["sigma"][back]
-
-    gamma1_bar = DualScalar(gamma1, delta1 + gamma1 * Delta1)
-    R1, C1, S1, branch1 = _curvature_elements(gamma1_bar)
-    rho1_star = C1.du / S1.re
-
-    mann_re = np.minimum(
-        np.sqrt(np.sum((t1 - g) ** 2, axis=-1)),
-        np.sqrt(np.sum((t1 + g) ** 2, axis=-1)),
-    )
-    t1_moment = lcross(c1, t1)
-    g_moment = lcross(c, g)
-    mann_du = np.minimum(
-        np.sqrt(np.sum((t1_moment - g_moment) ** 2, axis=-1)),
-        np.sqrt(np.sum((t1_moment + g_moment) ** 2, axis=-1)),
-    )
+    t1, g1, c1, gamma1, delta1, Delta1, s1_grid, sigma1 = (
+        fields[k][back] for k in ("t", "g", "c", "gamma", "delta", "Delta", "s", "sigma"))
+    gamma1_bar, R1, C1, S1, branch1 = _curvature_elements(gamma1, delta1, Delta1)
 
     v = c1 - c
     return OffsetModel(
         e1_dual=e1_dual,
-        s1_grid=s1_grid, ds1_ds=ds1_ds, orientation=orient,
+        s1_grid=s1_grid, ds1_ds=orient * sigma1, orientation=orient,
         t1=t1, g1=g1, c1=c1, gamma1=gamma1, delta1=delta1, Delta1=Delta1,
         gamma1_bar=gamma1_bar, R1_bar=R1, rho1_cosh=C1, rho1_sinh=S1,
-        rho1_star=rho1_star, branch1=branch1,
-        mannheim_real_residual=mann_re, mannheim_dual_residual=mann_du,
+        rho1_star=C1.du / S1.re, branch1=branch1,
+        mannheim_real_residual=_distance_up_to_sign(t1, g),
+        mannheim_dual_residual=_distance_up_to_sign(lcross(c1, t1), lcross(c, g)),
         striction_shift_e=-linner(v, e), striction_shift_t=linner(v, t),
         striction_shift_g=linner(v, g),
         source_model=m, spec=spec,
@@ -243,7 +242,7 @@ def _formula_fields(gamma, delta, Delta, theta, theta_star) -> dict:
     out = {
         "arc_rate": np.abs(gamma * sinh),
         "arc_rate_dual": DualScalar(
-            gamma * sinh, gamma * theta_star * cosh + (delta + gamma * Delta) * sinh
+            gamma * sinh, gamma * theta_star * cosh + _gamma_bar(gamma, delta, Delta).du * sinh
         ),
         "conical_curvature": -coth,
         "conical_curvature_dual_re": -coth,
@@ -264,19 +263,30 @@ def _formula_fields(gamma, delta, Delta, theta, theta_star) -> dict:
     return out
 
 
+def _closed_form_inputs(m: RuledSurfaceModel, spec: OffsetSpec, idx: Optional[int] = None) -> tuple:
+    """Base (gamma, delta, Delta, theta, theta_star) on the window, or at window sample idx.
+
+    Raises DegeneratePoint where the closed forms divide by zero:
+    |sinh(theta)| <= SINH_GUARD or |gamma| <= GAMMA_GUARD.
+    """
+    w = spec.window
+    values = (m.gamma[w], m.delta[w], m.Delta[w], spec.theta, spec.theta_star)
+    if idx is not None:
+        values = tuple(x[idx] for x in values)
+    gamma, theta = np.atleast_1d(values[0]), np.atleast_1d(values[3])
+    small = (np.abs(np.sinh(theta)) <= SINH_GUARD) | (np.abs(gamma) <= GAMMA_GUARD)
+    if np.any(small):
+        i = int(np.argmax(small))
+        raise DegeneratePoint(
+            f"closed forms degenerate at window sample {i if idx is None else idx}: "
+            f"gamma = {gamma[i]:.3e}, theta = {theta[i]:.6g}"
+        )
+    return values
+
+
 def offset_closed_forms(m: RuledSurfaceModel, spec: OffsetSpec, idx: int) -> dict:
     """Formula bundle at one window sample (floats keyed like the report rows)."""
-    sl = slice(spec.lo_index, spec.hi_index)
-    gamma = m.gamma[sl][idx]
-    delta = m.delta[sl][idx]
-    Delta = m.Delta[sl][idx]
-    theta = spec.theta[idx]
-    theta_star = spec.theta_star[idx]
-    if abs(np.sinh(theta)) <= SINH_GUARD or abs(gamma) <= GAMMA_GUARD:
-        raise DegeneratePoint(
-            f"formulas degenerate at sample {idx}: gamma = {gamma:.3e}, theta = {theta:.6g}"
-        )
-    raw = _formula_fields(gamma, delta, Delta, theta, theta_star)
+    raw = _formula_fields(*_closed_form_inputs(m, spec, idx))
     out = {}
     for k, v in raw.items():
         if isinstance(v, DualScalar):
@@ -296,13 +306,8 @@ def consistency_report(m: RuledSurfaceModel, spec: OffsetSpec, offset: OffsetMod
     """
     if offset.source_model is not m or offset.spec is not spec:
         raise MismatchedInputs("report inputs must be the model/spec pair the offset was built from")
-    sl = slice(spec.lo_index, spec.hi_index)
-    gamma, delta, Delta = m.gamma[sl], m.delta[sl], m.Delta[sl]
-    small = (np.abs(np.sinh(spec.theta)) <= SINH_GUARD) | (np.abs(gamma) <= GAMMA_GUARD)
-    if np.any(small):
-        idx = int(np.argmax(small))
-        raise DegeneratePoint(f"formulas degenerate inside the window at sample {idx}")
-    F = _formula_fields(gamma, delta, Delta, spec.theta, spec.theta_star)
+    gamma, delta, Delta, theta, theta_star = _closed_form_inputs(m, spec)
+    F = _formula_fields(gamma, delta, Delta, theta, theta_star)
 
     ds1 = offset.ds1_ds
     arc_dual_oracle = DualScalar(ds1, ds1 * (Delta - offset.Delta1))
@@ -364,17 +369,8 @@ def developability_predicates(m: RuledSurfaceModel, spec: OffsetSpec, idx: int,
     developable (theta_star = delta, both locally constant); conical
     curvature matching -tanh(theta).
     """
-    sl = slice(spec.lo_index, spec.hi_index)
-    gamma = m.gamma[sl][idx]
-    delta = m.delta[sl][idx]
-    Delta = m.Delta[sl][idx]
-    theta = spec.theta[idx]
-    theta_star = spec.theta_star[idx]
-    if abs(np.sinh(theta)) <= SINH_GUARD or abs(gamma) <= GAMMA_GUARD:
-        raise DegeneratePoint(
-            f"predicates degenerate at sample {idx}: gamma = {gamma:.3e}, theta = {theta:.6g}"
-        )
-    ddelta = grid_derivative(m.s_grid, m.delta)[sl][idx]
+    gamma, delta, Delta, theta, theta_star = _closed_form_inputs(m, spec, idx)
+    ddelta = grid_derivative(m.s_grid, m.delta)[spec.window][idx]
     target = -(delta / gamma) * np.tanh(theta)
     return {
         "base_developable": bool(abs(Delta) <= tol),
@@ -395,10 +391,7 @@ def transfer_derivative_components(m: RuledSurfaceModel, spec: OffsetSpec) -> di
     must vanish. Returned as DualScalar arrays keyed by frame leg.
     """
     e_d, t_d, g_d = _window_frame(m, spec)
-    e1 = transfer_dual_director(m, spec)
-    s = spec.s
-    recip = DualScalar(np.ones_like(s), m.Delta[spec.lo_index:spec.hi_index])
-    de1 = DualVec3(grid_derivative(s, e1.re), grid_derivative(s, e1.du)) * recip
+    de1 = _d_ds_bar(_dual_fd(transfer_dual_director(m, spec), spec.s), m.Delta[spec.window])
     return {
         "along_director": -1.0 * dinner(de1, e_d),
         "along_tangent": dinner(de1, t_d),

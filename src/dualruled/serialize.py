@@ -3,7 +3,8 @@
 Reports must be byte-identical across runs and machines, so floats are
 printed in 12-significant-digit scientific notation instead of repr's
 shortest roundtrip (which can differ between libm builds for the same
-value history). Non-finite numbers are rejected outright.
+value history). Non-finite numbers are rejected outright. A dual number
+is written as the object {"du": ..., "re": ...}.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import json
 
 import numpy as np
 
+from .dual_algebra import DualScalar
 from .errors import ValidationError
 
 
@@ -49,6 +51,8 @@ def _emit(obj, indent: int) -> str:
         return json.dumps(obj)
     if obj is None:
         return "null"
+    if isinstance(obj, DualScalar):
+        return _emit({"du": obj.du, "re": obj.re}, indent)
     raise ValidationError(f"cannot serialize {type(obj).__name__} deterministically")
 
 

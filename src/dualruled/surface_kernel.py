@@ -59,7 +59,6 @@ class RuledSurfaceModel:
     delta: np.ndarray
     Delta: np.ndarray
     lambda0: np.ndarray
-    base_curve: SampledCurve
 
     def __len__(self):
         return len(self.s_grid)
@@ -76,7 +75,6 @@ class DualApparatus:
     rho_cosh: DualScalar
     rho_sinh: DualScalar
     darboux_branch: np.ndarray
-    darboux_axis: DualVec3
     darboux_axis_unit: DualVec3
 
 
@@ -135,7 +133,7 @@ def _darboux_fields(u: np.ndarray, e_raw: np.ndarray, p_raw: np.ndarray,
     }
 
 
-def _model_from_fields(fields: dict, base: SampledCurve, drift_tol: float = 1e-4) -> RuledSurfaceModel:
+def _model_from_fields(fields: dict, drift_tol: float = 1e-4) -> RuledSurfaceModel:
     """Resample chain-rule fields onto the uniform arc-length grid.
 
     Cubic Hermite in u. Frame slopes come from the frame equations times
@@ -172,7 +170,7 @@ def _model_from_fields(fields: dict, base: SampledCurve, drift_tol: float = 1e-4
         s_grid=s_uniform, e=e1, t=t1, g=-lcross(e1, t1),  # closure kept exact
         c=resample("c", -delta * e + Delta * g),
         gamma=resample("gamma"), delta=resample("delta"), Delta=resample("Delta"),
-        lambda0=resample("lambda0"), base_curve=base,
+        lambda0=resample("lambda0"),
     )
 
 
@@ -185,7 +183,7 @@ def build_surface(director: SampledCurve, base: SampledCurve, *, drift_tol: floa
     if len(director) != len(base) or not np.array_equal(director.params, base.params):
         raise MismatchedInputs("director and base curve must share one parameter grid")
     fields = _darboux_fields(director.params, director.values, base.values, drift_tol)
-    return _model_from_fields(fields, base, drift_tol)
+    return _model_from_fields(fields, drift_tol)
 
 
 def synth_constant_invariant(gamma0: float, delta0: float, Delta0: float,
@@ -216,17 +214,22 @@ def synth_constant_invariant(gamma0: float, delta0: float, Delta0: float,
         s_grid=s, e=e, t=t, g=g, c=c,
         gamma=np.full_like(s, gamma0), delta=np.full_like(s, delta0),
         Delta=np.full_like(s, Delta0), lambda0=zeros,
-        base_curve=SampledCurve(s, c),
     )
 
 
-def _curvature_elements(gamma_bar: DualScalar):
-    """Curvature radius and (cosh, sinh) spherical-radius pair from gamma_bar.
+def _gamma_bar(gamma, delta, Delta) -> DualScalar:
+    """Dual conical curvature gamma_bar = gamma + eps(delta + gamma Delta)."""
+    return DualScalar(gamma, delta + gamma * Delta)
 
-    Branch splits on |gamma_bar.re| vs 1: the Darboux axis is timelike
-    outside the unit band, spacelike inside. Returns (R, C, S, branch).
+
+def _curvature_elements(gamma, delta, Delta):
+    """gamma_bar, curvature radius and (cosh, sinh) spherical-radius pair.
+
+    Branch splits on |gamma| vs 1: the Darboux axis is timelike outside the
+    unit band, spacelike inside. Returns (gamma_bar, R, C, S, branch).
     """
-    gre = np.asarray(gamma_bar.re, dtype=float)
+    gamma_bar = _gamma_bar(gamma, delta, Delta)
+    gre = np.asarray(gamma, dtype=float)
     margin = np.abs(1.0 - gre * gre)
     if np.any(margin < NULL_AXIS_GUARD):
         idx = int(np.argmax(margin < NULL_AXIS_GUARD))
@@ -239,14 +242,10 @@ def _curvature_elements(gamma_bar: DualScalar):
     mgR = -gamma_bar * R
     mR = -R
     timelike = np.abs(gre) > 1.0
-    if gre.ndim == 0:
-        C, S = (mgR, mR) if bool(timelike) else (mR, mgR)
-        branch = np.asarray(TIMELIKE_AXIS if bool(timelike) else SPACELIKE_AXIS)
-    else:
-        C = DualScalar(np.where(timelike, mgR.re, mR.re), np.where(timelike, mgR.du, mR.du))
-        S = DualScalar(np.where(timelike, mR.re, mgR.re), np.where(timelike, mR.du, mgR.du))
-        branch = np.where(timelike, TIMELIKE_AXIS, SPACELIKE_AXIS)
-    return R, C, S, branch
+    C = DualScalar(np.where(timelike, mgR.re, mR.re), np.where(timelike, mgR.du, mR.du))
+    S = DualScalar(np.where(timelike, mR.re, mgR.re), np.where(timelike, mR.du, mgR.du))
+    branch = np.where(timelike, TIMELIKE_AXIS, SPACELIKE_AXIS)
+    return gamma_bar, R, C, S, branch
 
 
 def dual_frame(m: RuledSurfaceModel):
@@ -261,15 +260,12 @@ def dual_frame(m: RuledSurfaceModel):
 def dual_apparatus(m: RuledSurfaceModel) -> DualApparatus:
     """Dual arc length, dual conical curvature, and curvature elements."""
     s_bar = DualScalar(m.s_grid, -integrate_cumulative(m.s_grid, m.Delta))
-    gamma_bar = DualScalar(m.gamma, m.delta + m.gamma * m.Delta)
-    R, C, S, branch = _curvature_elements(gamma_bar)
+    gamma_bar, R, C, S, branch = _curvature_elements(m.gamma, m.delta, m.Delta)
     e_d, _, g_d = dual_frame(m)
-    axis = -1.0 * (gamma_bar * e_d) - g_d
-    axis_unit = R * axis
     return DualApparatus(
         s_bar=s_bar, gamma_bar=gamma_bar, R_bar=R,
         rho_cosh=C, rho_sinh=S, darboux_branch=branch,
-        darboux_axis=axis, darboux_axis_unit=axis_unit,
+        darboux_axis_unit=R * (-1.0 * (gamma_bar * e_d) - g_d),
     )
 
 
@@ -311,6 +307,11 @@ def _dual_fd(x: DualVec3, s: np.ndarray) -> DualVec3:
     return DualVec3(grid_derivative(s, x.re), grid_derivative(s, x.du))
 
 
+def _d_ds_bar(dx_ds: DualVec3, Delta: np.ndarray) -> DualVec3:
+    """d/ds -> d/ds_bar: ds_bar = (1 - eps Delta) ds, whose reciprocal is (1, Delta)."""
+    return dx_ds * DualScalar(np.ones_like(Delta), Delta)
+
+
 def _dual_vec_norms(x: DualVec3) -> float:
     re = float(np.max(np.sqrt(np.sum(x.re * x.re, axis=-1))))
     du = float(np.max(np.sqrt(np.sum(x.du * x.du, axis=-1))))
@@ -318,18 +319,14 @@ def _dual_vec_norms(x: DualVec3) -> float:
 
 
 def dual_frame_residuals(m: RuledSurfaceModel) -> dict:
-    """Residuals of the dual frame ODEs, differentiating in dual arc length.
-
-    d/ds_bar = (d/ds) / (1 - eps*Delta); the reciprocal is (1, Delta).
-    """
+    """Residuals of the dual frame ODEs, differentiating in dual arc length."""
     e_d, t_d, g_d = dual_frame(m)
     s = m.s_grid
-    gamma_bar = DualScalar(m.gamma, m.delta + m.gamma * m.Delta)
-    recip = DualScalar(np.ones_like(s), m.Delta)
-    de = _dual_fd(e_d, s) * recip
-    dt = _dual_fd(t_d, s) * recip
-    dg = _dual_fd(g_d, s) * recip
+    gamma_bar = _gamma_bar(m.gamma, m.delta, m.Delta)
     raw = _dual_fd(e_d, s)
+    de = _d_ds_bar(raw, m.Delta)
+    dt = _d_ds_bar(_dual_fd(t_d, s), m.Delta)
+    dg = _d_ds_bar(_dual_fd(g_d, s), m.Delta)
     speed = dnorm(raw)
     return {
         "director_ode": _dual_vec_norms(de - t_d),

@@ -1,5 +1,6 @@
 """CLI surface: config parsing, subcommands, OBJ grammar, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -94,6 +95,9 @@ def test_samples_precedence(monkeypatch):
     monkeypatch.setenv(SAMPLES_ENV, "abc")
     with pytest.raises(ConfigError):
         parse_config(data)
+    # a source of lower precedence is not read
+    assert parse_config({**data, "samples": 33}).samples == 33
+    assert parse_config(data, samples_override=50).samples == 50
     monkeypatch.setenv(SAMPLES_ENV, "5")
     with pytest.raises(ConfigError):
         parse_config(data)
@@ -118,6 +122,23 @@ def test_build_model_param_errors():
     with pytest.raises(ConfigError, match="director must be"):
         build_model(parse_config({"name": "x", "kind": "cone",
                                   "params": {"director": [[1, 0, 0]] * 5}, "samples": 16}))
+
+
+@pytest.mark.parametrize("data", [
+    {"name": "x", "kind": "constant_invariant", "params": {"gamma": "abc", "delta": 0.2, "Delta": 0.1}},
+    {"name": "x", "kind": "planar_hyperbola", "samples": "many"},
+    {"name": "x", "kind": "planar_hyperbola", "samples": 64.5},
+    {"name": "x", "kind": "cone", "params": {"apex": 5}},
+    {"name": "x", "kind": "planar_hyperbola", "s_range": [0, "z"]},
+    {"name": "x", "kind": "sampled",
+     "params": {"u": [0.0, 1.0, 2.0], "director": 5, "base": [[0.0, 0.0, 0.0]] * 3}},
+], ids=["gamma", "samples", "fractional_samples", "apex", "s_range", "director"])
+def test_malformed_config_values_exit_2(tmp_path, capsys, data):
+    out = tmp_path / "r.json"
+    assert main(["analyze", "--input", write_cfg(tmp_path, "bad.json", data), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_build_model_resamples_nonuniform_input():
@@ -306,3 +327,48 @@ def test_error_exit_codes(tmp_path, capsys):
                  "--v-max", "1", "--v-samples", "3", "--output", out])
     assert code == 2
     assert "needs --c and --cstar" in capsys.readouterr().err
+
+
+# SHA-256 of canonical outputs at N = 1024; refactors must keep these bytes
+GOLDEN_SHA256 = {
+    "analyze:planar":
+        "8662978ef93f7ebbc476e02eb269baa6fbfcf597703d9cb3e761095d2135d927",
+    "analyze:constant":
+        "f8c6d38fc09a26cafd945f4a51fe49351acdc792755f4a0690b76010f8b4688e",
+    "analyze:cone":
+        "a6bd8950259108f98073dd613fb0d4f9f384e9efa8e957ada473dd5d62d545ee",
+    "offset:constant":
+        "024cfeb29e8b0c080cd140305e53bbabfb1706a6f78cde080a274bfd5673cf63",
+    "verify:constant":
+        "14bfe36e290de70d1200d8b6fde06dc1e9211ddcc3f43bac0eeb012ea10c9a47",
+    "export:planar":
+        "5d98e25387e48319f4c0638c032a48a26497acf77900fb1cb6fc38567e302e5c",
+    "export_offset:constant":
+        "7d96deca478c30bb382e3fd085cefd5de5c21f5fa02a054765d6d5b8f828cdb4",
+}
+
+
+def _golden_outputs(tmp_path):
+    cfgs = {
+        "planar": write_cfg(tmp_path, "planar.json", planar_cfg(1024)),
+        "constant": write_cfg(tmp_path, "constant.json", constant_cfg(1024)),
+        "cone": write_cfg(tmp_path, "cone.json", {"name": "cone", "kind": "cone",
+                                                  "s_range": [0.0, 2.0], "samples": 1024}),
+    }
+    window = ["--c", "3", "--cstar", "0.3", "--s-lo", "1", "--s-hi", "2"]
+    mesh = ["--v-min", "-1", "--v-max", "1", "--v-samples", "5"]
+    out = {k: tmp_path / k.replace(":", "_") for k in GOLDEN_SHA256}
+    for name in ("planar", "constant", "cone"):
+        assert main(["analyze", "--input", cfgs[name], "--output", str(out[f"analyze:{name}"])]) == 0
+    assert main(["offset", "--input", cfgs["constant"], *window,
+                 "--output", str(out["offset:constant"]),
+                 "--verify", str(out["verify:constant"])]) == 0
+    assert main(["export", "--input", cfgs["planar"], *mesh,
+                 "--output", str(out["export:planar"])]) == 0
+    assert main(["export", "--input", cfgs["constant"], "--offset", *window, *mesh,
+                 "--output", str(out["export_offset:constant"])]) == 0
+    return {k: hashlib.sha256(p.read_bytes()).hexdigest() for k, p in out.items()}
+
+
+def test_golden_output_bytes(tmp_path):
+    assert _golden_outputs(tmp_path) == GOLDEN_SHA256

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dualruled import EPS, FUNCTION_NAMES, DualScalar, apply_function
 from dualruled.errors import DivisionByPureDual, DomainError
@@ -41,20 +41,25 @@ def test_division_by_pure_dual_raises():
         DualScalar(1.0, 0.0) / DualScalar(np.array([1.0, 0.0]), np.array([0.0, 0.0]))
 
 
+def _within_forward_error(u: DualScalar, v: DualScalar, scale: DualScalar) -> bool:
+    # rounding error of a sum of products is bounded by the sum of the
+    # terms' magnitudes, which the same expression on |operands| computes;
+    # bounding by the result fails whenever the terms cancel
+    return (abs(u.re - v.re) <= 1e-9 * (1 + scale.re)
+            and abs(u.du - v.du) <= 1e-9 * (1 + scale.du))
+
+
 @given(finite, finite, finite, finite, finite, finite)
+@example(17.0, 0.0, 986896.0, 0.0, -986895.9999999999, 0.0)
+@example(1e6, 999967.0, 999999.0, -999966.0, 9009.0, 0.0)
 def test_ring_axioms(a, b, c, d, e, f):
     x, y, z = DualScalar(a, b), DualScalar(c, d), DualScalar(e, f)
+    mx, my, mz = (DualScalar(abs(w.re), abs(w.du)) for w in (x, y, z))
     assert (x + y) == (y + x)
     assert (x * y) == (y * x)
-    s1, s2 = (x + y) + z, x + (y + z)
-    assert abs(s1.re - s2.re) <= 1e-9 * (1 + abs(s1.re))
-    assert abs(s1.du - s2.du) <= 1e-9 * (1 + abs(s1.du))
-    p1, p2 = (x * y) * z, x * (y * z)
-    assert abs(p1.re - p2.re) <= 1e-9 * (1 + abs(p1.re))
-    assert abs(p1.du - p2.du) <= 1e-9 * (1 + abs(p1.du))
-    d1, d2 = x * (y + z), x * y + x * z
-    assert abs(d1.re - d2.re) <= 1e-9 * (1 + abs(d1.re))
-    assert abs(d1.du - d2.du) <= 1e-9 * (1 + abs(d1.du))
+    assert _within_forward_error((x + y) + z, x + (y + z), (mx + my) + mz)
+    assert _within_forward_error((x * y) * z, x * (y * z), (mx * my) * mz)
+    assert _within_forward_error(x * (y + z), x * y + x * z, mx * (my + mz))
 
 
 @given(finite, finite)

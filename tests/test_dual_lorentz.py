@@ -78,6 +78,9 @@ def test_dnorm_examples():
 def test_dnorm_rejects_null_direction():
     with pytest.raises(NullDirection):
         dnorm(DualVec3(np.array([1.0, 1.0, 0.0]), np.zeros(3)))
+    # a zero direction has no dual norm either, not a nan dual part
+    with pytest.raises(NullDirection):
+        dnorm(DualVec3(np.zeros(3), np.ones(3)))
 
 
 def test_encode_examples():

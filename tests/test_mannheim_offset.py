@@ -86,7 +86,7 @@ def test_transfer_director_is_unit_timelike(offset_pieces):
 def test_offset_orientation_and_gauge(offset_pieces):
     m, spec, offset = offset_pieces
     assert offset.orientation == -1
-    sl = slice(spec.lo_index, spec.hi_index)
+    sl = spec.window
     # traversal gauge puts the offset tangent on the base central normal
     assert np.max(np.abs(offset.t1 + m.g[sl])) < 1e-4
     assert np.max(offset.mannheim_real_residual) < 1e-4
@@ -98,7 +98,7 @@ def test_offset_invariant_laws(offset_pieces):
     m, spec, offset = offset_pieces
     theta = spec.theta
     coth = np.cosh(theta) / np.sinh(theta)
-    sl = slice(spec.lo_index, spec.hi_index)
+    sl = spec.window
     assert np.max(np.abs(offset.gamma1 + coth)) < 1e-3
     assert offset.gamma1[-1] == pytest.approx(-1.313035, abs=1e-4)
     want_rate = np.abs(m.gamma[sl] * np.sinh(theta))
@@ -147,7 +147,7 @@ def test_closed_form_spots(offset_pieces):
 
 def test_closed_forms_reject_degenerate_point(planar_surface):
     spec = offset_angle_profile(planar_surface, 3.0, 0.3, (1.0, 2.0))
-    with pytest.raises(DegeneratePoint):
+    with pytest.raises(DegeneratePoint, match="window sample 0: gamma = "):
         offset_closed_forms(planar_surface, spec, 0)
 
 
@@ -216,7 +216,7 @@ def test_developability_predicates_cases():
 
 def test_predicates_reject_degenerate_point(planar_surface):
     spec = offset_angle_profile(planar_surface, 3.0, 0.3, (1.0, 2.0))
-    with pytest.raises(DegeneratePoint):
+    with pytest.raises(DegeneratePoint, match="window sample 0: gamma = "):
         developability_predicates(planar_surface, spec, 0)
 
 

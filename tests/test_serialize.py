@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from dualruled import dumps_canonical
+from dualruled import DualScalar, dumps_canonical
 from dualruled.errors import ValidationError
 
 
@@ -58,3 +58,11 @@ def test_rejections():
 def test_determinism():
     payload = {"a": np.linspace(0.0, 1.0, 17), "b": {"c": 0.1 + 0.2}}
     assert dumps_canonical(payload) == dumps_canonical(payload)
+
+
+def test_dual_scalar_is_an_object_of_its_parts():
+    text = dumps_canonical({"x": DualScalar(np.array([1.0]), np.array([0.5]))})
+    assert text == dumps_canonical({"x": {"re": np.array([1.0]), "du": np.array([0.5])}})
+    assert dumps_canonical(DualScalar(2.0, 0.25)) == (
+        '{\n  "du": 2.50000000000e-01,\n  "re": 2.00000000000e+00\n}\n'
+    )
