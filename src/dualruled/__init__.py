@@ -11,7 +11,6 @@ are adjudicated against an independently reconstructed offset surface.
 from .dual_algebra import EPS, FUNCTION_NAMES, DualScalar, apply_function
 from .dual_lorentz import (
     DualVec3,
-    dcross,
     decode_line_point,
     dinner,
     dnorm,
@@ -28,8 +27,8 @@ from .mannheim_offset import (
     offset_closed_forms,
     transfer_derivative_components,
 )
-from .minkowski3 import Causal, causal_classify, det3, lcross, linner, lnorm
-from .numerics import SampledCurve, arclength_map, derivative, grid_derivative, integrate_cumulative
+from .minkowski3 import det3, lcross, linner, lnorm
+from .numerics import SampledCurve, arclength_map, grid_derivative, integrate_cumulative
 from .serialize import dumps_canonical
 from .surface_kernel import (
     build_surface,
@@ -45,7 +44,6 @@ from .surface_kernel import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Causal",
     "DegeneracyError",
     "DualScalar",
     "DualVec3",
@@ -57,14 +55,11 @@ __all__ = [
     "apply_function",
     "arclength_map",
     "build_surface",
-    "causal_classify",
     "classify",
     "cone_curves",
     "consistency_report",
     "construct_offset",
-    "dcross",
     "decode_line_point",
-    "derivative",
     "det3",
     "developability_predicates",
     "dinner",

@@ -6,14 +6,17 @@ surface and writes a JSON report; `offset` constructs a Mannheim offset
 writes an OBJ mesh of the surface or its offset.
 
 Exit codes: 0 success, 2 validation problem (bad config, non-timelike
-data), 3 numeric degeneracy (stalled indicatrix, null axis, vanishing
-window). A DISCREPANT verdict in the consistency report is a finding, not
-a failure; it exits 0.
+data, floating-point overflow, unwritable output path), 3 numeric
+degeneracy (stalled indicatrix, null axis, vanishing window). Every
+output is built before any file is written, so a nonzero exit leaves no
+output file. A DISCREPANT verdict in the consistency report is a finding,
+not a failure; it exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -88,7 +91,14 @@ def _default_samples() -> int:
     return n
 
 
+def _number_param(params: dict, key: str) -> float:
+    if key not in params:
+        raise ConfigError(f"constant_invariant needs params.{key}")
+    return _coerce(params[key], float, f"params.{key} must be a number")
+
+
 def parse_config(data: dict, samples_override=None) -> SurfaceConfig:
+    """Check a config in a fixed order and convert the params its kind reads."""
     if not isinstance(data, dict):
         raise ConfigError("surface config must be a JSON object")
     try:
@@ -125,18 +135,31 @@ def parse_config(data: dict, samples_override=None) -> SurfaceConfig:
     samples = _coerce(samples, _integer, "samples must be an integer")
     if samples < 9:
         raise ConfigError(f"samples must be at least 9, got {samples}")
+
+    if kind == "constant_invariant":
+        params = {key: _number_param(params, key) for key in ("gamma", "delta", "Delta")}
+    elif kind == "cone":
+        apex = _coerce(params.get("apex", (1.0, 2.0, 3.0)), _floats, "cone apex must be a 3-vector")
+        if apex.shape != (3,):
+            raise ConfigError("cone apex must be a 3-vector")
+        director = params.get("director")
+        if director is not None:
+            director = _coerce(director, _floats, "cone director must be an array of numbers")
+            if director.shape != (samples, 3):
+                raise ConfigError(
+                    f"cone director must be samples x 3 = {samples} x 3, got {list(director.shape)}"
+                )
+        params = {"apex": apex, "director": director}
+    elif kind == "sampled":
+        director, base = (_coerce(params[k], _floats, f"params.{k} must be an array of numbers")
+                          for k in ("director", "base"))
+        if director.shape != (len(u), 3) or base.shape != (len(u), 3):
+            raise ConfigError("director/base must be N x 3 arrays")
+        params = {"u": u, "director": director, "base": base}
+    else:
+        params = {}
     return SurfaceConfig(name=str(name), kind=str(kind), params=params,
                          s_range=s_range, samples=samples)
-
-
-def config_to_dict(cfg: SurfaceConfig) -> dict:
-    return {
-        "name": cfg.name,
-        "kind": cfg.kind,
-        "params": cfg.params,
-        "s_range": [cfg.s_range[0], cfg.s_range[1]],
-        "samples": cfg.samples,
-    }
 
 
 def load_config(path: str, samples_override=None) -> SurfaceConfig:
@@ -151,36 +174,15 @@ def load_config(path: str, samples_override=None) -> SurfaceConfig:
 
 
 def build_model(cfg: SurfaceConfig) -> RuledSurfaceModel:
+    p = cfg.params
     if cfg.kind == "constant_invariant":
-        p = cfg.params
-        try:
-            gamma0, delta0, Delta0 = (_coerce(p[k], float, f"params.{k} must be a number")
-                                      for k in ("gamma", "delta", "Delta"))
-        except KeyError as missing:
-            raise ConfigError(f"constant_invariant needs params.{missing.args[0]}")
-        return synth_constant_invariant(gamma0, delta0, Delta0, cfg.s_range, cfg.samples)
+        return synth_constant_invariant(p["gamma"], p["delta"], p["Delta"], cfg.s_range, cfg.samples)
     if cfg.kind == "planar_hyperbola":
-        director, base = hyperbola_curves(cfg.s_range, cfg.samples)
-        return build_surface(director, base)
+        return build_surface(*hyperbola_curves(cfg.s_range, cfg.samples))
     if cfg.kind == "cone":
-        apex = _coerce(cfg.params.get("apex", (1.0, 2.0, 3.0)), _floats, "cone apex must be a 3-vector")
-        if apex.shape != (3,):
-            raise ConfigError("cone apex must be a 3-vector")
-        director_values = cfg.params.get("director")
-        if director_values is not None:
-            director_values = _coerce(director_values, _floats, "cone director must be an array of numbers")
-            if director_values.shape != (cfg.samples, 3):
-                raise ConfigError(
-                    f"cone director must be samples x 3 = {cfg.samples} x 3, "
-                    f"got {list(director_values.shape)}"
-                )
-        director, base = cone_curves(apex, cfg.s_range, cfg.samples, director_values)
-        return build_surface(director, base)
+        return build_surface(*cone_curves(p["apex"], cfg.s_range, cfg.samples, p["director"]))
     # sampled
-    u, director, base = (_coerce(cfg.params[k], _floats, f"params.{k} must be an array of numbers")
-                         for k in ("u", "director", "base"))
-    if director.shape != (len(u), 3) or base.shape != (len(u), 3):
-        raise ConfigError("director/base must be N x 3 arrays")
+    u, director, base = p["u"], p["director"], p["base"]
     grid = np.linspace(u[0], u[-1], cfg.samples)
     uniform = len(u) == cfg.samples and np.allclose(u, grid, rtol=0, atol=1e-12 * max(1.0, abs(u[-1])))
     if not uniform:
@@ -221,12 +223,27 @@ def _analyze_payload(cfg: SurfaceConfig, model: RuledSurfaceModel, tol: float) -
     }
 
 
+def _write_outputs(outputs: dict) -> None:
+    """Write {path: text} through temporary files renamed into place once all are
+    written, so a failure leaves no output behind; OSError becomes a ConfigError."""
+    tmps = {path: f"{path}.{os.getpid()}.tmp" for path in outputs}
+    try:
+        for path, text in outputs.items():
+            with open(tmps[path], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        for path, tmp in tmps.items():
+            os.replace(tmp, path)
+    except OSError as exc:
+        for tmp in tmps.values():
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def cmd_analyze(args) -> int:
     cfg = load_config(args.input, args.samples)
     model = build_model(cfg)
-    payload = _analyze_payload(cfg, model, args.tol)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(payload))
+    _write_outputs({args.output: dumps_canonical(_analyze_payload(cfg, model, args.tol))})
     return 0
 
 
@@ -278,8 +295,7 @@ def cmd_offset(args) -> int:
             "samples": int(len(spec.s)),
         },
     }
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(payload))
+    outputs = {args.output: dumps_canonical(payload)}
     if args.verify:
         report = consistency_report(model, spec, offset, args.tol)
         verify_payload = {
@@ -300,8 +316,8 @@ def cmd_offset(args) -> int:
             "tol": report.tol,
             "verdicts": report.verdicts,
         }
-        with open(args.verify, "w", encoding="utf-8") as fh:
-            fh.write(dumps_canonical(verify_payload))
+        outputs[args.verify] = dumps_canonical(verify_payload)
+    _write_outputs(outputs)
     return 0
 
 
@@ -318,14 +334,12 @@ def _write_obj(path: str, points: np.ndarray, e: np.ndarray,
     a = (np.arange(len(points) - 1)[:, None] * m + np.arange(1, m)).ravel()
     # each grid cell (a, a+m, a+m+1, a+1) becomes two triangles
     faces = np.stack([a, a + m, a + m + 1, a, a + m + 1, a + 1], axis=-1).ravel()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(("v %.9f %.9f %.9f\n" * (len(verts) // 3)) % tuple(verts.tolist()))
-        fh.write(("f %d %d %d\nf %d %d %d\n" * len(a)) % tuple(faces.tolist()))
+    text = (("v %.9f %.9f %.9f\n" * (len(verts) // 3)) % tuple(verts.tolist())
+            + ("f %d %d %d\nf %d %d %d\n" * len(a)) % tuple(faces.tolist()))
+    _write_outputs({path: text})
 
 
 def cmd_export(args) -> int:
-    if args.format != "obj":
-        raise ConfigError(f"unsupported format {args.format!r}")
     if args.offset:
         if args.c is None or args.cstar is None:
             raise ConfigError("--offset export needs --c and --cstar")
@@ -367,7 +381,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("export", help="write an OBJ mesh of the surface or its offset")
     pe.add_argument("--input", required=True)
-    pe.add_argument("--format", default="obj")
     pe.add_argument("--v-min", type=float, required=True)
     pe.add_argument("--v-max", type=float, required=True)
     pe.add_argument("--v-samples", type=int, required=True)
@@ -386,8 +399,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
-    except ValidationError as exc:
+        with np.errstate(all="raise", under="ignore"):
+            return args.fn(args)
+    except (ValidationError, FloatingPointError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except DegeneracyError as exc:

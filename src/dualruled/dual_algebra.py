@@ -94,29 +94,7 @@ class DualScalar:
         s = 1.0 if self.re > 0 else -1.0
         return DualScalar(s * self.re, s * self.du)
 
-    # ordering by real part only; equality exact on both parts
-    def _cmp_re(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o.re
-
-    def __lt__(self, other):
-        r = self._cmp_re(other)
-        return NotImplemented if r is NotImplemented else self.re < r
-
-    def __le__(self, other):
-        r = self._cmp_re(other)
-        return NotImplemented if r is NotImplemented else self.re <= r
-
-    def __gt__(self, other):
-        r = self._cmp_re(other)
-        return NotImplemented if r is NotImplemented else self.re > r
-
-    def __ge__(self, other):
-        r = self._cmp_re(other)
-        return NotImplemented if r is NotImplemented else self.re >= r
-
+    # equality exact on both parts
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -137,9 +115,7 @@ def _domain_check(name: str, x: DualScalar, ok) -> None:
         raise DomainError(name, float(val))
 
 
-def _pair(name: str, x: DualScalar, value, deriv, ok=None) -> DualScalar:
-    if ok is not None:
-        _domain_check(name, x, ok)
+def _pair(x: DualScalar, value, deriv) -> DualScalar:
     return DualScalar(value, x.du * deriv)
 
 
@@ -155,25 +131,25 @@ def _register(name):
 
 @_register("cosh")
 def dual_cosh(x: DualScalar) -> DualScalar:
-    return _pair("cosh", x, np.cosh(x.re), np.sinh(x.re))
+    return _pair(x, np.cosh(x.re), np.sinh(x.re))
 
 
 @_register("sinh")
 def dual_sinh(x: DualScalar) -> DualScalar:
-    return _pair("sinh", x, np.sinh(x.re), np.cosh(x.re))
+    return _pair(x, np.sinh(x.re), np.cosh(x.re))
 
 
 @_register("tanh")
 def dual_tanh(x: DualScalar) -> DualScalar:
     c = np.cosh(x.re)
-    return _pair("tanh", x, np.tanh(x.re), 1.0 / (c * c))
+    return _pair(x, np.tanh(x.re), 1.0 / (c * c))
 
 
 @_register("coth")
 def dual_coth(x: DualScalar) -> DualScalar:
     _domain_check("coth", x, np.asarray(x.re) != 0.0)
     s = np.sinh(x.re)
-    return _pair("coth", x, np.cosh(x.re) / s, -1.0 / (s * s))
+    return _pair(x, np.cosh(x.re) / s, -1.0 / (s * s))
 
 
 @_register("sqrt")
@@ -188,14 +164,14 @@ def dual_sqrt(x: DualScalar) -> DualScalar:
 def dual_arccosh(x: DualScalar) -> DualScalar:
     ok = np.asarray(x.re) > 1.0
     _domain_check("arccosh", x, ok)
-    return _pair("arccosh", x, np.arccosh(x.re), 1.0 / np.sqrt(x.re * x.re - 1.0))
+    return _pair(x, np.arccosh(x.re), 1.0 / np.sqrt(x.re * x.re - 1.0))
 
 
 @_register("artanh")
 def dual_artanh(x: DualScalar) -> DualScalar:
     ok = np.abs(np.asarray(x.re)) < 1.0
     _domain_check("artanh", x, ok)
-    return _pair("artanh", x, np.arctanh(x.re), 1.0 / (1.0 - x.re * x.re))
+    return _pair(x, np.arctanh(x.re), 1.0 / (1.0 - x.re * x.re))
 
 
 FUNCTION_NAMES = tuple(sorted(_REGISTRY))

@@ -19,6 +19,8 @@ from .dual_algebra import DualScalar, apply_function
 from .errors import InvalidLine, NotTimelike, NotUnit, NullDirection, ParallelLines
 from .minkowski3 import lcross, linner, lnorm
 
+LINE_TOL = 1e-6
+
 
 def _col(x):
     # append a trailing axis so per-sample scalars broadcast against (..., 3)
@@ -41,9 +43,6 @@ class DualVec3:
     def __sub__(self, other: "DualVec3") -> "DualVec3":
         return DualVec3(self.re - other.re, self.du - other.du)
 
-    def __neg__(self) -> "DualVec3":
-        return DualVec3(-self.re, -self.du)
-
     def __mul__(self, k: Union[DualScalar, float, int]) -> "DualVec3":
         # (a + eps b)(v + eps w) = a v + eps (a w + b v)
         if isinstance(k, DualScalar):
@@ -63,11 +62,6 @@ class DualAngle:
 def dinner(a: DualVec3, b: DualVec3) -> DualScalar:
     """Dual Lorentzian inner product: (<a,b>, <a,b*> + <a*,b>)."""
     return DualScalar(linner(a.re, b.re), linner(a.re, b.du) + linner(a.du, b.re))
-
-
-def dcross(a: DualVec3, b: DualVec3) -> DualVec3:
-    """Dual Lorentzian cross product: (a x b, a x b* + a* x b)."""
-    return DualVec3(lcross(a.re, b.re), lcross(a.re, b.du) + lcross(a.du, b.re))
 
 
 def dnorm(a: DualVec3) -> DualScalar:
@@ -99,19 +93,19 @@ def encode_line(direction: np.ndarray, point: np.ndarray) -> DualVec3:
     return DualVec3(direction, lcross(point, direction))
 
 
-def decode_line_point(a: DualVec3, tol: float = 1e-6) -> np.ndarray:
+def decode_line_point(a: DualVec3) -> np.ndarray:
     """Recover a point on the line encoded by a unit timelike DualVec3.
 
     Returns re x du, the point obtained by dropping the perpendicular from
     the origin (Lorentz-orthogonally). Raises InvalidLine when the unit or
-    orthogonality constraints are violated beyond tol.
+    orthogonality constraints are violated beyond LINE_TOL.
     """
     unit_dev = np.abs(linner(a.re, a.re) + 1.0)
     moment_scale = np.maximum(1.0, np.sqrt(np.sum(a.du * a.du, axis=-1)))
     ortho_dev = np.abs(linner(a.re, a.du))
-    if np.any(unit_dev > tol):
+    if np.any(unit_dev > LINE_TOL):
         raise InvalidLine(f"direction not unit timelike (max deviation {float(np.max(unit_dev)):.3e})")
-    if np.any(ortho_dev > tol * moment_scale):
+    if np.any(ortho_dev > LINE_TOL * moment_scale):
         raise InvalidLine(f"moment not orthogonal to direction (max deviation {float(np.max(ortho_dev)):.3e})")
     return lcross(a.re, a.du)
 

@@ -6,22 +6,7 @@ broadcasts over leading axes. Index 0 is the timelike coordinate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-
 import numpy as np
-
-
-class Causal(Enum):
-    TIMELIKE = "Timelike"
-    SPACELIKE = "Spacelike"
-    NULL = "Null"
-
-
-@dataclass(frozen=True)
-class CausalClass:
-    tag: Causal
-    tolerance_used: float
 
 
 def linner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -65,19 +50,3 @@ def det3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
         + a[..., 2] * (b[..., 0] * c[..., 1] - b[..., 1] * c[..., 0])
     )
 
-
-def causal_classify(a: np.ndarray, tol: float = 1e-9) -> CausalClass:
-    """Classify a single vector as timelike, spacelike, or null.
-
-    The null band is relative to max(1, squared Euclidean magnitude) so the
-    verdict does not change under rescaling of large vectors. The zero
-    vector counts as spacelike.
-    """
-    a = np.asarray(a, dtype=float)
-    q = float(linner(a, a))
-    eucl2 = float(np.dot(a, a))
-    if np.sqrt(eucl2) <= tol:
-        return CausalClass(Causal.SPACELIKE, tol)
-    if abs(q) <= tol * max(1.0, eucl2):
-        return CausalClass(Causal.NULL, tol)
-    return CausalClass(Causal.TIMELIKE if q < 0 else Causal.SPACELIKE, tol)

@@ -65,7 +65,7 @@ def _uniform_step(x: np.ndarray) -> float:
     return h
 
 
-def grid_derivative(x: np.ndarray, y: np.ndarray, order: int = 1) -> np.ndarray:
+def grid_derivative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Differentiate samples y(x) on a uniform grid, 4th-order accurate.
 
     y may be (N,) or (N, k); differentiation runs along axis 0.
@@ -76,27 +76,12 @@ def grid_derivative(x: np.ndarray, y: np.ndarray, order: int = 1) -> np.ndarray:
         raise GridTooCoarse(f"need at least {MIN_SAMPLES} samples, got {n}")
     h = _uniform_step(x)
     out = np.empty_like(y)
-    if order == 1:
-        out[2:-2] = (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / (12 * h)
-        out[0] = (-25 * y[0] + 48 * y[1] - 36 * y[2] + 16 * y[3] - 3 * y[4]) / (12 * h)
-        out[1] = (-3 * y[0] - 10 * y[1] + 18 * y[2] - 6 * y[3] + y[4]) / (12 * h)
-        out[-1] = (25 * y[-1] - 48 * y[-2] + 36 * y[-3] - 16 * y[-4] + 3 * y[-5]) / (12 * h)
-        out[-2] = (3 * y[-1] + 10 * y[-2] - 18 * y[-3] + 6 * y[-4] - y[-5]) / (12 * h)
-    elif order == 2:
-        h2 = h * h
-        out[2:-2] = (-y[:-4] + 16 * y[1:-3] - 30 * y[2:-2] + 16 * y[3:-1] - y[4:]) / (12 * h2)
-        out[0] = (45 * y[0] - 154 * y[1] + 214 * y[2] - 156 * y[3] + 61 * y[4] - 10 * y[5]) / (12 * h2)
-        out[1] = (10 * y[0] - 15 * y[1] - 4 * y[2] + 14 * y[3] - 6 * y[4] + y[5]) / (12 * h2)
-        out[-1] = (45 * y[-1] - 154 * y[-2] + 214 * y[-3] - 156 * y[-4] + 61 * y[-5] - 10 * y[-6]) / (12 * h2)
-        out[-2] = (10 * y[-1] - 15 * y[-2] - 4 * y[-3] + 14 * y[-4] - 6 * y[-5] + y[-6]) / (12 * h2)
-    else:
-        raise ValidationError(f"order must be 1 or 2, got {order}")
+    out[2:-2] = (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / (12 * h)
+    out[0] = (-25 * y[0] + 48 * y[1] - 36 * y[2] + 16 * y[3] - 3 * y[4]) / (12 * h)
+    out[1] = (-3 * y[0] - 10 * y[1] + 18 * y[2] - 6 * y[3] + y[4]) / (12 * h)
+    out[-1] = (25 * y[-1] - 48 * y[-2] + 36 * y[-3] - 16 * y[-4] + 3 * y[-5]) / (12 * h)
+    out[-2] = (3 * y[-1] + 10 * y[-2] - 18 * y[-3] + 6 * y[-4] - y[-5]) / (12 * h)
     return out
-
-
-def derivative(curve: SampledCurve, order: int = 1) -> SampledCurve:
-    """Derivative of a SampledCurve on its own grid."""
-    return SampledCurve(curve.params, grid_derivative(curve.params, curve.values, order))
 
 
 def integrate_cumulative(x: np.ndarray, f: np.ndarray) -> np.ndarray:

@@ -41,9 +41,9 @@ from .numerics import SampledCurve, arclength_map, grid_derivative, hermite, int
 
 TIMELIKE_AXIS = "TimelikeAxis"
 SPACELIKE_AXIS = "SpacelikeAxis"
-NULL_AXIS = "NullAxis"
 
 NULL_AXIS_GUARD = 1e-6
+DRIFT_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,6 @@ class RuledSurfaceModel:
     gamma: np.ndarray
     delta: np.ndarray
     Delta: np.ndarray
-    lambda0: np.ndarray
 
     def __len__(self):
         return len(self.s_grid)
@@ -89,8 +88,7 @@ def _renormalize_director(e: np.ndarray) -> np.ndarray:
     return e / np.sqrt(-q)[:, None]
 
 
-def _darboux_fields(u: np.ndarray, e_raw: np.ndarray, p_raw: np.ndarray,
-                    drift_tol: float = 1e-4) -> dict:
+def _darboux_fields(u: np.ndarray, e_raw: np.ndarray, p_raw: np.ndarray) -> dict:
     """Frame and invariants per input sample, derivatives via chain rule.
 
     All fields are indexed by the input grid; 'sigma' is the indicatrix
@@ -111,10 +109,10 @@ def _darboux_fields(u: np.ndarray, e_raw: np.ndarray, p_raw: np.ndarray,
     sigma = np.sqrt(sig2)
     t = de / sigma[:, None]
     ortho = np.abs(linner(e, t))
-    if np.max(ortho) > drift_tol:
+    if np.max(ortho) > DRIFT_TOL:
         idx = int(np.argmax(ortho))
         raise FrameDriftExceeded(
-            f"<e,t> = {linner(e, t)[idx]:.3e} at sample {idx} exceeds {drift_tol:.0e}"
+            f"<e,t> = {linner(e, t)[idx]:.3e} at sample {idx} exceeds {DRIFT_TOL:.0e}"
         )
     g = -lcross(e, t)
     dp = grid_derivative(u, np.asarray(p_raw, dtype=float))
@@ -128,12 +126,12 @@ def _darboux_fields(u: np.ndarray, e_raw: np.ndarray, p_raw: np.ndarray,
     s = u[0] + integrate_cumulative(u, sigma)
     return {
         "u": np.asarray(u, dtype=float), "s": s, "sigma": sigma,
-        "e": e, "t": t, "g": g, "c": c, "lambda0": lam,
+        "e": e, "t": t, "g": g, "c": c,
         "gamma": gamma, "delta": delta, "Delta": Delta,
     }
 
 
-def _model_from_fields(fields: dict, drift_tol: float = 1e-4) -> RuledSurfaceModel:
+def _model_from_fields(fields: dict) -> RuledSurfaceModel:
     """Resample chain-rule fields onto the uniform arc-length grid.
 
     Cubic Hermite in u. Frame slopes come from the frame equations times
@@ -152,7 +150,7 @@ def _model_from_fields(fields: dict, drift_tol: float = 1e-4) -> RuledSurfaceMod
 
     e1 = resample("e", t)
     drift = np.abs(linner(e1, e1) + 1.0)
-    if np.max(drift) > drift_tol:
+    if np.max(drift) > DRIFT_TOL:
         idx = int(np.argmax(drift))
         raise FrameDriftExceeded(
             f"director norm drifted by {drift[idx]:.3e} after resampling at sample {idx}"
@@ -161,20 +159,19 @@ def _model_from_fields(fields: dict, drift_tol: float = 1e-4) -> RuledSurfaceMod
     t1 = resample("t", e + gamma * g)
     tdrift = np.abs(linner(t1, t1) - 1.0)
     xdrift = np.abs(linner(e1, t1))
-    if max(np.max(tdrift), np.max(xdrift)) > drift_tol:
+    if max(np.max(tdrift), np.max(xdrift)) > DRIFT_TOL:
         idx = int(np.argmax(np.maximum(tdrift, xdrift)))
-        raise FrameDriftExceeded(f"frame orthonormality drift at sample {idx} exceeds {drift_tol:.0e}")
+        raise FrameDriftExceeded(f"frame orthonormality drift at sample {idx} exceeds {DRIFT_TOL:.0e}")
     t1 = t1 + linner(e1, t1)[:, None] * e1  # drop the e component (<e,e> = -1)
     t1 = t1 / np.sqrt(linner(t1, t1))[:, None]
     return RuledSurfaceModel(
         s_grid=s_uniform, e=e1, t=t1, g=-lcross(e1, t1),  # closure kept exact
         c=resample("c", -delta * e + Delta * g),
         gamma=resample("gamma"), delta=resample("delta"), Delta=resample("Delta"),
-        lambda0=resample("lambda0"),
     )
 
 
-def build_surface(director: SampledCurve, base: SampledCurve, *, drift_tol: float = 1e-4) -> RuledSurfaceModel:
+def build_surface(director: SampledCurve, base: SampledCurve) -> RuledSurfaceModel:
     """Build the Darboux model of the ruled surface p(u) + v e(u).
 
     Both curves must share one uniform grid. Directors may carry any
@@ -182,8 +179,8 @@ def build_surface(director: SampledCurve, base: SampledCurve, *, drift_tol: floa
     """
     if len(director) != len(base) or not np.array_equal(director.params, base.params):
         raise MismatchedInputs("director and base curve must share one parameter grid")
-    fields = _darboux_fields(director.params, director.values, base.values, drift_tol)
-    return _model_from_fields(fields, drift_tol)
+    fields = _darboux_fields(director.params, director.values, base.values)
+    return _model_from_fields(fields)
 
 
 def synth_constant_invariant(gamma0: float, delta0: float, Delta0: float,
@@ -213,7 +210,7 @@ def synth_constant_invariant(gamma0: float, delta0: float, Delta0: float,
     return RuledSurfaceModel(
         s_grid=s, e=e, t=t, g=g, c=c,
         gamma=np.full_like(s, gamma0), delta=np.full_like(s, delta0),
-        Delta=np.full_like(s, Delta0), lambda0=zeros,
+        Delta=np.full_like(s, Delta0),
     )
 
 

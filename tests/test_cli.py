@@ -12,7 +12,6 @@ from dualruled.cli import (
     DEFAULT_SAMPLES,
     SAMPLES_ENV,
     build_model,
-    config_to_dict,
     load_config,
     main,
     parse_config,
@@ -40,8 +39,10 @@ def planar_cfg(samples=128):
 
 def test_parse_config_roundtrip():
     cfg = parse_config(constant_cfg())
-    again = parse_config(config_to_dict(cfg))
-    assert config_to_dict(again) == config_to_dict(cfg)
+    assert cfg.name == "constant"
+    assert cfg.kind == "constant_invariant"
+    assert cfg.params == CONSTANT_PARAMS
+    assert all(type(v) is float for v in cfg.params.values())
     assert cfg.samples == 128
     assert cfg.s_range == (0.0, 2.0)
 
@@ -124,21 +125,49 @@ def test_build_model_param_errors():
                                   "params": {"director": [[1, 0, 0]] * 5}, "samples": 16}))
 
 
-@pytest.mark.parametrize("data", [
-    {"name": "x", "kind": "constant_invariant", "params": {"gamma": "abc", "delta": 0.2, "Delta": 0.1}},
-    {"name": "x", "kind": "planar_hyperbola", "samples": "many"},
-    {"name": "x", "kind": "planar_hyperbola", "samples": 64.5},
-    {"name": "x", "kind": "cone", "params": {"apex": 5}},
-    {"name": "x", "kind": "planar_hyperbola", "s_range": [0, "z"]},
-    {"name": "x", "kind": "sampled",
-     "params": {"u": [0.0, 1.0, 2.0], "director": 5, "base": [[0.0, 0.0, 0.0]] * 3}},
-], ids=["gamma", "samples", "fractional_samples", "apex", "s_range", "director"])
-def test_malformed_config_values_exit_2(tmp_path, capsys, data):
+@pytest.mark.parametrize("data,error", [
+    ({"name": "x", "kind": "constant_invariant", "params": {"gamma": "abc", "delta": 0.2, "Delta": 0.1}},
+     "ConfigError"),
+    ({"name": "x", "kind": "planar_hyperbola", "samples": "many"}, "ConfigError"),
+    ({"name": "x", "kind": "planar_hyperbola", "samples": 64.5}, "ConfigError"),
+    ({"name": "x", "kind": "cone", "params": {"apex": 5}}, "ConfigError"),
+    ({"name": "x", "kind": "planar_hyperbola", "s_range": [0, "z"]}, "ConfigError"),
+    ({"name": "x", "kind": "sampled",
+      "params": {"u": [0.0, 1.0, 2.0], "director": 5, "base": [[0.0, 0.0, 0.0]] * 3}}, "ConfigError"),
+    # cosh(520) is finite but its square overflows
+    ({**constant_cfg(), "s_range": [0, 600]}, "FloatingPointError"),
+], ids=["gamma", "samples", "fractional_samples", "apex", "s_range", "director", "overflow"])
+def test_malformed_config_values_exit_2(tmp_path, capsys, data, error):
     out = tmp_path / "r.json"
     assert main(["analyze", "--input", write_cfg(tmp_path, "bad.json", data), "--output", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("ConfigError: ") and err.count("\n") == 1
+    assert err.startswith(f"{error}: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_no_output_file_after_late_degeneracy(tmp_path, capsys):
+    # the offset summary is ready before consistency_report finds gamma below its guard
+    cfg = constant_cfg(1024)
+    cfg["params"]["gamma"] = 5e-7
+    out, verify = tmp_path / "offset.json", tmp_path / "verify.json"
+    assert main(["offset", "--input", write_cfg(tmp_path, "g.json", cfg), "--c", "3", "--cstar", "0.3",
+                 "--s-lo", "1", "--s-hi", "2", "--output", str(out), "--verify", str(verify)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("DegeneratePoint: ") and err.count("\n") == 1
+    assert not out.exists() and not verify.exists()
+
+
+@pytest.mark.parametrize("missing", ["output", "verify"])
+def test_unwritable_output_path_exit_2(tmp_path, capsys, missing):
+    paths = {"output": tmp_path / "offset.json", "verify": tmp_path / "verify.json"}
+    paths[missing] = tmp_path / "no_such_dir" / "out.json"
+    assert main(["offset", "--input", write_cfg(tmp_path, "c.json", constant_cfg()), "--c", "3",
+                 "--cstar", "0.3", "--s-lo", "1", "--s-hi", "2",
+                 "--output", str(paths["output"]), "--verify", str(paths["verify"])]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError: cannot write ") and err.count("\n") == 1
+    assert not any(p.exists() for p in paths.values())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
 def test_build_model_resamples_nonuniform_input():
@@ -318,10 +347,11 @@ def test_error_exit_codes(tmp_path, capsys):
     assert code == 2
     assert "together" in capsys.readouterr().err
 
-    code = main(["export", "--input", planar, "--format", "stl", "--v-min", "0",
-                 "--v-max", "1", "--v-samples", "3", "--output", out])
-    assert code == 2
-    assert "unsupported format" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["export", "--input", planar, "--format", "stl", "--v-min", "0",
+              "--v-max", "1", "--v-samples", "3", "--output", out])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format stl" in capsys.readouterr().err
 
     code = main(["export", "--input", constant, "--offset", "--v-min", "0",
                  "--v-max", "1", "--v-samples", "3", "--output", out])
@@ -345,30 +375,52 @@ GOLDEN_SHA256 = {
         "5d98e25387e48319f4c0638c032a48a26497acf77900fb1cb6fc38567e302e5c",
     "export_offset:constant":
         "7d96deca478c30bb382e3fd085cefd5de5c21f5fa02a054765d6d5b8f828cdb4",
+    "analyze:sampled_uniform":
+        "6d0731bf142424fb3b1555dfc75834c2b23e14626467a5c9d727e8bc5e2c165b",
+    "analyze:sampled_smooth":
+        "a5e3ecafba1affa125b3eb5e81ae5d7bfe3f74ce82d3aeefbae4a335567ab306",
+    "offset:sampled_uniform":
+        "777350c04d77799420e805436b8158e1280cdee98e27fd5ae0a6513f72b9e65c",
+    "verify:sampled_uniform":
+        "3c04b4a9e7eba70cd861f43573e5a78da57b7090534747473e64eafa46c65395",
+    "export:sampled_smooth":
+        "1c8e8ed799993707afe6eb4c81ddf7bb49d12dda3e9e79605baa24cbe8ebea07",
 }
 
 
-def _golden_outputs(tmp_path):
+def sampled_cfg(constant_family, u):
+    e, c = constant_family(u)
+    return {"name": "sampled", "kind": "sampled",
+            "params": {"u": u.tolist(), "director": e.tolist(), "base": c.tolist()}}
+
+
+def _golden_outputs(tmp_path, constant_family):
+    x = np.linspace(0.0, 1.0, 1024)
     cfgs = {
         "planar": write_cfg(tmp_path, "planar.json", planar_cfg(1024)),
         "constant": write_cfg(tmp_path, "constant.json", constant_cfg(1024)),
         "cone": write_cfg(tmp_path, "cone.json", {"name": "cone", "kind": "cone",
                                                   "s_range": [0.0, 2.0], "samples": 1024}),
+        "sampled_uniform": write_cfg(tmp_path, "su.json", sampled_cfg(constant_family, 3.0 * x)),
+        "sampled_smooth": write_cfg(tmp_path, "ss.json", sampled_cfg(
+            constant_family, 3.0 * (x + 0.1 * np.sin(2 * np.pi * x) / (2 * np.pi)))),
     }
     window = ["--c", "3", "--cstar", "0.3", "--s-lo", "1", "--s-hi", "2"]
     mesh = ["--v-min", "-1", "--v-max", "1", "--v-samples", "5"]
     out = {k: tmp_path / k.replace(":", "_") for k in GOLDEN_SHA256}
-    for name in ("planar", "constant", "cone"):
+    for name in ("planar", "constant", "cone", "sampled_uniform", "sampled_smooth"):
         assert main(["analyze", "--input", cfgs[name], "--output", str(out[f"analyze:{name}"])]) == 0
-    assert main(["offset", "--input", cfgs["constant"], *window,
-                 "--output", str(out["offset:constant"]),
-                 "--verify", str(out["verify:constant"])]) == 0
-    assert main(["export", "--input", cfgs["planar"], *mesh,
-                 "--output", str(out["export:planar"])]) == 0
+    for name in ("constant", "sampled_uniform"):
+        assert main(["offset", "--input", cfgs[name], *window,
+                     "--output", str(out[f"offset:{name}"]),
+                     "--verify", str(out[f"verify:{name}"])]) == 0
+    for name in ("planar", "sampled_smooth"):
+        assert main(["export", "--input", cfgs[name], *mesh,
+                     "--output", str(out[f"export:{name}"])]) == 0
     assert main(["export", "--input", cfgs["constant"], "--offset", *window, *mesh,
                  "--output", str(out["export_offset:constant"])]) == 0
     return {k: hashlib.sha256(p.read_bytes()).hexdigest() for k, p in out.items()}
 
 
-def test_golden_output_bytes(tmp_path):
-    assert _golden_outputs(tmp_path) == GOLDEN_SHA256
+def test_golden_output_bytes(tmp_path, constant_family):
+    assert _golden_outputs(tmp_path, constant_family) == GOLDEN_SHA256

@@ -7,7 +7,6 @@ from dualruled import (
     DualScalar,
     DualVec3,
     apply_function,
-    dcross,
     decode_line_point,
     dinner,
     dnorm,
@@ -50,16 +49,7 @@ def test_dinner_dual_part_vanishes_for_moment_of_own_point(constant_surface):
     assert abs(got.re + 1.0) < 1e-12 and abs(got.du) < 1e-12
 
 
-def test_dcross_examples():
-    a = DualVec3(np.array([1.0, 0, 0]), np.zeros(3))
-    b = DualVec3(np.array([0.0, 1, 0]), np.zeros(3))
-    got = dcross(a, b)
-    assert np.array_equal(got.re, [0, 0, -1]) and np.array_equal(got.du, [0, 0, 0])
-    self_cross = dcross(a, a)
-    assert not np.any(self_cross.re) and not np.any(self_cross.du)
-
-
-def test_dcross_gives_central_normal_at_origin_sample(planar_surface):
+def test_dual_frame_gives_central_normal_at_origin_sample(planar_surface):
     # at s = 0 the planar fixture has e = (1,0,0), t = (0,1,0), c = 0, so the
     # dual central normal -e x t must come out as ((0,0,1), (0,0,0))
     _, _, gd = dual_frame(planar_surface)

@@ -1,9 +1,8 @@
-"""Lorentzian primitives: metric, cross product, determinant, causal tags."""
+"""Lorentzian primitives: metric, cross product, determinant."""
 
 import numpy as np
-import pytest
 
-from dualruled import Causal, causal_classify, det3, lcross, linner, lnorm
+from dualruled import det3, lcross, linner, lnorm
 
 
 def test_linner_examples():
@@ -55,29 +54,6 @@ def test_frame_closure_on_sampled_frames(constant_surface):
         (lcross(m.e, m.g), m.t),
     ):
         assert np.max(np.abs(got - want)) < 1e-9
-
-
-@pytest.mark.parametrize(
-    "v,tag",
-    [
-        ((1.0, 0.0, 0.0), Causal.TIMELIKE),
-        ((1.0, 1.0, 0.0), Causal.NULL),
-        ((0.5, 1.0, 0.0), Causal.SPACELIKE),
-        ((0.0, 0.0, 0.0), Causal.SPACELIKE),
-    ],
-)
-def test_causal_classification(v, tag):
-    got = causal_classify(np.array(v), tol=1e-9)
-    assert got.tag is tag
-    assert got.tolerance_used == 1e-9
-
-
-def test_causal_classification_is_scale_free():
-    big = 1e8 * np.array([1.0, 1.0, 0.0])
-    assert causal_classify(big, tol=1e-9).tag is Causal.NULL
-    near = np.array([1.0, 1.0 + 1e-12, 0.0])
-    assert causal_classify(near, tol=1e-9).tag is Causal.NULL
-    assert causal_classify(near, tol=1e-14).tag is Causal.SPACELIKE
 
 
 def test_det3_matches_numpy(rng):

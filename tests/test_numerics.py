@@ -6,17 +6,11 @@ import pytest
 from dualruled import (
     SampledCurve,
     arclength_map,
-    derivative,
     grid_derivative,
     integrate_cumulative,
 )
 from dualruled.errors import DegenerateSpeed, GridTooCoarse, NonUniformGrid, ValidationError
 from dualruled.numerics import hermite, slopes
-
-
-def curve3(u, f):
-    vals = np.stack([f(u), np.zeros_like(u), np.zeros_like(u)], axis=-1)
-    return SampledCurve(u, vals)
 
 
 def test_sampled_curve_validation():
@@ -39,29 +33,24 @@ def test_sampled_curve_validation():
 
 def test_first_derivative_sin_example():
     u = np.linspace(0.0, 1.0, 1001)
-    d = derivative(curve3(u, np.sin), order=1)
+    d = grid_derivative(u, np.sin(u))
     i = 500
     assert abs(u[i] - 0.5) < 1e-12
-    assert abs(d.values[i, 0] - np.cos(0.5)) < 1e-10
+    assert abs(d[i] - np.cos(0.5)) < 1e-10
 
 
 def test_constant_curve_derivative_is_zero():
     u = np.linspace(0.0, 2.0, 64)
-    d = derivative(SampledCurve(u, np.full((64, 3), 3.7)), order=1)
-    assert np.max(np.abs(d.values)) < 1e-12
-
-
-def test_second_derivative_quadratic_example():
-    u = np.linspace(0.0, 1.0, 101)
-    d = derivative(curve3(u, lambda x: x * x), order=2)
-    assert np.max(np.abs(d.values[:, 0] - 2.0)) < 1e-8
+    d = grid_derivative(u, np.full((64, 3), 3.7))
+    assert d.shape == (64, 3)
+    assert np.max(np.abs(d)) < 1e-12
 
 
 def test_non_uniform_grid_rejected():
     u = np.linspace(0.0, 1.0, 32)
     u[5] += 1e-3
     with pytest.raises(NonUniformGrid):
-        derivative(curve3(u, np.sin), order=1)
+        grid_derivative(u, np.sin(u))
 
 
 def test_fourth_order_convergence():

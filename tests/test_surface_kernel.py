@@ -46,7 +46,6 @@ def test_planar_fixture_invariants(planar_surface):
     assert np.max(np.abs(m.Delta - 1.0)) < 1e-9
     want_c = np.stack([np.zeros_like(m.s_grid), np.zeros_like(m.s_grid), m.s_grid], axis=-1)
     assert np.max(np.abs(m.c - want_c)) < 1e-9
-    assert np.max(np.abs(m.lambda0)) < 1e-9
 
 
 def test_cone_fixture_invariants(cone_surface):
@@ -67,7 +66,6 @@ def test_constant_fixture_rebuild(constant_surface):
     assert np.max(np.abs(rebuilt.delta - 0.3)) < 1e-6
     assert np.max(np.abs(rebuilt.Delta - 0.2)) < 1e-6
     assert np.max(np.abs(rebuilt.c - m.c)) < 1e-6
-    assert np.max(np.abs(rebuilt.lambda0)) < 1e-6
 
 
 def test_synth_family_spots():
@@ -120,7 +118,6 @@ def test_striction_independent_of_base_choice():
     m = build_surface(director, shifted)
     want_c = np.stack([np.zeros_like(m.s_grid), np.zeros_like(m.s_grid), m.s_grid], axis=-1)
     assert np.max(np.abs(m.c - want_c)) < 1e-9
-    assert np.max(np.abs(m.lambda0 + 0.37)) < 1e-9
 
 
 def test_dual_frame_residuals_all_fixtures(all_surfaces):
