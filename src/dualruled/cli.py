@@ -119,6 +119,8 @@ def parse_config(data: dict, samples_override=None) -> SurfaceConfig:
         u = _coerce(params["u"], _floats, "params.u must be an array of numbers")
         if u.ndim != 1 or np.any(np.diff(u) <= 0):
             raise ConfigError("params.u must be strictly increasing")
+        if u.size == 0:
+            raise ConfigError("params.u must not be empty")
         for key in ("director", "base"):
             if _coerce(params[key], len, f"params.{key} must be an array") != len(u):
                 raise ConfigError("u/director/base arrays must have equal length")

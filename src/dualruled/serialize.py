@@ -4,7 +4,8 @@ Reports must be byte-identical across runs and machines, so floats are
 printed in 12-significant-digit scientific notation instead of repr's
 shortest roundtrip (which can differ between libm builds for the same
 value history). Non-finite numbers are rejected outright. A dual number
-is written as the object {"du": ..., "re": ...}.
+is written as the object {"du": ..., "re": ...}. A 1-D or 2-D float array
+is written in one %-format pass with the bytes of the per-item path.
 """
 
 from __future__ import annotations
@@ -23,9 +24,28 @@ def _fmt_float(x: float) -> str:
     return f"{x:.11e}"
 
 
+def _emit_float_array(a: np.ndarray, pad: str, inner: str) -> str:
+    """Format a 1-D or 2-D float array with one template, as the per-item path would."""
+    finite = np.isfinite(a)
+    if not finite.all():
+        _fmt_float(float(a[~finite][0]))  # raises, naming the first non-finite value in C order
+    if a.ndim == 2:
+        cell = inner + "  "
+        row = "[\n" + cell + (",\n" + cell).join(["%.11e"] * a.shape[1]) + "\n" + inner + "]"
+    else:
+        row = "%.11e"
+    template = "[\n" + inner + (",\n" + inner).join([row] * a.shape[0]) + "\n" + pad + "]"
+    return template % tuple(a.ravel().tolist())
+
+
 def _emit(obj, indent: int) -> str:
     pad = "  " * indent
     inner = "  " * (indent + 1)
+    if isinstance(obj, np.ndarray):
+        if obj.ndim == 0:
+            return _emit(obj.item(), indent)
+        if obj.dtype.kind == "f" and obj.ndim <= 2 and obj.size > 0:
+            return _emit_float_array(obj, pad, inner)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -36,7 +56,7 @@ def _emit(obj, indent: int) -> str:
             parts.append(f"{inner}{json.dumps(key)}: {_emit(obj[key], indent + 1)}")
         return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
-        items = list(np.asarray(obj).tolist()) if isinstance(obj, np.ndarray) else list(obj)
+        items = obj.tolist() if isinstance(obj, np.ndarray) else list(obj)
         if not items:
             return "[]"
         parts = [f"{inner}{_emit(v, indent + 1)}" for v in items]

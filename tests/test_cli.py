@@ -134,9 +134,10 @@ def test_build_model_param_errors():
     ({"name": "x", "kind": "planar_hyperbola", "s_range": [0, "z"]}, "ConfigError"),
     ({"name": "x", "kind": "sampled",
       "params": {"u": [0.0, 1.0, 2.0], "director": 5, "base": [[0.0, 0.0, 0.0]] * 3}}, "ConfigError"),
+    ({"name": "x", "kind": "sampled", "params": {"u": [], "director": [], "base": []}}, "ConfigError"),
     # cosh(520) is finite but its square overflows
     ({**constant_cfg(), "s_range": [0, 600]}, "FloatingPointError"),
-], ids=["gamma", "samples", "fractional_samples", "apex", "s_range", "director", "overflow"])
+], ids=["gamma", "samples", "fractional_samples", "apex", "s_range", "director", "empty_u", "overflow"])
 def test_malformed_config_values_exit_2(tmp_path, capsys, data, error):
     out = tmp_path / "r.json"
     assert main(["analyze", "--input", write_cfg(tmp_path, "bad.json", data), "--output", str(out)]) == 2

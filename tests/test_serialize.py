@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dualruled import DualScalar, dumps_canonical
 from dualruled.errors import ValidationError
@@ -55,6 +57,13 @@ def test_rejections():
         dumps_canonical({"x": object()})
 
 
+def test_zero_dimensional_array_is_its_scalar():
+    assert dumps_canonical({"x": np.array(1.5)}) == dumps_canonical({"x": 1.5})
+    assert dumps_canonical({"n": np.array(7), "s": np.array("ok")}) == dumps_canonical({"n": 7, "s": "ok"})
+    with pytest.raises(ValidationError, match="non-finite value nan"):
+        dumps_canonical({"x": np.array(np.nan)})
+
+
 def test_determinism():
     payload = {"a": np.linspace(0.0, 1.0, 17), "b": {"c": 0.1 + 0.2}}
     assert dumps_canonical(payload) == dumps_canonical(payload)
@@ -66,3 +75,55 @@ def test_dual_scalar_is_an_object_of_its_parts():
     assert dumps_canonical(DualScalar(2.0, 0.25)) == (
         '{\n  "du": 2.50000000000e-01,\n  "re": 2.00000000000e+00\n}\n'
     )
+
+
+_EDGES = {
+    np.float64: [0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1.7976931348623157e308, -3.1e307,
+                 1e-300, 9.999999999995e-301, 0.5, -1.0],
+    np.float32: [0.0, -0.0, 1e-45, -1e-40, 1.1754944e-38, 3.4028235e38, -1e38, 0.5, -1.0],
+}
+
+
+@st.composite
+def float_arrays(draw):
+    """Float arrays as reports hold them, with views and non-finite values injected in some draws."""
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    n = draw(st.integers(1, 9))
+    shape = draw(st.sampled_from([(n,), (n, 3), (n, draw(st.integers(1, 5)))]))
+    width = 64 if dtype is np.float64 else 32
+    elements = st.floats(width=width, allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGES[dtype])
+    a = draw(hnp.arrays(dtype, shape, elements=elements))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        a.flat[draw(st.integers(0, a.size - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    view = draw(st.sampled_from(["plain", "reversed", "transposed", "strided"]))
+    if view == "reversed":
+        a = a[::-1]
+    elif view == "transposed":
+        a = a.T
+    elif view == "strided":
+        a = a[::2]
+    return a
+
+
+def _outcome(payload):
+    try:
+        return dumps_canonical(payload)
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_arrays())
+def test_float_array_bytes_match_the_list_path(a):
+    # a Python list takes the element-by-element path, which is the reference for arrays
+    fast, reference = _outcome({"x": a, "y": [1.0]}), _outcome({"x": a.tolist(), "y": [1.0]})
+    assert fast == reference
+    assert fast.startswith("ValidationError: non-finite value") == (not np.all(np.isfinite(a)))
+
+
+@pytest.mark.parametrize("a", [
+    np.zeros(0), np.zeros((0, 3)), np.zeros((3, 0)), np.arange(8.0).reshape(2, 2, 2),
+    np.arange(4, dtype=np.int64), np.array(["left", "right"]), np.array([True, False]),
+], ids=["empty", "no_rows", "empty_rows", "3d", "int", "str", "bool"])
+def test_other_arrays_match_the_list_path(a):
+    assert dumps_canonical({"x": a}) == dumps_canonical({"x": a.tolist()})
