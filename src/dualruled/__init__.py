@@ -28,7 +28,7 @@ from .mannheim_offset import (
     transfer_derivative_components,
 )
 from .minkowski3 import det3, lcross, linner, lnorm
-from .numerics import SampledCurve, arclength_map, grid_derivative, integrate_cumulative
+from .numerics import SampledCurve, grid_derivative, integrate_cumulative
 from .serialize import dumps_canonical
 from .surface_kernel import (
     build_surface,
@@ -53,7 +53,6 @@ __all__ = [
     "SampledCurve",
     "ValidationError",
     "apply_function",
-    "arclength_map",
     "build_surface",
     "classify",
     "cone_curves",

@@ -31,7 +31,7 @@ from .mannheim_offset import (
     consistency_report,
     offset_angle_profile,
 )
-from .numerics import SampledCurve, hermite, slopes
+from .numerics import MIN_SAMPLES, SampledCurve, hermite, is_uniform, slopes
 from .serialize import dumps_canonical
 from .surface_kernel import (
     RuledSurfaceModel,
@@ -86,8 +86,8 @@ def _default_samples() -> int:
     if raw is None:
         return DEFAULT_SAMPLES
     n = _coerce(raw, _integer, f"{SAMPLES_ENV} must be an integer")
-    if n < 9:
-        raise ConfigError(f"{SAMPLES_ENV} must be at least 9, got {n}")
+    if n < MIN_SAMPLES:
+        raise ConfigError(f"{SAMPLES_ENV} must be at least {MIN_SAMPLES}, got {n}")
     return n
 
 
@@ -135,8 +135,8 @@ def parse_config(data: dict, samples_override=None) -> SurfaceConfig:
     if samples is None:
         samples = len(u) if kind == "sampled" else _default_samples()
     samples = _coerce(samples, _integer, "samples must be an integer")
-    if samples < 9:
-        raise ConfigError(f"samples must be at least 9, got {samples}")
+    if samples < MIN_SAMPLES:
+        raise ConfigError(f"samples must be at least {MIN_SAMPLES}, got {samples}")
 
     if kind == "constant_invariant":
         params = {key: _number_param(params, key) for key in ("gamma", "delta", "Delta")}
@@ -185,11 +185,11 @@ def build_model(cfg: SurfaceConfig) -> RuledSurfaceModel:
         return build_surface(*cone_curves(p["apex"], cfg.s_range, cfg.samples, p["director"]))
     # sampled
     u, director, base = p["u"], p["director"], p["base"]
-    grid = np.linspace(u[0], u[-1], cfg.samples)
-    uniform = len(u) == cfg.samples and np.allclose(u, grid, rtol=0, atol=1e-12 * max(1.0, abs(u[-1])))
-    if not uniform:
-        director = hermite(u, director, slopes(u, director), grid)
-        base = hermite(u, base, slopes(u, base), grid)
+    if not (len(u) == cfg.samples and is_uniform(u)):
+        # one Hermite pass over both curves: the Lagrange slope weights depend only on u
+        curves = np.hstack([director, base])
+        grid = np.linspace(u[0], u[-1], cfg.samples)
+        director, base = np.hsplit(hermite(u, curves, slopes(u, curves), grid), 2)
         u = grid
     return build_surface(SampledCurve(u, director), SampledCurve(u, base))
 
@@ -202,7 +202,7 @@ def _analyze_payload(cfg: SurfaceConfig, model: RuledSurfaceModel, tol: float) -
     return {
         "classification": classify(model, tol),
         "dual_apparatus": {
-            "branch": list(app.darboux_branch),
+            "branch": app.darboux_branch,
             "curvature_radius": app.R_bar,
             "gamma_bar": app.gamma_bar,
             "rho_cosh": app.rho_cosh,
@@ -280,7 +280,7 @@ def cmd_offset(args) -> int:
         },
         "recovered": {
             "Delta1": offset.Delta1,
-            "branch": list(offset.branch1),
+            "branch": offset.branch1,
             "delta1": offset.delta1,
             "ds1_ds": offset.ds1_ds,
             "gamma1": offset.gamma1,
@@ -401,6 +401,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("c", "cstar", "s_lo", "s_hi", "tol", "v_min", "v_max"):
+            if (value := getattr(args, flag, None)) is not None:
+                _coerce(value, float, f"--{flag.replace('_', '-')} must be a finite number")
         with np.errstate(all="raise", under="ignore"):
             return args.fn(args)
     except (ValidationError, FloatingPointError) as exc:

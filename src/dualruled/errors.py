@@ -63,10 +63,6 @@ class NonUniformGrid(ValidationError):
     """Operation requires uniform spacing; resample first."""
 
 
-class DegenerateSpeed(DegeneracyError):
-    """Curve speed vanishes somewhere; arc length is not invertible there."""
-
-
 class NotTimelikeDirector(ValidationError):
     """Director sample fails the timelike requirement."""
 

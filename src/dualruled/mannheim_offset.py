@@ -40,6 +40,7 @@ from .errors import (
 from .minkowski3 import lcross, linner
 from .numerics import MIN_SAMPLES, grid_derivative, integrate_cumulative
 from .surface_kernel import (
+    STALL_FLOOR,
     RuledSurfaceModel,
     _curvature_elements,
     _d_ds_bar,
@@ -196,8 +197,8 @@ def construct_offset(m: RuledSurfaceModel, spec: OffsetSpec) -> OffsetModel:
 
     de1 = grid_derivative(s, e1_dual.re)
     sig2 = linner(de1, de1)
-    if np.any(sig2 <= 1e-16):
-        idx = int(np.argmax(sig2 <= 1e-16))
+    if np.any(sig2 <= STALL_FLOOR):
+        idx = int(np.argmax(sig2 <= STALL_FLOOR))
         raise DegenerateOffsetIndicatrix(
             f"gamma = {m.gamma[w][idx]:.3e}, sinh(theta) = {np.sinh(spec.theta[idx]):.3e} "
             f"at s = {s[idx]:.6g}: offset indicatrix speed |gamma*sinh(theta)| vanishes"

@@ -1,10 +1,11 @@
 """Grid calculus for the oracle pipeline: derivatives, cumulative quadrature,
 cubic Hermite resampling.
 
-Differentiation and quadrature assume uniform grids. Differentiation is
-4th order: classic five-point central stencils inside, one-sided stencils
-of matching order on the two samples at each end, so the derivative lives
-on the same grid as the data.
+Differentiation and quadrature need grids that pass `is_uniform`, the one
+uniformity rule of the package. Differentiation is 4th order: classic
+five-point central stencils inside, one-sided stencils of matching order on
+the two samples at each end, so the derivative lives on the same grid as the
+data.
 
 Resampling is one cubic Hermite evaluator, `hermite`, fed with slopes:
 the frame equations in the surface kernel, `slopes` (4th order on any
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpeed, GridTooCoarse, NonUniformGrid, ValidationError
+from .errors import GridTooCoarse, NonUniformGrid, ValidationError
 
 MIN_SAMPLES = 9
 
@@ -55,14 +56,19 @@ class SampledCurve:
         return len(self.params)
 
 
-def _uniform_step(x: np.ndarray) -> float:
+def is_uniform(x: np.ndarray) -> bool:
+    """Whether every step of x is within 1e-12 of the mean step, relative to the
+    largest of |x[0]|, |x[-1]| and the range."""
     x = np.asarray(x, dtype=float)
-    d = np.diff(x)
     h = (x[-1] - x[0]) / (len(x) - 1)
     tol = 1e-12 * max(abs(x[0]), abs(x[-1]), x[-1] - x[0])
-    if np.any(np.abs(d - h) > tol):
+    return not np.any(np.abs(np.diff(x) - h) > tol)
+
+
+def _uniform_step(x: np.ndarray) -> float:
+    if not is_uniform(x):
         raise NonUniformGrid("grid spacing varies beyond 1e-12 relative; resample first")
-    return h
+    return (x[-1] - x[0]) / (len(x) - 1)
 
 
 def grid_derivative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -130,22 +136,3 @@ def hermite(x: np.ndarray, y: np.ndarray, dy: np.ndarray, xq: np.ndarray) -> np.
     t = (xq - x[i]).reshape(shape) / h
     return ((1 + 2 * t) * (1 - t) ** 2 * y[i] + t * (1 - t) ** 2 * h * dy[i]
             + t * t * (3 - 2 * t) * y[i + 1] + t * t * (t - 1) * h * dy[i + 1])
-
-
-def arclength_map(params: np.ndarray, speed: np.ndarray):
-    """Arc length along the grid and the inverse map on a uniform s-grid.
-
-    Returns (s_at_params, s_uniform, params_at_s_uniform). The s origin is
-    params[0], so a unit-speed curve maps to itself. The inverse map is the
-    cubic Hermite interpolant with the exact slopes du/ds = 1/speed.
-    """
-    params = np.asarray(params, dtype=float)
-    speed = np.asarray(speed, dtype=float)
-    low = speed <= 1e-8
-    if np.any(low):
-        idx = int(np.argmax(low))
-        raise DegenerateSpeed(f"speed {speed[idx]:.3e} at sample {idx} (limit 1e-8)")
-    s = params[0] + integrate_cumulative(params, speed)
-    s_uniform = np.linspace(s[0], s[-1], len(params))
-    u_at_s = np.clip(hermite(s, params, 1.0 / speed, s_uniform), params[0], params[-1])
-    return s, s_uniform, u_at_s

@@ -5,7 +5,8 @@ printed in 12-significant-digit scientific notation instead of repr's
 shortest roundtrip (which can differ between libm builds for the same
 value history). Non-finite numbers are rejected outright. A dual number
 is written as the object {"du": ..., "re": ...}. A 1-D or 2-D float array
-is written in one %-format pass with the bytes of the per-item path.
+is written in one %-format pass, and a 1-D string array in one join over
+its quoted labels, both with the bytes of the per-item path.
 """
 
 from __future__ import annotations
@@ -38,6 +39,13 @@ def _emit_float_array(a: np.ndarray, pad: str, inner: str) -> str:
     return template % tuple(a.ravel().tolist())
 
 
+def _emit_str_array(a: np.ndarray, pad: str, inner: str) -> str:
+    """Format a 1-D string array, quoting each distinct label once."""
+    items = a.tolist()
+    quoted = {x: json.dumps(x) for x in set(items)}
+    return "[\n" + inner + (",\n" + inner).join(map(quoted.__getitem__, items)) + "\n" + pad + "]"
+
+
 def _emit(obj, indent: int) -> str:
     pad = "  " * indent
     inner = "  " * (indent + 1)
@@ -46,6 +54,8 @@ def _emit(obj, indent: int) -> str:
             return _emit(obj.item(), indent)
         if obj.dtype.kind == "f" and obj.ndim <= 2 and obj.size > 0:
             return _emit_float_array(obj, pad, inner)
+        if obj.dtype.kind == "U" and obj.ndim == 1 and obj.size > 0:
+            return _emit_str_array(obj, pad, inner)
     if isinstance(obj, dict):
         if not obj:
             return "{}"

@@ -37,13 +37,14 @@ from .errors import (
     NullDarbouxAxis,
 )
 from .minkowski3 import det3, lcross, linner
-from .numerics import SampledCurve, arclength_map, grid_derivative, hermite, integrate_cumulative
+from .numerics import SampledCurve, grid_derivative, hermite, integrate_cumulative
 
 TIMELIKE_AXIS = "TimelikeAxis"
 SPACELIKE_AXIS = "SpacelikeAxis"
 
 NULL_AXIS_GUARD = 1e-6
 DRIFT_TOL = 1e-4
+STALL_FLOOR = 1e-16  # <e',e'> at or below this: the indicatrix stalls (speed <= 1e-8)
 
 
 @dataclass(frozen=True)
@@ -97,8 +98,8 @@ def _darboux_fields(u: np.ndarray, e_raw: np.ndarray, p_raw: np.ndarray) -> dict
     e = _renormalize_director(np.asarray(e_raw, dtype=float))
     de = grid_derivative(u, e)
     sig2 = linner(de, de)
-    if np.any(sig2 <= 1e-16):
-        idx = int(np.argmax(sig2 <= 1e-16))
+    if np.any(sig2 <= STALL_FLOOR):
+        idx = int(np.argmax(sig2 <= STALL_FLOOR))
         if sig2[idx] < -1e-12:
             raise FrameDriftExceeded(
                 f"indicatrix tangent is not spacelike at sample {idx} (<e',e'> = {sig2[idx]:.3e})"
@@ -137,9 +138,12 @@ def _model_from_fields(fields: dict) -> RuledSurfaceModel:
     Cubic Hermite in u. Frame slopes come from the frame equations times
     sigma = ds/du (de/ds = t, dt/ds = e + gamma g, dc/ds = -delta e + Delta g),
     scalar slopes from the grid, so the resampled frame obeys its own ODEs.
+    The map u(s) onto the uniform s grid is cubic Hermite too, with the exact
+    slopes du/ds = 1/sigma, clipped to the input range.
     """
-    u = fields["u"]
-    _, s_uniform, u_at_s = arclength_map(u, fields["sigma"])
+    u, s = fields["u"], fields["s"]
+    s_uniform = np.linspace(s[0], s[-1], len(u))
+    u_at_s = np.clip(hermite(s, u, 1.0 / fields["sigma"], s_uniform), u[0], u[-1])
     e, t, g = fields["e"], fields["t"], fields["g"]
     gamma, delta, Delta = (fields[k][:, None] for k in ("gamma", "delta", "Delta"))
 

@@ -100,8 +100,26 @@ def test_samples_precedence(monkeypatch):
     assert parse_config({**data, "samples": 33}).samples == 33
     assert parse_config(data, samples_override=50).samples == 50
     monkeypatch.setenv(SAMPLES_ENV, "5")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^DUALRULED_SAMPLES must be at least 9, got 5$"):
         parse_config(data)
+
+
+@pytest.mark.parametrize("source", ["flag", "config", "env"])
+def test_samples_floor_exit_2(tmp_path, capsys, monkeypatch, source):
+    data, argv = planar_cfg(), []
+    if source == "flag":
+        argv = ["--samples", "8"]
+    elif source == "config":
+        data["samples"] = 8
+    else:
+        del data["samples"]
+        monkeypatch.setenv(SAMPLES_ENV, "8")
+    out = tmp_path / "r.json"
+    assert main(["analyze", "--input", write_cfg(tmp_path, "p.json", data),
+                 "--output", str(out), *argv]) == 2
+    prefix = "DUALRULED_SAMPLES" if source == "env" else "samples"
+    assert capsys.readouterr().err == f"ConfigError: {prefix} must be at least 9, got 8\n"
+    assert not out.exists()
 
 
 def test_load_config_errors(tmp_path):
@@ -168,6 +186,47 @@ def test_unwritable_output_path_exit_2(tmp_path, capsys, missing):
     err = capsys.readouterr().err
     assert err.startswith("ConfigError: cannot write ") and err.count("\n") == 1
     assert not any(p.exists() for p in paths.values())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+def test_near_uniform_sampled_grid_is_resampled(tmp_path):
+    # linspace(2, 5, 1024) written to 12 significant digits: every point is within
+    # 5e-12 of the uniform grid, but steps vary by 1e-11, beyond the uniform-grid rule
+    u = np.array([float(f"{x:.11e}") for x in np.linspace(2.0, 5.0, 1024)])
+    zeros = np.zeros_like(u)
+    cfg = {"name": "near", "kind": "sampled",
+           "params": {"u": u.tolist(),
+                      "director": np.stack([np.cosh(u), np.sinh(u), zeros], axis=-1).tolist(),
+                      "base": np.stack([zeros, zeros, u], axis=-1).tolist()}}
+    out = tmp_path / "r.json"
+    assert main(["analyze", "--input", write_cfg(tmp_path, "near.json", cfg), "--output", str(out)]) == 0
+    samples = json.loads(out.read_text())["samples"]
+    assert np.max(np.abs(np.array(samples["Delta"]) - 1.0)) < 1e-8
+    assert np.max(np.abs(samples["gamma"])) < 1e-8
+
+
+FLOAT_FLAG_COMMANDS = {
+    "offset": ["offset", "--c", "3", "--cstar", "0.3", "--s-lo", "1", "--s-hi", "2", "--tol", "1e-3"],
+    "export": ["export", "--offset", "--c", "3", "--cstar", "0.3", "--s-lo", "1", "--s-hi", "2",
+               "--v-min", "0", "--v-max", "1", "--v-samples", "3"],
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag,command", [
+    ("--c", "export"), ("--cstar", "export"), ("--s-lo", "offset"), ("--s-hi", "offset"),
+    ("--tol", "offset"), ("--v-min", "export"), ("--v-max", "export"),
+])
+def test_non_finite_float_flag_exit_2(tmp_path, capsys, flag, command, value):
+    argv = list(FLOAT_FLAG_COMMANDS[command])
+    i = argv.index(flag)
+    argv[i:i + 2] = [f"{flag}={value}"]  # "=" keeps argparse from reading "-inf" as an option
+    argv += ["--input", write_cfg(tmp_path, "c.json", constant_cfg(256)),
+             "--output", str(tmp_path / "out")]
+    if command == "offset":
+        argv += ["--verify", str(tmp_path / "verify.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"ConfigError: {flag} must be a finite number, got {value}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
@@ -326,38 +385,44 @@ def test_error_exit_codes(tmp_path, capsys):
 
     code = main(["analyze", "--input", null_cfg, "--output", out])
     assert code == 2
-    assert capsys.readouterr().err.startswith("NotTimelikeDirector:")
+    assert capsys.readouterr().err == (
+        "NotTimelikeDirector: director sample 0 is not timelike: <e,e> = 0.000e+00 (need < 0)\n")
 
     code = main(["offset", "--input", planar, "--c", "3", "--cstar", "0.3",
                  "--s-lo", "1", "--s-hi", "2", "--output", out])
     assert code == 3
-    assert capsys.readouterr().err.startswith("DegenerateOffsetIndicatrix:")
+    assert capsys.readouterr().err == (
+        "DegenerateOffsetIndicatrix: gamma = 0.000e+00, sinh(theta) = 3.539e+00 at s = 1.02362: "
+        "offset indicatrix speed |gamma*sinh(theta)| vanishes\n")
 
     code = main(["offset", "--input", constant, "--c", "0.75", "--cstar", "0.1",
                  "--s-lo", "0.5", "--s-hi", "1.0", "--output", out])
     assert code == 3
-    assert capsys.readouterr().err.startswith("DegenerateWindow:")
+    assert capsys.readouterr().err == (
+        "DegenerateWindow: theta = 0 crossing: sinh(theta) = -5.906e-03 near s = 0.755906; "
+        "shrink the window or change the angle constant\n")
 
     code = main(["export", "--input", planar, "--v-min", "1", "--v-max", "1",
                  "--v-samples", "5", "--output", str(tmp_path / "m.obj")])
     assert code == 2
-    assert capsys.readouterr().err.startswith("ConfigError: need v-min < v-max")
+    assert capsys.readouterr().err == "ConfigError: need v-min < v-max, got [1.0, 1.0]\n"
 
     code = main(["offset", "--input", constant, "--c", "3", "--cstar", "0.3",
                  "--s-lo", "1", "--output", out])
     assert code == 2
-    assert "together" in capsys.readouterr().err
+    assert capsys.readouterr().err == "ConfigError: --s-lo and --s-hi must be given together\n"
 
     with pytest.raises(SystemExit) as exc:
         main(["export", "--input", planar, "--format", "stl", "--v-min", "0",
               "--v-max", "1", "--v-samples", "3", "--output", out])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --format stl" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "dualruled: error: unrecognized arguments: --format stl")
 
     code = main(["export", "--input", constant, "--offset", "--v-min", "0",
                  "--v-max", "1", "--v-samples", "3", "--output", out])
     assert code == 2
-    assert "needs --c and --cstar" in capsys.readouterr().err
+    assert capsys.readouterr().err == "ConfigError: --offset export needs --c and --cstar\n"
 
 
 # SHA-256 of canonical outputs at N = 1024; refactors must keep these bytes

@@ -5,12 +5,11 @@ import pytest
 
 from dualruled import (
     SampledCurve,
-    arclength_map,
     grid_derivative,
     integrate_cumulative,
 )
-from dualruled.errors import DegenerateSpeed, GridTooCoarse, NonUniformGrid, ValidationError
-from dualruled.numerics import hermite, slopes
+from dualruled.errors import GridTooCoarse, NonUniformGrid, ValidationError
+from dualruled.numerics import hermite, is_uniform, slopes
 
 
 def test_sampled_curve_validation():
@@ -49,8 +48,23 @@ def test_constant_curve_derivative_is_zero():
 def test_non_uniform_grid_rejected():
     u = np.linspace(0.0, 1.0, 32)
     u[5] += 1e-3
+    assert not is_uniform(u)
     with pytest.raises(NonUniformGrid):
         grid_derivative(u, np.sin(u))
+
+
+@pytest.mark.parametrize("shift,uniform", [(0.0, True), (0.9e-12, True), (1.1e-12, False)])
+def test_is_uniform_bounds_each_step(shift, uniform):
+    # one step off the mean step by `shift` times the scale max(|u0|, |u-1|, range) = 5
+    u = np.linspace(2.0, 5.0, 64)
+    u[10:] += 5.0 * shift
+    u[11:] -= 5.0 * shift
+    assert is_uniform(u) == uniform
+    if uniform:
+        grid_derivative(u, np.sin(u))
+    else:
+        with pytest.raises(NonUniformGrid):
+            integrate_cumulative(u, np.sin(u))
 
 
 def test_fourth_order_convergence():
@@ -92,24 +106,6 @@ def test_cumulative_integral_tracks_antiderivative_between_endpoints():
     u = np.linspace(0.0, 2.0, 1024)
     got = integrate_cumulative(u, np.cos(u))
     assert np.max(np.abs(got - np.sin(u))) < 1e-8
-
-
-def test_arclength_map_monotone_and_clipped(rng):
-    u = np.linspace(0.0, 1.0, 257)
-    speed = 1.0 + 0.5 * np.sin(2 * u)
-    s, s_uniform, u_at_s = arclength_map(u, speed)
-    assert np.all(np.diff(s) > 0)
-    assert s_uniform[0] == s[0] and s_uniform[-1] == s[-1]
-    assert np.all(u_at_s >= u[0]) and np.all(u_at_s <= u[-1])
-
-
-def test_arclength_map_rejects_stalled_speed():
-    u = np.linspace(0.0, 1.0, 64)
-    speed = np.ones_like(u)
-    speed[30] = 0.0
-    with pytest.raises(DegenerateSpeed) as err:
-        arclength_map(u, speed)
-    assert "30" in str(err.value)
 
 
 def test_hermite_reproduces_cubics(rng):

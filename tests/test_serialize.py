@@ -124,6 +124,7 @@ def test_float_array_bytes_match_the_list_path(a):
 @pytest.mark.parametrize("a", [
     np.zeros(0), np.zeros((0, 3)), np.zeros((3, 0)), np.arange(8.0).reshape(2, 2, 2),
     np.arange(4, dtype=np.int64), np.array(["left", "right"]), np.array([True, False]),
-], ids=["empty", "no_rows", "empty_rows", "3d", "int", "str", "bool"])
+    np.where(np.arange(1000) % 3 == 0, "TimelikeAxis", "SpacelikeAxis"),
+], ids=["empty", "no_rows", "empty_rows", "3d", "int", "str", "bool", "str_labels"])
 def test_other_arrays_match_the_list_path(a):
     assert dumps_canonical({"x": a}) == dumps_canonical({"x": a.tolist()})

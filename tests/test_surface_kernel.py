@@ -30,6 +30,7 @@ from dualruled.errors import (
     NotTimelikeDirector,
     NullDarbouxAxis,
 )
+from dualruled.numerics import is_uniform
 
 
 def assert_dual_close(x, re, du, atol):
@@ -223,6 +224,21 @@ def test_build_rejects_constant_director():
     base = SampledCurve(u, np.stack([zeros, zeros, u], axis=-1))
     with pytest.raises(DegenerateIndicatrix):
         build_surface(director, base)
+
+
+def test_build_resamples_onto_arc_length():
+    # indicatrix speed 1 + u/2 on u in [0, 2]: arc length 3, so s runs over [0, 3]
+    u = np.linspace(0.0, 2.0, 257)
+    phi = u + 0.25 * u * u
+    zeros = np.zeros_like(u)
+    e = np.stack([np.cosh(phi), np.sinh(phi), zeros], axis=-1)
+    t = np.stack([np.sinh(phi), np.cosh(phi), zeros], axis=-1)
+    m = build_surface(SampledCurve(u, 2.0 * e), SampledCurve(u, np.stack([zeros, zeros, u], axis=-1)))
+    assert np.all(np.diff(m.s_grid) > 0) and is_uniform(m.s_grid)
+    assert m.s_grid[0] == 0.0 and abs(m.s_grid[-1] - 3.0) < 1e-7  # 4th-order speed error
+    # the arc-length map is clipped to the input range, so the end rulings are the input's
+    assert np.max(np.abs(m.e[[0, -1]] - e[[0, -1]])) < 1e-12
+    assert np.max(np.abs(m.t[[0, -1]] - t[[0, -1]])) < 1e-6
 
 
 def test_build_rejects_mismatched_grids():
