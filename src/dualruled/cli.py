@@ -45,7 +45,6 @@ from .surface_kernel import (
 )
 
 DEFAULT_SAMPLES = 1024
-SAMPLES_ENV = "DUALRULED_SAMPLES"
 
 KINDS = ("constant_invariant", "planar_hyperbola", "cone", "sampled")
 
@@ -78,16 +77,6 @@ def _integer(value) -> int:
     n = int(value)
     if n != float(value):  # int() would truncate 1024.5 silently
         raise ValueError(value)
-    return n
-
-
-def _default_samples() -> int:
-    raw = os.environ.get(SAMPLES_ENV)
-    if raw is None:
-        return DEFAULT_SAMPLES
-    n = _coerce(raw, _integer, f"{SAMPLES_ENV} must be an integer")
-    if n < MIN_SAMPLES:
-        raise ConfigError(f"{SAMPLES_ENV} must be at least {MIN_SAMPLES}, got {n}")
     return n
 
 
@@ -133,7 +122,7 @@ def parse_config(data: dict, samples_override=None) -> SurfaceConfig:
     # flag, then config, then the default; a source that is not used is not read
     samples = samples_override if samples_override is not None else data.get("samples")
     if samples is None:
-        samples = len(u) if kind == "sampled" else _default_samples()
+        samples = len(u) if kind == "sampled" else DEFAULT_SAMPLES
     samples = _coerce(samples, _integer, "samples must be an integer")
     if samples < MIN_SAMPLES:
         raise ConfigError(f"samples must be at least {MIN_SAMPLES}, got {samples}")
@@ -252,11 +241,7 @@ def cmd_analyze(args) -> int:
 def _offset_pieces(args):
     cfg = load_config(args.input, args.samples)
     model = build_model(cfg)
-    window = None
-    if (args.s_lo is None) != (args.s_hi is None):
-        raise ConfigError("--s-lo and --s-hi must be given together")
-    if args.s_lo is not None:
-        window = (args.s_lo, args.s_hi)
+    window = None if args.s_lo is None else (args.s_lo, args.s_hi)
     spec = offset_angle_profile(model, args.c, args.cstar, window)
     offset = construct_offset(model, spec)
     return cfg, model, spec, offset
@@ -325,10 +310,6 @@ def cmd_offset(args) -> int:
 
 def _write_obj(path: str, points: np.ndarray, e: np.ndarray,
                v_min: float, v_max: float, v_samples: int) -> None:
-    if not v_min < v_max:
-        raise ConfigError(f"need v-min < v-max, got [{v_min}, {v_max}]")
-    if v_samples < 2:
-        raise ConfigError(f"need at least 2 ruling samples, got {v_samples}")
     vs = np.linspace(v_min, v_max, v_samples)
     # vertex (i, j) = points[i] + vs[j] e[i], row-major, 1-based in the faces
     verts = (points[:, None, :] + vs[None, :, None] * e[:, None, :]).ravel()
@@ -343,8 +324,6 @@ def _write_obj(path: str, points: np.ndarray, e: np.ndarray,
 
 def cmd_export(args) -> int:
     if args.offset:
-        if args.c is None or args.cstar is None:
-            raise ConfigError("--offset export needs --c and --cstar")
         _, _, _, offset = _offset_pieces(args)
         points, e = offset.c1, offset.e1_dual.re
     else:
@@ -401,9 +380,19 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # every check on the flags alone, before the config is read
         for flag in ("c", "cstar", "s_lo", "s_hi", "tol", "v_min", "v_max"):
             if (value := getattr(args, flag, None)) is not None:
                 _coerce(value, float, f"--{flag.replace('_', '-')} must be a finite number")
+        export = args.command == "export"
+        if export and args.offset and (args.c is None or args.cstar is None):
+            raise ConfigError("--offset export needs --c and --cstar")
+        if args.command != "analyze" and (args.s_lo is None) != (args.s_hi is None):
+            raise ConfigError("--s-lo and --s-hi must be given together")
+        if export and not args.v_min < args.v_max:
+            raise ConfigError(f"need v-min < v-max, got [{args.v_min}, {args.v_max}]")
+        if export and args.v_samples < 2:
+            raise ConfigError(f"need at least 2 ruling samples, got {args.v_samples}")
         with np.errstate(all="raise", under="ignore"):
             return args.fn(args)
     except (ValidationError, FloatingPointError) as exc:

@@ -16,7 +16,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import DivisionByPureDual, DomainError
+from .errors import DivisionByPureDual, DomainError, guard
 
 Number = Union[float, int, np.ndarray]
 
@@ -109,10 +109,7 @@ EPS = DualScalar(0.0, 1.0)
 
 
 def _domain_check(name: str, x: DualScalar, ok) -> None:
-    bad = ~np.asarray(ok)
-    if np.any(bad):
-        val = np.asarray(x.re)[bad].flat[0] if isinstance(x.re, np.ndarray) else x.re
-        raise DomainError(name, float(val))
+    guard(~np.asarray(ok), lambda i: DomainError(name, float(np.asarray(x.re).flat[i])))
 
 
 def _pair(x: DualScalar, value, deriv) -> DualScalar:

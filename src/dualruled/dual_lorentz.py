@@ -16,7 +16,7 @@ from typing import Union
 import numpy as np
 
 from .dual_algebra import DualScalar, apply_function
-from .errors import InvalidLine, NotTimelike, NotUnit, NullDirection, ParallelLines
+from .errors import InvalidLine, NotTimelike, NotUnit, NullDirection, ParallelLines, guard
 from .minkowski3 import lcross, linner, lnorm
 
 LINE_TOL = 1e-6
@@ -68,8 +68,7 @@ def dnorm(a: DualVec3) -> DualScalar:
     """Dual norm (||re||, <re, du>/||re||). Undefined for null directions."""
     q = linner(a.re, a.re)
     null = np.abs(q) <= 1e-9 * np.maximum(1.0, np.sum(a.re * a.re, axis=-1))
-    if np.any(null):
-        raise NullDirection(f"null direction at sample {int(np.argmax(null))}; dual norm undefined")
+    guard(null, lambda i: NullDirection(f"null direction at sample {i}; dual norm undefined"))
     n = lnorm(a.re)
     return DualScalar(n, linner(a.re, a.du) / n)
 

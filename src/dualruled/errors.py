@@ -5,9 +5,23 @@ out of contract) and DegeneracyError (the input is formally fine but the
 geometry collapses somewhere: null axes, stalled indicatrices, vanishing
 windows). The CLI maps them to distinct exit codes, so every raise site
 should pick the family deliberately.
+
+Per-sample checks raise through guard(excess, error), which names one
+sample: a boolean mask names its first violating sample, a float excess
+(measured value minus its limit) names its worst one.
 """
 
 from __future__ import annotations
+
+import numpy as np
+
+
+def guard(excess, error) -> None:
+    """Raise error(i) at the flat index i where excess is largest, if that value is positive."""
+    excess = np.asarray(excess)
+    i = int(np.argmax(excess))
+    if excess.flat[i] > 0:
+        raise error(i)
 
 
 class KernelError(Exception):

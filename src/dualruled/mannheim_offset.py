@@ -36,6 +36,8 @@ from .errors import (
     DegenerateWindow,
     GridTooCoarse,
     MismatchedInputs,
+    ValidationError,
+    guard,
 )
 from .minkowski3 import lcross, linner
 from .numerics import MIN_SAMPLES, grid_derivative, integrate_cumulative
@@ -136,6 +138,8 @@ def offset_angle_profile(m: RuledSurfaceModel, c_const: float, cstar_const: floa
         lo_i, hi_i = 0, len(s_full)
     else:
         lo, hi = float(window[0]), float(window[1])
+        if not lo < hi:
+            raise ValidationError(f"window must be [lo, hi] with lo < hi, got [{lo}, {hi}]")
         lo_i = int(np.searchsorted(s_full, lo - 1e-12, side="left"))
         hi_i = int(np.searchsorted(s_full, hi + 1e-12, side="right"))
         if hi_i - lo_i < MIN_SAMPLES:
@@ -196,13 +200,9 @@ def construct_offset(m: RuledSurfaceModel, spec: OffsetSpec) -> OffsetModel:
     pts = decode_line_point(e1_dual)
 
     de1 = grid_derivative(s, e1_dual.re)
-    sig2 = linner(de1, de1)
-    if np.any(sig2 <= STALL_FLOOR):
-        idx = int(np.argmax(sig2 <= STALL_FLOOR))
-        raise DegenerateOffsetIndicatrix(
-            f"gamma = {m.gamma[w][idx]:.3e}, sinh(theta) = {np.sinh(spec.theta[idx]):.3e} "
-            f"at s = {s[idx]:.6g}: offset indicatrix speed |gamma*sinh(theta)| vanishes"
-        )
+    guard(linner(de1, de1) <= STALL_FLOOR, lambda i: DegenerateOffsetIndicatrix(
+        f"gamma = {m.gamma[w][i]:.3e}, sinh(theta) = {np.sinh(spec.theta[i]):.3e} "
+        f"at s = {s[i]:.6g}: offset indicatrix speed |gamma*sinh(theta)| vanishes"))
 
     # traverse against gamma*sinh(theta) so the Mannheim frame lands on t1 = -g
     mid = len(s) // 2
@@ -276,12 +276,9 @@ def _closed_form_inputs(m: RuledSurfaceModel, spec: OffsetSpec, idx: Optional[in
         values = tuple(x[idx] for x in values)
     gamma, theta = np.atleast_1d(values[0]), np.atleast_1d(values[3])
     small = (np.abs(np.sinh(theta)) <= SINH_GUARD) | (np.abs(gamma) <= GAMMA_GUARD)
-    if np.any(small):
-        i = int(np.argmax(small))
-        raise DegeneratePoint(
-            f"closed forms degenerate at window sample {i if idx is None else idx}: "
-            f"gamma = {gamma[i]:.3e}, theta = {theta[i]:.6g}"
-        )
+    guard(small, lambda i: DegeneratePoint(
+        f"closed forms degenerate at window sample {i if idx is None else idx}: "
+        f"gamma = {gamma[i]:.3e}, theta = {theta[i]:.6g}"))
     return values
 
 

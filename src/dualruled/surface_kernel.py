@@ -35,6 +35,7 @@ from .errors import (
     MismatchedInputs,
     NotTimelikeDirector,
     NullDarbouxAxis,
+    guard,
 )
 from .minkowski3 import det3, lcross, linner
 from .numerics import SampledCurve, grid_derivative, hermite, integrate_cumulative
@@ -80,12 +81,8 @@ class DualApparatus:
 
 def _renormalize_director(e: np.ndarray) -> np.ndarray:
     q = linner(e, e)
-    bad = q >= -1e-12
-    if np.any(bad):
-        idx = int(np.argmax(bad))
-        raise NotTimelikeDirector(
-            f"director sample {idx} is not timelike: <e,e> = {q[idx]:.3e} (need < 0)"
-        )
+    guard(q >= -1e-12, lambda i: NotTimelikeDirector(
+        f"director sample {i} is not timelike: <e,e> = {q[i]:.3e} (need < 0)"))
     return e / np.sqrt(-q)[:, None]
 
 
@@ -98,23 +95,19 @@ def _darboux_fields(u: np.ndarray, e_raw: np.ndarray, p_raw: np.ndarray) -> dict
     e = _renormalize_director(np.asarray(e_raw, dtype=float))
     de = grid_derivative(u, e)
     sig2 = linner(de, de)
-    if np.any(sig2 <= STALL_FLOOR):
-        idx = int(np.argmax(sig2 <= STALL_FLOOR))
-        if sig2[idx] < -1e-12:
-            raise FrameDriftExceeded(
-                f"indicatrix tangent is not spacelike at sample {idx} (<e',e'> = {sig2[idx]:.3e})"
-            )
-        raise DegenerateIndicatrix(
-            f"indicatrix speed vanishes at sample {idx} (<e',e'> = {sig2[idx]:.3e})"
-        )
+
+    def stalled(i):
+        value = f"(<e',e'> = {sig2[i]:.3e})"
+        if sig2[i] < -1e-12:
+            return FrameDriftExceeded(f"indicatrix tangent is not spacelike at sample {i} {value}")
+        return DegenerateIndicatrix(f"indicatrix speed vanishes at sample {i} {value}")
+
+    guard(sig2 <= STALL_FLOOR, stalled)
     sigma = np.sqrt(sig2)
     t = de / sigma[:, None]
-    ortho = np.abs(linner(e, t))
-    if np.max(ortho) > DRIFT_TOL:
-        idx = int(np.argmax(ortho))
-        raise FrameDriftExceeded(
-            f"<e,t> = {linner(e, t)[idx]:.3e} at sample {idx} exceeds {DRIFT_TOL:.0e}"
-        )
+    et = linner(e, t)
+    guard(np.abs(et) - DRIFT_TOL, lambda i: FrameDriftExceeded(
+        f"<e,t> = {et[i]:.3e} at sample {i} exceeds {DRIFT_TOL:.0e}"))
     g = -lcross(e, t)
     dp = grid_derivative(u, np.asarray(p_raw, dtype=float))
     lam = -linner(dp, de) / sig2
@@ -154,18 +147,13 @@ def _model_from_fields(fields: dict) -> RuledSurfaceModel:
 
     e1 = resample("e", t)
     drift = np.abs(linner(e1, e1) + 1.0)
-    if np.max(drift) > DRIFT_TOL:
-        idx = int(np.argmax(drift))
-        raise FrameDriftExceeded(
-            f"director norm drifted by {drift[idx]:.3e} after resampling at sample {idx}"
-        )
+    guard(drift - DRIFT_TOL, lambda i: FrameDriftExceeded(
+        f"director norm drifted by {drift[i]:.3e} after resampling at sample {i}"))
     e1 = e1 / np.sqrt(-linner(e1, e1))[:, None]
     t1 = resample("t", e + gamma * g)
-    tdrift = np.abs(linner(t1, t1) - 1.0)
-    xdrift = np.abs(linner(e1, t1))
-    if max(np.max(tdrift), np.max(xdrift)) > DRIFT_TOL:
-        idx = int(np.argmax(np.maximum(tdrift, xdrift)))
-        raise FrameDriftExceeded(f"frame orthonormality drift at sample {idx} exceeds {DRIFT_TOL:.0e}")
+    guard(np.maximum(np.abs(linner(t1, t1) - 1.0), np.abs(linner(e1, t1))) - DRIFT_TOL,
+          lambda i: FrameDriftExceeded(
+              f"frame orthonormality drift at sample {i} exceeds {DRIFT_TOL:.0e}"))
     t1 = t1 + linner(e1, t1)[:, None] * e1  # drop the e component (<e,e> = -1)
     t1 = t1 / np.sqrt(linner(t1, t1))[:, None]
     return RuledSurfaceModel(
@@ -232,12 +220,9 @@ def _curvature_elements(gamma, delta, Delta):
     gamma_bar = _gamma_bar(gamma, delta, Delta)
     gre = np.asarray(gamma, dtype=float)
     margin = np.abs(1.0 - gre * gre)
-    if np.any(margin < NULL_AXIS_GUARD):
-        idx = int(np.argmax(margin < NULL_AXIS_GUARD))
-        raise NullDarbouxAxis(
-            f"|1 - gamma_bar^2| = {margin.flat[idx]:.3e} at sample {idx} "
-            f"(guard {NULL_AXIS_GUARD:.0e}); Darboux axis is null"
-        )
+    guard(margin < NULL_AXIS_GUARD, lambda i: NullDarbouxAxis(
+        f"|1 - gamma_bar^2| = {margin.flat[i]:.3e} at sample {i} "
+        f"(guard {NULL_AXIS_GUARD:.0e}); Darboux axis is null"))
     one_minus = 1.0 - gamma_bar * gamma_bar
     R = 1.0 / apply_function("sqrt", abs(one_minus))
     mgR = -gamma_bar * R

@@ -10,7 +10,6 @@ import pytest
 
 from dualruled.cli import (
     DEFAULT_SAMPLES,
-    SAMPLES_ENV,
     build_model,
     load_config,
     main,
@@ -86,39 +85,26 @@ def test_sampled_kind_validation():
             parse_config(data)
 
 
-def test_samples_precedence(monkeypatch):
+def test_samples_precedence():
     data = {"name": "x", "kind": "planar_hyperbola"}
     assert parse_config(data).samples == DEFAULT_SAMPLES
-    monkeypatch.setenv(SAMPLES_ENV, "77")
-    assert parse_config(data).samples == 77
     assert parse_config({**data, "samples": 33}).samples == 33
     assert parse_config({**data, "samples": 33}, samples_override=50).samples == 50
-    monkeypatch.setenv(SAMPLES_ENV, "abc")
-    with pytest.raises(ConfigError):
-        parse_config(data)
     # a source of lower precedence is not read
-    assert parse_config({**data, "samples": 33}).samples == 33
-    assert parse_config(data, samples_override=50).samples == 50
-    monkeypatch.setenv(SAMPLES_ENV, "5")
-    with pytest.raises(ConfigError, match=r"^DUALRULED_SAMPLES must be at least 9, got 5$"):
-        parse_config(data)
+    assert parse_config({**data, "samples": "many"}, samples_override=50).samples == 50
 
 
-@pytest.mark.parametrize("source", ["flag", "config", "env"])
-def test_samples_floor_exit_2(tmp_path, capsys, monkeypatch, source):
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_samples_floor_exit_2(tmp_path, capsys, source):
     data, argv = planar_cfg(), []
     if source == "flag":
         argv = ["--samples", "8"]
-    elif source == "config":
-        data["samples"] = 8
     else:
-        del data["samples"]
-        monkeypatch.setenv(SAMPLES_ENV, "8")
+        data["samples"] = 8
     out = tmp_path / "r.json"
     assert main(["analyze", "--input", write_cfg(tmp_path, "p.json", data),
                  "--output", str(out), *argv]) == 2
-    prefix = "DUALRULED_SAMPLES" if source == "env" else "samples"
-    assert capsys.readouterr().err == f"ConfigError: {prefix} must be at least 9, got 8\n"
+    assert capsys.readouterr().err == "ConfigError: samples must be at least 9, got 8\n"
     assert not out.exists()
 
 
@@ -228,6 +214,24 @@ def test_non_finite_float_flag_exit_2(tmp_path, capsys, flag, command, value):
     assert main(argv) == 2
     assert capsys.readouterr().err == f"ConfigError: {flag} must be a finite number, got {value}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["offset", "--c", "3", "--cstar", "0.3", "--s-lo", "1"],
+     "--s-lo and --s-hi must be given together"),
+    (["export", "--v-min", "1", "--v-max", "-1", "--v-samples", "5"],
+     "need v-min < v-max, got [1.0, -1.0]"),
+    (["export", "--v-min", "0", "--v-max", "1", "--v-samples", "1"],
+     "need at least 2 ruling samples, got 1"),
+    (["export", "--offset", "--c", "3", "--v-min", "0", "--v-max", "1", "--v-samples", "3"],
+     "--offset export needs --c and --cstar"),
+], ids=["s_lo_alone", "v_range", "v_samples", "offset_without_cstar"])
+def test_flag_errors_come_before_the_config(tmp_path, capsys, argv, message):
+    # the config does not exist: a bad flag is reported before it is read
+    out = tmp_path / "out"
+    assert main([*argv, "--input", str(tmp_path / "missing.json"), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"ConfigError: {message}\n"
+    assert not out.exists()
 
 
 def test_build_model_resamples_nonuniform_input():
@@ -411,6 +415,12 @@ def test_error_exit_codes(tmp_path, capsys):
                  "--s-lo", "1", "--output", out])
     assert code == 2
     assert capsys.readouterr().err == "ConfigError: --s-lo and --s-hi must be given together\n"
+
+    code = main(["offset", "--input", constant, "--c", "3", "--cstar", "0.3",
+                 "--s-lo", "2", "--s-hi", "1", "--output", out])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "ValidationError: window must be [lo, hi] with lo < hi, got [2.0, 1.0]\n")
 
     with pytest.raises(SystemExit) as exc:
         main(["export", "--input", planar, "--format", "stl", "--v-min", "0",

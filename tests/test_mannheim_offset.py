@@ -23,6 +23,7 @@ from dualruled.errors import (
     DegenerateWindow,
     GridTooCoarse,
     MismatchedInputs,
+    ValidationError,
 )
 
 CONFIRMED_KEYS = {
@@ -72,6 +73,9 @@ def test_angle_profile_window_guards(constant_surface):
         offset_angle_profile(constant_surface, 0.75, 0.1, (0.5, 1.0))
     with pytest.raises(GridTooCoarse):
         offset_angle_profile(constant_surface, 3.0, 0.1, (1.0, 1.005))
+    for reversed_or_empty in ((1.5, 0.5), (1.0, 1.0), (1.0, float("nan"))):
+        with pytest.raises(ValidationError, match=r"^window must be \[lo, hi\] with lo < hi, got "):
+            offset_angle_profile(constant_surface, 3.0, 0.1, reversed_or_empty)
 
 
 def test_transfer_director_is_unit_timelike(offset_pieces):
