@@ -128,8 +128,9 @@ def offset_angle_profile(m: RuledSurfaceModel, c_const: float, cstar_const: floa
     """Mannheim angle law on a model: theta = -s + c, theta_star = int(Delta) + c*.
 
     The distance integral is anchored at the model's grid origin. `window`
-    narrows the working range to [lo, hi] in s; the profile must keep
-    sinh(theta) away from zero on that range.
+    narrows the working range to [lo, hi] in s, which may overhang the model's
+    s range by less than one grid step; the profile must keep sinh(theta)
+    away from zero on that range.
     """
     s_full = m.s_grid
     theta_full = -s_full + float(c_const)
@@ -140,6 +141,14 @@ def offset_angle_profile(m: RuledSurfaceModel, c_const: float, cstar_const: floa
         lo, hi = float(window[0]), float(window[1])
         if not lo < hi:
             raise ValidationError(f"window must be [lo, hi] with lo < hi, got [{lo}, {hi}]")
+        # an end a whole step past the grid would hold a sample the grid lacks; a
+        # shorter overhang (bounds snapped to mid-cell, quadrature error in s) clips nothing
+        step = (s_full[-1] - s_full[0]) / (len(s_full) - 1)
+        if lo <= s_full[0] - step or hi >= s_full[-1] + step:
+            raise ValidationError(
+                f"window [{lo}, {hi}] reaches past the model's s range "
+                f"[{s_full[0]:.12g}, {s_full[-1]:.12g}]"
+            )
         lo_i = int(np.searchsorted(s_full, lo - 1e-12, side="left"))
         hi_i = int(np.searchsorted(s_full, hi + 1e-12, side="right"))
         if hi_i - lo_i < MIN_SAMPLES:

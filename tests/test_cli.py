@@ -162,6 +162,15 @@ def test_no_output_file_after_late_degeneracy(tmp_path, capsys):
     assert not out.exists() and not verify.exists()
 
 
+def test_window_past_the_s_range_exit_2(tmp_path, capsys):
+    out = tmp_path / "offset.json"
+    assert main(["offset", "--input", write_cfg(tmp_path, "c.json", constant_cfg(256)), "--c", "3",
+                 "--cstar", "0.3", "--s-lo", "-5", "--s-hi", "1.5", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "ValidationError: window [-5.0, 1.5] reaches past the model's s range [0, 2]\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("missing", ["output", "verify"])
 def test_unwritable_output_path_exit_2(tmp_path, capsys, missing):
     paths = {"output": tmp_path / "offset.json", "verify": tmp_path / "verify.json"}

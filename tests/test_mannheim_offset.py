@@ -78,6 +78,19 @@ def test_angle_profile_window_guards(constant_surface):
             offset_angle_profile(constant_surface, 3.0, 0.1, reversed_or_empty)
 
 
+def test_window_past_the_s_range_is_rejected():
+    m = synth_constant_invariant(0.5, 0.3, 0.2, (0.0, 2.0), 256)
+    with pytest.raises(ValidationError) as exc:
+        offset_angle_profile(m, 3.0, 0.3, (-5.0, 1.5))
+    assert str(exc.value) == "window [-5.0, 1.5] reaches past the model's s range [0, 2]"
+    # an end less than a step past the grid clips no sample: the grid's end is the window's, as before
+    step = 2.0 / 255
+    spec = offset_angle_profile(m, 3.0, 0.3, (1.0, 2.0 + 0.99 * step))
+    assert spec.hi_index == 256 and spec.s[-1] == 2.0
+    with pytest.raises(ValidationError, match=r"reaches past the model's s range \[0, 2\]$"):
+        offset_angle_profile(m, 3.0, 0.3, (1.0, 2.0 + 1.01 * step))
+
+
 def test_transfer_director_is_unit_timelike(offset_pieces):
     m, spec, offset = offset_pieces
     e1 = offset.e1_dual

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dualruled import DualScalar, dumps_canonical
+from dualruled import DualScalar, dumps_canonical, serialize
 from dualruled.errors import ValidationError
 
 
@@ -88,7 +88,9 @@ _EDGES = {
 def float_arrays(draw):
     """Float arrays as reports hold them, with views and non-finite values injected in some draws."""
     dtype = draw(st.sampled_from([np.float64, np.float32]))
-    n = draw(st.integers(1, 9))
+    # in one draw of five, a few thousand rows: 2-D arrays of them cross the kernel's block boundary
+    big = draw(st.integers(0, 4)) == 0
+    n = draw(st.integers(2 * serialize._BLOCK // 5, serialize._BLOCK // 2) if big else st.integers(1, 9))
     shape = draw(st.sampled_from([(n,), (n, 3), (n, draw(st.integers(1, 5)))]))
     width = 64 if dtype is np.float64 else 32
     elements = st.floats(width=width, allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGES[dtype])
@@ -128,3 +130,40 @@ def test_float_array_bytes_match_the_list_path(a):
 ], ids=["empty", "no_rows", "empty_rows", "3d", "int", "str", "bool", "str_labels"])
 def test_other_arrays_match_the_list_path(a):
     assert dumps_canonical({"x": a}) == dumps_canonical({"x": a.tolist()})
+
+
+def _per_item(a):
+    """A top-level float array as "%.11e" % float(v), one element at a time."""
+    return "[\n  " + ",\n  ".join("%.11e" % float(v) for v in a.ravel().tolist()) + "\n]\n"
+
+
+def _kernel_cases():
+    rng = np.random.default_rng(20261018)
+    bits = rng.integers(0, 2**64, size=120_000, dtype=np.uint64).view(np.float64)
+    subnormal = rng.integers(1, 2**52, size=2000, dtype=np.uint64).view(np.float64)
+    ties = rng.integers(10**11, 10**12, size=1000) + 0.5  # 13 digits ending in an exact 5
+    powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+             1.7976931348623157e308, -1.7976931348623157e308, 123456789012.5, 123456789013.5,
+             9999999999995000.0, 0.5]
+    return np.concatenate([bits[np.isfinite(bits)], subnormal, ties, -ties, powers,
+                           np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), edges])
+
+
+@pytest.mark.parametrize("work", [np.longdouble, np.float64], ids=["long_double", "double"])
+def test_digit_kernel_matches_the_per_item_format(monkeypatch, work):
+    # float64 as the working precision stands in for a platform whose long double is double
+    monkeypatch.setattr(serialize, "_WORK", work)
+    values = _kernel_cases()
+    assert values.size > 10 * serialize._BLOCK
+    assert dumps_canonical(values) == _per_item(values)
+    _, _, certain = serialize._decimal(values)
+    exact_ties = (values % 1 == 0.5) & (np.abs(values) >= 1e11) & (np.abs(values) < 1e12)
+    assert exact_ties.sum() >= 2000 and not certain[exact_ties].any()
+    bits32 = np.random.default_rng(7).integers(0, 2**32, size=20_000, dtype=np.uint64).astype(np.uint32)
+    floats32 = bits32.view(np.float32)
+    floats32 = floats32[np.isfinite(floats32)]
+    assert dumps_canonical(floats32) == _per_item(floats32)
+    rows = values[: 3 * (serialize._BLOCK // 3 + 7)].reshape(-1, 3)  # crosses a block boundary
+    for a in (rows, rows[::-1], floats32[: rows.size].reshape(-1, 3)):
+        assert dumps_canonical({"x": a}) == dumps_canonical({"x": a.tolist()})
