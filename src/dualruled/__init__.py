@@ -24,8 +24,6 @@ from .mannheim_offset import (
     construct_offset,
     developability_predicates,
     offset_angle_profile,
-    offset_closed_forms,
-    transfer_derivative_components,
 )
 from .minkowski3 import det3, lcross, linner, lnorm
 from .numerics import SampledCurve, grid_derivative, integrate_cumulative
@@ -77,8 +75,6 @@ __all__ = [
     "linner",
     "lnorm",
     "offset_angle_profile",
-    "offset_closed_forms",
     "study_residual",
     "synth_constant_invariant",
-    "transfer_derivative_components",
 ]

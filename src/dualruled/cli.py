@@ -389,6 +389,9 @@ def main(argv=None) -> int:
             raise ConfigError("--offset export needs --c and --cstar")
         if args.command != "analyze" and (args.s_lo is None) != (args.s_hi is None):
             raise ConfigError("--s-lo and --s-hi must be given together")
+        verify = getattr(args, "verify", None)
+        if verify is not None and os.path.realpath(verify) == os.path.realpath(args.output):
+            raise ConfigError(f"--verify and --output name the same file: {verify}")
         if export and not args.v_min < args.v_max:
             raise ConfigError(f"need v-min < v-max, got [{args.v_min}, {args.v_max}]")
         if export and args.v_samples < 2:

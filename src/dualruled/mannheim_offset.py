@@ -11,7 +11,10 @@ offset identities: the tilted dual director is decoded back to points and
 lines, and the offset's frame/invariants are rebuilt from scratch by
 surface_kernel. The closed forms are then evaluated separately and
 adjudicated against the oracle in a consistency report. Agreement and
-disagreement are both findings; the report never reconciles them.
+disagreement are both findings; the report never reconciles them. The
+paper's developability conditions are evaluated at every window sample from
+the same inputs as the closed forms. Every function here works on the whole
+window; none evaluates a single sample.
 
 Orientation gauge: the offset indicatrix is traversed so that its arc
 length runs against gamma*sinh(theta) (ds1/ds = -gamma*sinh(theta)). In
@@ -29,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .dual_algebra import DualScalar, apply_function
-from .dual_lorentz import DualVec3, decode_line_point, dinner
+from .dual_lorentz import DualVec3, decode_line_point
 from .errors import (
     DegenerateOffsetIndicatrix,
     DegeneratePoint,
@@ -45,9 +48,7 @@ from .surface_kernel import (
     STALL_FLOOR,
     RuledSurfaceModel,
     _curvature_elements,
-    _d_ds_bar,
     _darboux_fields,
-    _dual_fd,
     _gamma_bar,
     dual_frame,
 )
@@ -173,15 +174,10 @@ def offset_angle_profile(m: RuledSurfaceModel, c_const: float, cstar_const: floa
     )
 
 
-def _window_frame(m: RuledSurfaceModel, spec: OffsetSpec) -> list:
-    """The base dual frame (e, t, g) on the spec's window."""
-    w = spec.window
-    return [DualVec3(x.re[w], x.du[w]) for x in dual_frame(m)]
-
-
 def transfer_dual_director(m: RuledSurfaceModel, spec: OffsetSpec) -> DualVec3:
     """Tilt the base ruling lines by the dual angle: e1 = cosh(tb) e + sinh(tb) t."""
-    e_d, t_d, _ = _window_frame(m, spec)
+    w = spec.window
+    e_d, t_d, _ = (DualVec3(x.re[w], x.du[w]) for x in dual_frame(m))
     theta_bar = DualScalar(spec.theta, spec.theta_star)
     ch = apply_function("cosh", theta_bar)
     sh = apply_function("sinh", theta_bar)
@@ -273,34 +269,19 @@ def _formula_fields(gamma, delta, Delta, theta, theta_star) -> dict:
     return out
 
 
-def _closed_form_inputs(m: RuledSurfaceModel, spec: OffsetSpec, idx: Optional[int] = None) -> tuple:
-    """Base (gamma, delta, Delta, theta, theta_star) on the window, or at window sample idx.
+def _closed_form_inputs(m: RuledSurfaceModel, spec: OffsetSpec) -> tuple:
+    """Base (gamma, delta, Delta, theta, theta_star) on the spec's window.
 
     Raises DegeneratePoint where the closed forms divide by zero:
     |sinh(theta)| <= SINH_GUARD or |gamma| <= GAMMA_GUARD.
     """
     w = spec.window
-    values = (m.gamma[w], m.delta[w], m.Delta[w], spec.theta, spec.theta_star)
-    if idx is not None:
-        values = tuple(x[idx] for x in values)
-    gamma, theta = np.atleast_1d(values[0]), np.atleast_1d(values[3])
+    gamma, theta = m.gamma[w], spec.theta
     small = (np.abs(np.sinh(theta)) <= SINH_GUARD) | (np.abs(gamma) <= GAMMA_GUARD)
     guard(small, lambda i: DegeneratePoint(
-        f"closed forms degenerate at window sample {i if idx is None else idx}: "
+        f"closed forms degenerate at window sample {i}: "
         f"gamma = {gamma[i]:.3e}, theta = {theta[i]:.6g}"))
-    return values
-
-
-def offset_closed_forms(m: RuledSurfaceModel, spec: OffsetSpec, idx: int) -> dict:
-    """Formula bundle at one window sample (floats keyed like the report rows)."""
-    raw = _formula_fields(*_closed_form_inputs(m, spec, idx))
-    out = {}
-    for k, v in raw.items():
-        if isinstance(v, DualScalar):
-            out[k] = DualScalar(float(v.re), float(v.du))
-        else:
-            out[k] = float(v)
-    return out
+    return gamma, m.delta[w], m.Delta[w], theta, spec.theta_star
 
 
 def consistency_report(m: RuledSurfaceModel, spec: OffsetSpec, offset: OffsetModel,
@@ -367,40 +348,23 @@ def consistency_report(m: RuledSurfaceModel, spec: OffsetSpec, offset: OffsetMod
     )
 
 
-def developability_predicates(m: RuledSurfaceModel, spec: OffsetSpec, idx: int,
+def developability_predicates(m: RuledSurfaceModel, spec: OffsetSpec,
                               tol: float = 1e-6) -> dict:
-    """Developability conditions at one window sample.
+    """Developability conditions at every window sample, as per-sample arrays.
 
     Flags: base surface developable; offset developable (distance matches
     -(delta/gamma) tanh(theta), target exposed); base and offset jointly
     developable (theta_star = delta, both locally constant); conical
     curvature matching -tanh(theta).
     """
-    gamma, delta, Delta, theta, theta_star = _closed_form_inputs(m, spec, idx)
-    ddelta = grid_derivative(m.s_grid, m.delta)[spec.window][idx]
+    gamma, delta, Delta, theta, theta_star = _closed_form_inputs(m, spec)
+    ddelta = grid_derivative(m.s_grid, m.delta)[spec.window]
     target = -(delta / gamma) * np.tanh(theta)
     return {
-        "base_developable": bool(abs(Delta) <= tol),
-        "offset_developable": bool(abs(theta_star - target) <= tol),
-        "offset_developable_target": float(target),
-        "joint_developable": bool(
-            abs(theta_star - delta) <= tol and abs(Delta) <= tol and abs(ddelta) <= tol
-        ),
-        "gamma_matches_neg_tanh": bool(abs(gamma + np.tanh(theta)) <= tol),
-    }
-
-
-def transfer_derivative_components(m: RuledSurfaceModel, spec: OffsetSpec) -> dict:
-    """Components of d(e1_dual)/ds_bar along the base dual frame.
-
-    The Mannheim angle law is equivalent to this derivative being parallel
-    to the central normal line: components along the director and tangent
-    must vanish. Returned as DualScalar arrays keyed by frame leg.
-    """
-    e_d, t_d, g_d = _window_frame(m, spec)
-    de1 = _d_ds_bar(_dual_fd(transfer_dual_director(m, spec), spec.s), m.Delta[spec.window])
-    return {
-        "along_director": -1.0 * dinner(de1, e_d),
-        "along_tangent": dinner(de1, t_d),
-        "along_normal": dinner(de1, g_d),
+        "base_developable": np.abs(Delta) <= tol,
+        "offset_developable": np.abs(theta_star - target) <= tol,
+        "offset_developable_target": target,
+        "joint_developable": ((np.abs(theta_star - delta) <= tol) & (np.abs(Delta) <= tol)
+                              & (np.abs(ddelta) <= tol)),
+        "gamma_matches_neg_tanh": np.abs(gamma + np.tanh(theta)) <= tol,
     }

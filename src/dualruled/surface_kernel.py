@@ -76,7 +76,6 @@ class DualApparatus:
     rho_cosh: DualScalar
     rho_sinh: DualScalar
     darboux_branch: np.ndarray
-    darboux_axis_unit: DualVec3
 
 
 def _renormalize_director(e: np.ndarray) -> np.ndarray:
@@ -247,11 +246,9 @@ def dual_apparatus(m: RuledSurfaceModel) -> DualApparatus:
     """Dual arc length, dual conical curvature, and curvature elements."""
     s_bar = DualScalar(m.s_grid, -integrate_cumulative(m.s_grid, m.Delta))
     gamma_bar, R, C, S, branch = _curvature_elements(m.gamma, m.delta, m.Delta)
-    e_d, _, g_d = dual_frame(m)
     return DualApparatus(
         s_bar=s_bar, gamma_bar=gamma_bar, R_bar=R,
         rho_cosh=C, rho_sinh=S, darboux_branch=branch,
-        darboux_axis_unit=R * (-1.0 * (gamma_bar * e_d) - g_d),
     )
 
 

@@ -184,6 +184,16 @@ def test_unwritable_output_path_exit_2(tmp_path, capsys, missing):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
+@pytest.mark.parametrize("verify", ["x.json", "./x.json"], ids=["same_string", "dot_spelling"])
+def test_verify_naming_the_output_file_exit_2(tmp_path, capsys, verify):
+    # one file would get both reports: the summary would be lost, or half the renames fail
+    out, verify = f"{tmp_path}/x.json", f"{tmp_path}/{verify}"
+    assert main(["offset", "--input", write_cfg(tmp_path, "c.json", constant_cfg(256)), "--c", "3",
+                 "--cstar", "0.3", "--output", out, "--verify", verify]) == 2
+    assert capsys.readouterr().err == f"ConfigError: --verify and --output name the same file: {verify}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
 def test_near_uniform_sampled_grid_is_resampled(tmp_path):
     # linspace(2, 5, 1024) written to 12 significant digits: every point is within
     # 5e-12 of the uniform grid, but steps vary by 1e-11, beyond the uniform-grid rule

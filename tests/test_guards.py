@@ -67,12 +67,12 @@ def flat_offset():
     return construct_offset(m, offset_angle_profile(m, 3.0, 0.3, (1.0, 2.0)))
 
 
-def closed_forms_on_gamma_step(idx=None):
+def closed_forms_on_gamma_step():
     # gamma drops to 0 past s = 1.5, inside the window [1, 2]
     m = synth_constant_invariant(0.5, 0.3, 0.2, (0.0, 2.0), 64)
     spec = offset_angle_profile(m, 3.0, 0.3, (1.0, 2.0))
     stepped = dataclasses.replace(m, gamma=np.where(m.s_grid > 1.5, 0.0, 0.5))
-    return _closed_form_inputs(stepped, spec, idx)
+    return _closed_form_inputs(stepped, spec)
 
 
 GUARDS = {
@@ -104,9 +104,6 @@ GUARDS = {
     "closed_forms_window": (
         closed_forms_on_gamma_step, DegeneratePoint,
         "closed forms degenerate at window sample 16: gamma = 0.000e+00, theta = 1.47619"),
-    "closed_forms_point": (
-        lambda: closed_forms_on_gamma_step(30), DegeneratePoint,
-        "closed forms degenerate at window sample 30: gamma = 0.000e+00, theta = 1.03175"),
     "dnorm_null": (
         lambda: dnorm(DualVec3(np.array([[0.0, 1, 0], [1, 1, 0], [1, 0, 1]]), np.zeros((3, 3)))),
         NullDirection, "null direction at sample 1; dual norm undefined"),

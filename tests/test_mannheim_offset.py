@@ -13,9 +13,7 @@ from dualruled import (
     developability_predicates,
     linner,
     offset_angle_profile,
-    offset_closed_forms,
     synth_constant_invariant,
-    transfer_derivative_components,
 )
 from dualruled.errors import (
     DegenerateOffsetIndicatrix,
@@ -142,9 +140,8 @@ def test_striction_shift_is_normal_translation(offset_pieces):
     assert np.max(np.abs(offset.striction_shift_g + spec.theta_star)) < 1e-4
 
 
-def test_closed_form_spots(offset_pieces):
-    m, spec, _ = offset_pieces
-    cf = offset_closed_forms(m, spec, len(spec.s) - 1)
+def test_closed_form_spots(offset_report):
+    cf = {k: v[-1] for k, v in offset_report.formulas.items() if k != "arc_rate_dual"}
     assert cf["conical_curvature"] == pytest.approx(-1.313035, abs=1e-5)
     assert cf["drift"] == pytest.approx(-0.650428, abs=1e-5)
     assert cf["conical_curvature_dual_du"] == pytest.approx(-1.011234, abs=1e-5)
@@ -158,14 +155,9 @@ def test_closed_form_spots(offset_pieces):
     assert cf["dist_param_det_route"] == pytest.approx(0.274786, abs=1e-5)
     assert cf["offset_distance_constraint"] == pytest.approx(0.158530, abs=1e-5)
     assert cf["arc_rate"] == pytest.approx(0.587601, abs=1e-5)
-    assert cf["arc_rate_dual"].re == pytest.approx(0.587601, abs=1e-5)
-    assert cf["arc_rate_dual"].du == pytest.approx(1.010159, abs=1e-5)
-
-
-def test_closed_forms_reject_degenerate_point(planar_surface):
-    spec = offset_angle_profile(planar_surface, 3.0, 0.3, (1.0, 2.0))
-    with pytest.raises(DegeneratePoint, match="window sample 0: gamma = "):
-        offset_closed_forms(planar_surface, spec, 0)
+    arc_dual = offset_report.formulas["arc_rate_dual"]
+    assert arc_dual.re[-1] == pytest.approx(0.587601, abs=1e-5)
+    assert arc_dual.du[-1] == pytest.approx(1.010159, abs=1e-5)
 
 
 def test_report_verdict_map(offset_report):
@@ -216,43 +208,34 @@ def test_offset_rejects_vanishing_indicatrix(planar_surface):
 def test_developability_predicates_cases():
     m = synth_constant_invariant(0.5, 0.3, 0.0, samples=512)
     spec = offset_angle_profile(m, 3.0, 0.3)
-    got = developability_predicates(m, spec, len(spec.s) - 1)
-    assert got["base_developable"] is True
-    assert got["offset_developable"] is False
-    assert got["offset_developable_target"] == pytest.approx(-0.456956, abs=1e-5)
-    assert got["joint_developable"] is True
-    assert got["gamma_matches_neg_tanh"] is False
+    got = developability_predicates(m, spec)
+    assert got["base_developable"].all() and got["joint_developable"].all()
+    assert not got["offset_developable"].any() and not got["gamma_matches_neg_tanh"].any()
+    assert got["offset_developable_target"][-1] == pytest.approx(-0.456956, abs=1e-5)
+    assert all(len(v) == 512 for v in got.values())
 
+    # gamma = -tanh(1) meets -tanh(theta) only where theta = 1, at the last sample
     matched = synth_constant_invariant(-np.tanh(1.0), 0.3, 0.0, samples=512)
     spec2 = offset_angle_profile(matched, 3.0, 0.3)
-    got2 = developability_predicates(matched, spec2, len(spec2.s) - 1)
-    assert got2["gamma_matches_neg_tanh"] is True
-    assert got2["offset_developable"] is True
-    assert got2["offset_developable_target"] == pytest.approx(0.3, abs=1e-9)
+    got2 = developability_predicates(matched, spec2)
+    assert list(np.flatnonzero(got2["gamma_matches_neg_tanh"])) == [511]
+    assert list(np.flatnonzero(got2["offset_developable"])) == [511]
+    assert got2["offset_developable_target"][-1] == pytest.approx(0.3, abs=1e-9)
 
 
 def test_predicates_reject_degenerate_point(planar_surface):
     spec = offset_angle_profile(planar_surface, 3.0, 0.3, (1.0, 2.0))
     with pytest.raises(DegeneratePoint, match="window sample 0: gamma = "):
-        developability_predicates(planar_surface, spec, 0)
+        developability_predicates(planar_surface, spec)
 
 
-def test_transfer_components_vanish_on_mannheim_law(offset_pieces):
-    m, spec, _ = offset_pieces
-    comp = transfer_derivative_components(m, spec)
-    for leg in ("along_director", "along_tangent"):
-        assert np.max(np.abs(comp[leg].re)) < 1e-5, leg
-        assert np.max(np.abs(comp[leg].du)) < 1e-5, leg
-    assert np.max(np.abs(comp["along_normal"].re)) > 1e-2
-
-
-def test_transfer_components_detect_wrong_slope(offset_pieces):
-    m, spec, _ = offset_pieces
-    bad = dataclasses.replace(spec, theta=-1.05 * spec.s + 3.0)
-    comp = transfer_derivative_components(m, bad)
-    for leg in ("along_director", "along_tangent"):
-        assert np.max(np.abs(comp[leg].re)) > 1e-3, leg
-        assert np.max(np.abs(comp[leg].du)) > 1e-3, leg
+def test_wrong_distance_breaks_the_dual_part(offset_pieces):
+    # theta* off its law moves the offset rulings but not their directions: only
+    # the dual (moment) part of the Mannheim residual can see it
+    m, spec, lawful = offset_pieces
+    offset = construct_offset(m, dataclasses.replace(spec, theta_star=spec.theta_star + 0.1 * spec.s))
+    assert np.array_equal(offset.mannheim_real_residual, lawful.mannheim_real_residual)
+    assert np.min(offset.mannheim_dual_residual) > 1e-3
 
 
 def test_wrong_slope_breaks_parallelism(offset_pieces):

@@ -171,8 +171,6 @@ def test_apparatus_algebraic_identities(constant_surface):
     assert_dual_close(hyper, 1.0, 0.0, 1e-8)
     # spacelike branch: sinh of the spherical radius carries -gamma_bar R_bar
     assert_dual_close(ap.rho_sinh + ap.gamma_bar * ap.R_bar, 0.0, 0.0, 1e-8)
-    axis_norm = dinner(ap.darboux_axis_unit, ap.darboux_axis_unit)
-    assert_dual_close(axis_norm, 1.0, 0.0, 1e-8)
 
 
 def test_apparatus_planar_surface(planar_surface):
