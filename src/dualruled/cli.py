@@ -5,12 +5,17 @@ surface and writes a JSON report; `offset` constructs a Mannheim offset
 (optionally adjudicating the closed forms into a second report); `export`
 writes an OBJ mesh of the surface or its offset.
 
+The sample count is the config's "samples", else the length of a sampled
+surface's arrays, else 1024, within [MIN_SAMPLES, MAX_SAMPLES]. The
+tolerances are fixed (DEVELOPABLE_TOL, VERDICT_TOL); each report writes its
+tolerance next to the residual maxima behind its verdicts.
+
 Exit codes: 0 success, 2 validation problem (bad config, non-timelike
-data, floating-point overflow, unwritable output path), 3 numeric
-degeneracy (stalled indicatrix, null axis, vanishing window). Every
-output is built before any file is written, so a nonzero exit leaves no
-output file. A DISCREPANT verdict in the consistency report is a finding,
-not a failure; it exits 0.
+data, floating-point overflow, unwritable output path, oversized input
+or mesh), 3 numeric degeneracy (stalled indicatrix, null axis, vanishing
+window). Every output is built before any file is written, so a nonzero
+exit leaves no output file. A DISCREPANT verdict in the consistency report
+is a finding, not a failure; it exits 0.
 """
 
 from __future__ import annotations
@@ -31,9 +36,10 @@ from .mannheim_offset import (
     consistency_report,
     offset_angle_profile,
 )
-from .numerics import MIN_SAMPLES, SampledCurve, hermite, is_uniform, slopes
+from .numerics import MAX_SAMPLES, MIN_SAMPLES, SampledCurve, hermite, is_uniform, slopes
 from .serialize import dumps_canonical
 from .surface_kernel import (
+    DEVELOPABLE_TOL,
     RuledSurfaceModel,
     build_surface,
     classify,
@@ -86,7 +92,7 @@ def _number_param(params: dict, key: str) -> float:
     return _coerce(params[key], float, f"params.{key} must be a number")
 
 
-def parse_config(data: dict, samples_override=None) -> SurfaceConfig:
+def parse_config(data: dict) -> SurfaceConfig:
     """Check a config in a fixed order and convert the params its kind reads."""
     if not isinstance(data, dict):
         raise ConfigError("surface config must be a JSON object")
@@ -119,13 +125,14 @@ def parse_config(data: dict, samples_override=None) -> SurfaceConfig:
                           "s_range must be [lo, hi] numbers")
         if len(s_range) != 2 or not s_range[0] < s_range[1]:
             raise ConfigError(f"s_range must be [lo, hi] with lo < hi, got {list(s_range)}")
-    # flag, then config, then the default; a source that is not used is not read
-    samples = samples_override if samples_override is not None else data.get("samples")
+    samples = data.get("samples")
     if samples is None:
         samples = len(u) if kind == "sampled" else DEFAULT_SAMPLES
     samples = _coerce(samples, _integer, "samples must be an integer")
     if samples < MIN_SAMPLES:
         raise ConfigError(f"samples must be at least {MIN_SAMPLES}, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise ConfigError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
 
     if kind == "constant_invariant":
         params = {key: _number_param(params, key) for key in ("gamma", "delta", "Delta")}
@@ -153,7 +160,7 @@ def parse_config(data: dict, samples_override=None) -> SurfaceConfig:
                          s_range=s_range, samples=samples)
 
 
-def load_config(path: str, samples_override=None) -> SurfaceConfig:
+def load_config(path: str) -> SurfaceConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -161,7 +168,7 @@ def load_config(path: str, samples_override=None) -> SurfaceConfig:
         raise ConfigError(f"cannot read config {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}")
-    return parse_config(data, samples_override)
+    return parse_config(data)
 
 
 def build_model(cfg: SurfaceConfig) -> RuledSurfaceModel:
@@ -183,13 +190,13 @@ def build_model(cfg: SurfaceConfig) -> RuledSurfaceModel:
     return build_surface(SampledCurve(u, director), SampledCurve(u, base))
 
 
-def _analyze_payload(cfg: SurfaceConfig, model: RuledSurfaceModel, tol: float) -> dict:
+def _analyze_payload(cfg: SurfaceConfig, model: RuledSurfaceModel) -> dict:
     app = dual_apparatus(model)
     residuals = dict(frame_residuals(model))
     residuals.update({f"dual_{k}": v for k, v in dual_frame_residuals(model).items()})
     residuals["study_decode"] = study_residual(model)
     return {
-        "classification": classify(model, tol),
+        "classification": classify(model),
         "dual_apparatus": {
             "branch": app.darboux_branch,
             "curvature_radius": app.R_bar,
@@ -210,13 +217,16 @@ def _analyze_payload(cfg: SurfaceConfig, model: RuledSurfaceModel, tol: float) -
             "s": model.s_grid,
             "t": model.t,
         },
-        "tolerance": tol,
+        "tolerance": DEVELOPABLE_TOL,
     }
 
 
 def _write_outputs(outputs: dict) -> None:
     """Write {path: text} through temporary files renamed into place once all are
     written, so a failure leaves no output behind; OSError becomes a ConfigError."""
+    for path in outputs:  # os.replace would refuse it only after the earlier renames
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {path}: Is a directory")
     tmps = {path: f"{path}.{os.getpid()}.tmp" for path in outputs}
     try:
         for path, text in outputs.items():
@@ -232,14 +242,14 @@ def _write_outputs(outputs: dict) -> None:
 
 
 def cmd_analyze(args) -> int:
-    cfg = load_config(args.input, args.samples)
+    cfg = load_config(args.input)
     model = build_model(cfg)
-    _write_outputs({args.output: dumps_canonical(_analyze_payload(cfg, model, args.tol))})
+    _write_outputs({args.output: dumps_canonical(_analyze_payload(cfg, model))})
     return 0
 
 
 def _offset_pieces(args):
-    cfg = load_config(args.input, args.samples)
+    cfg = load_config(args.input)
     model = build_model(cfg)
     window = None if args.s_lo is None else (args.s_lo, args.s_hi)
     spec = offset_angle_profile(model, args.c, args.cstar, window)
@@ -271,11 +281,8 @@ def cmd_offset(args) -> int:
             "gamma1": offset.gamma1,
             "s1": offset.s1_grid,
         },
-        "striction_shift_maxima": {
-            "along_director": float(np.max(np.abs(offset.striction_shift_e))),
-            "along_normal": float(np.max(np.abs(offset.striction_shift_g))),
-            "along_tangent": float(np.max(np.abs(offset.striction_shift_t))),
-        },
+        "striction_shift_maxima": {k: float(np.max(np.abs(v)))
+                                   for k, v in offset.striction_shift.items()},
         "window": {
             "hi": float(spec.s[-1]),
             "lo": float(spec.s[0]),
@@ -284,7 +291,7 @@ def cmd_offset(args) -> int:
     }
     outputs = {args.output: dumps_canonical(payload)}
     if args.verify:
-        report = consistency_report(model, spec, offset, args.tol)
+        report = consistency_report(model, spec, offset)
         verify_payload = {
             "formulas": report.formulas,
             "mannheim": {
@@ -310,6 +317,9 @@ def cmd_offset(args) -> int:
 
 def _write_obj(path: str, points: np.ndarray, e: np.ndarray,
                v_min: float, v_max: float, v_samples: int) -> None:
+    if len(points) * v_samples > 8 * MAX_SAMPLES:
+        raise ConfigError(f"mesh of {len(points)} rulings x {v_samples} v-samples "
+                          f"exceeds {8 * MAX_SAMPLES} vertices")
     vs = np.linspace(v_min, v_max, v_samples)
     # vertex (i, j) = points[i] + vs[j] e[i], row-major, 1-based in the faces
     verts = (points[:, None, :] + vs[None, :, None] * e[:, None, :]).ravel()
@@ -327,8 +337,7 @@ def cmd_export(args) -> int:
         _, _, _, offset = _offset_pieces(args)
         points, e = offset.c1, offset.e1_dual.re
     else:
-        cfg = load_config(args.input, args.samples)
-        model = build_model(cfg)
+        model = build_model(load_config(args.input))
         points, e = model.c, model.e
     _write_obj(args.output, points, e, args.v_min, args.v_max, args.v_samples)
     return 0
@@ -344,8 +353,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="build the surface and write a JSON report")
     pa.add_argument("--input", required=True, help="surface config JSON")
     pa.add_argument("--output", required=True, help="report JSON path")
-    pa.add_argument("--samples", type=int, default=None, help="override sample count")
-    pa.add_argument("--tol", type=float, default=1e-6, help="classification tolerance")
     pa.set_defaults(fn=cmd_analyze)
 
     po = sub.add_parser("offset", help="construct a Mannheim offset (optionally verify formulas)")
@@ -354,10 +361,8 @@ def _build_parser() -> argparse.ArgumentParser:
     po.add_argument("--cstar", type=float, required=True, help="offset distance constant")
     po.add_argument("--output", required=True, help="offset summary JSON path")
     po.add_argument("--verify", default=None, help="also write the consistency report here")
-    po.add_argument("--tol", type=float, default=1e-3, help="verdict tolerance")
     po.add_argument("--s-lo", type=float, default=None, help="window lower bound in s")
     po.add_argument("--s-hi", type=float, default=None, help="window upper bound in s")
-    po.add_argument("--samples", type=int, default=None)
     po.set_defaults(fn=cmd_offset)
 
     pe = sub.add_parser("export", help="write an OBJ mesh of the surface or its offset")
@@ -371,7 +376,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--cstar", type=float, default=None)
     pe.add_argument("--s-lo", type=float, default=None)
     pe.add_argument("--s-hi", type=float, default=None)
-    pe.add_argument("--samples", type=int, default=None)
     pe.set_defaults(fn=cmd_export)
     return parser
 
@@ -381,7 +385,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         # every check on the flags alone, before the config is read
-        for flag in ("c", "cstar", "s_lo", "s_hi", "tol", "v_min", "v_max"):
+        for flag in ("c", "cstar", "s_lo", "s_hi", "v_min", "v_max"):
             if (value := getattr(args, flag, None)) is not None:
                 _coerce(value, float, f"--{flag.replace('_', '-')} must be a finite number")
         export = args.command == "export"

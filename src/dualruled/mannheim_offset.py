@@ -45,6 +45,7 @@ from .errors import (
 from .minkowski3 import lcross, linner
 from .numerics import MIN_SAMPLES, grid_derivative, integrate_cumulative
 from .surface_kernel import (
+    DEVELOPABLE_TOL,
     STALL_FLOOR,
     RuledSurfaceModel,
     _curvature_elements,
@@ -54,6 +55,7 @@ from .surface_kernel import (
 )
 
 SINH_GUARD = 1e-6
+VERDICT_TOL = 1e-3  # max residual at or below this: CONFIRMED
 GAMMA_GUARD = 1e-6
 
 
@@ -98,9 +100,7 @@ class OffsetModel:
     branch1: np.ndarray
     mannheim_real_residual: np.ndarray
     mannheim_dual_residual: np.ndarray
-    striction_shift_e: np.ndarray
-    striction_shift_t: np.ndarray
-    striction_shift_g: np.ndarray
+    striction_shift: dict  # offset minus base striction point, by frame direction
     source_model: RuledSurfaceModel
     spec: OffsetSpec
 
@@ -229,8 +229,8 @@ def construct_offset(m: RuledSurfaceModel, spec: OffsetSpec) -> OffsetModel:
         rho1_star=C1.du / S1.re, branch1=branch1,
         mannheim_real_residual=_distance_up_to_sign(t1, g),
         mannheim_dual_residual=_distance_up_to_sign(lcross(c1, t1), lcross(c, g)),
-        striction_shift_e=-linner(v, e), striction_shift_t=linner(v, t),
-        striction_shift_g=linner(v, g),
+        striction_shift={"along_director": -linner(v, e), "along_tangent": linner(v, t),
+                         "along_normal": linner(v, g)},
         source_model=m, spec=spec,
     )
 
@@ -284,13 +284,12 @@ def _closed_form_inputs(m: RuledSurfaceModel, spec: OffsetSpec) -> tuple:
     return gamma, m.delta[w], m.Delta[w], theta, spec.theta_star
 
 
-def consistency_report(m: RuledSurfaceModel, spec: OffsetSpec, offset: OffsetModel,
-                       tol: float = 1e-3) -> OffsetReport:
+def consistency_report(m: RuledSurfaceModel, spec: OffsetSpec, offset: OffsetModel) -> OffsetReport:
     """Adjudicate every closed-form offset identity against the oracle.
 
     Residuals are absolute; `arc_rate` compares magnitudes and
     `arc_rate_dual` is compared up to one global orientation sign. A key is
-    CONFIRMED when its max residual stays within tol, else DISCREPANT.
+    CONFIRMED when its max residual stays within VERDICT_TOL, else DISCREPANT.
     """
     if offset.source_model is not m or offset.spec is not spec:
         raise MismatchedInputs("report inputs must be the model/spec pair the offset was built from")
@@ -331,35 +330,31 @@ def consistency_report(m: RuledSurfaceModel, spec: OffsetSpec, offset: OffsetMod
 
     max_residual = {k: float(np.max(v)) for k, v in residuals.items()}
     mean_residual = {k: float(np.mean(v)) for k, v in residuals.items()}
-    verdicts = {k: ("CONFIRMED" if max_residual[k] <= tol else "DISCREPANT")
+    verdicts = {k: ("CONFIRMED" if max_residual[k] <= VERDICT_TOL else "DISCREPANT")
                 for k in residuals}
     return OffsetReport(
         s=spec.s, theta=spec.theta, theta_star=spec.theta_star,
         oracle=oracle, formulas=F, residuals=residuals,
         max_residual=max_residual, mean_residual=mean_residual, verdicts=verdicts,
-        striction_shift={
-            "along_director": offset.striction_shift_e,
-            "along_tangent": offset.striction_shift_t,
-            "along_normal": offset.striction_shift_g,
-        },
+        striction_shift=offset.striction_shift,
         mannheim_real_max=float(np.max(offset.mannheim_real_residual)),
         mannheim_dual_max=float(np.max(offset.mannheim_dual_residual)),
-        tol=float(tol),
+        tol=VERDICT_TOL,
     )
 
 
-def developability_predicates(m: RuledSurfaceModel, spec: OffsetSpec,
-                              tol: float = 1e-6) -> dict:
+def developability_predicates(m: RuledSurfaceModel, spec: OffsetSpec) -> dict:
     """Developability conditions at every window sample, as per-sample arrays.
 
     Flags: base surface developable; offset developable (distance matches
     -(delta/gamma) tanh(theta), target exposed); base and offset jointly
     developable (theta_star = delta, both locally constant); conical
-    curvature matching -tanh(theta).
+    curvature matching -tanh(theta). Equal means within DEVELOPABLE_TOL.
     """
     gamma, delta, Delta, theta, theta_star = _closed_form_inputs(m, spec)
     ddelta = grid_derivative(m.s_grid, m.delta)[spec.window]
     target = -(delta / gamma) * np.tanh(theta)
+    tol = DEVELOPABLE_TOL
     return {
         "base_developable": np.abs(Delta) <= tol,
         "offset_developable": np.abs(theta_star - target) <= tol,

@@ -27,6 +27,7 @@ import numpy as np
 from .errors import GridTooCoarse, NonUniformGrid, ValidationError
 
 MIN_SAMPLES = 9
+MAX_SAMPLES = 2**20  # ~3 GB peak in analyze, extrapolated from 392 MB at 2**17
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,7 @@ SPACELIKE_AXIS = "SpacelikeAxis"
 
 NULL_AXIS_GUARD = 1e-6
 DRIFT_TOL = 1e-4
+DEVELOPABLE_TOL = 1e-6  # |Delta| (or |delta|) at or below this counts as zero
 STALL_FLOOR = 1e-16  # <e',e'> at or below this: the indicatrix stalls (speed <= 1e-8)
 
 
@@ -252,10 +253,10 @@ def dual_apparatus(m: RuledSurfaceModel) -> DualApparatus:
     )
 
 
-def classify(m: RuledSurfaceModel, tol: float = 1e-6) -> dict:
+def classify(m: RuledSurfaceModel) -> dict:
     """Developability flags: Delta == 0 flattens; adding delta == 0 gives a cone."""
-    developable = bool(np.max(np.abs(m.Delta)) <= tol)
-    cone = developable and bool(np.max(np.abs(m.delta)) <= tol)
+    developable = bool(np.max(np.abs(m.Delta)) <= DEVELOPABLE_TOL)
+    cone = developable and bool(np.max(np.abs(m.delta)) <= DEVELOPABLE_TOL)
     return {"developable": developable, "cone": cone}
 
 

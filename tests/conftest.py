@@ -70,7 +70,7 @@ def offset_pieces(constant_surface):
 @pytest.fixture(scope="session")
 def offset_report(offset_pieces):
     m, spec, offset = offset_pieces
-    return consistency_report(m, spec, offset, tol=1e-3)
+    return consistency_report(m, spec, offset)
 
 
 @pytest.fixture()

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 
@@ -16,6 +17,7 @@ from dualruled.cli import (
     parse_config,
 )
 from dualruled.errors import ConfigError
+from dualruled.numerics import MAX_SAMPLES
 
 CONSTANT_PARAMS = {"gamma": 0.5, "delta": 0.3, "Delta": 0.2}
 
@@ -86,24 +88,27 @@ def test_sampled_kind_validation():
 
 
 def test_samples_precedence():
+    # the config's "samples", then the default; parsing allocates nothing, so probing the bound is free
     data = {"name": "x", "kind": "planar_hyperbola"}
     assert parse_config(data).samples == DEFAULT_SAMPLES
+    assert parse_config({**data, "samples": None}).samples == DEFAULT_SAMPLES
     assert parse_config({**data, "samples": 33}).samples == 33
-    assert parse_config({**data, "samples": 33}, samples_override=50).samples == 50
-    # a source of lower precedence is not read
-    assert parse_config({**data, "samples": "many"}, samples_override=50).samples == 50
+    assert parse_config({**data, "samples": MAX_SAMPLES}).samples == MAX_SAMPLES
+    with pytest.raises(ConfigError, match=f"^samples must be at most {MAX_SAMPLES}, "
+                                          f"got {MAX_SAMPLES + 1}$"):
+        parse_config({**data, "samples": MAX_SAMPLES + 1})
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("source", ["config", "default"])
 def test_samples_floor_exit_2(tmp_path, capsys, source):
-    data, argv = planar_cfg(), []
-    if source == "flag":
-        argv = ["--samples", "8"]
-    else:
-        data["samples"] = 8
+    if source == "config":
+        data = {**planar_cfg(), "samples": 8}
+    else:  # the default for a sampled surface is its array length
+        u = np.linspace(0.0, 1.0, 8)
+        data = {"name": "s", "kind": "sampled", "params": {
+            "u": u.tolist(), "director": [[1.0, 0.0, 0.0]] * 8, "base": [[0.0, 0.0, 0.0]] * 8}}
     out = tmp_path / "r.json"
-    assert main(["analyze", "--input", write_cfg(tmp_path, "p.json", data),
-                 "--output", str(out), *argv]) == 2
+    assert main(["analyze", "--input", write_cfg(tmp_path, "p.json", data), "--output", str(out)]) == 2
     assert capsys.readouterr().err == "ConfigError: samples must be at least 9, got 8\n"
     assert not out.exists()
 
@@ -171,17 +176,34 @@ def test_window_past_the_s_range_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("missing", ["output", "verify"])
-def test_unwritable_output_path_exit_2(tmp_path, capsys, missing):
+@pytest.mark.parametrize("bad", ["output", "verify", "output_dir", "verify_dir"])
+def test_unwritable_output_path_exit_2(tmp_path, capsys, bad):
+    # a path inside a missing directory, or an existing directory: tmp_path itself
+    flag, _, directory = bad.partition("_")
     paths = {"output": tmp_path / "offset.json", "verify": tmp_path / "verify.json"}
-    paths[missing] = tmp_path / "no_such_dir" / "out.json"
+    paths[flag] = tmp_path if directory else tmp_path / "no_such_dir" / "out.json"
     assert main(["offset", "--input", write_cfg(tmp_path, "c.json", constant_cfg()), "--c", "3",
                  "--cstar", "0.3", "--s-lo", "1", "--s-hi", "2",
                  "--output", str(paths["output"]), "--verify", str(paths["verify"])]) == 2
     err = capsys.readouterr().err
     assert err.startswith("ConfigError: cannot write ") and err.count("\n") == 1
-    assert not any(p.exists() for p in paths.values())
+    if directory:
+        assert err == f"ConfigError: cannot write {tmp_path}: Is a directory\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+@pytest.mark.parametrize("argv,samples,message", [
+    (["analyze"], 1e18, f"samples must be at most {MAX_SAMPLES}, got {10**18}"),
+    (["export", "--v-min", "0", "--v-max", "1", "--v-samples", str(10**18)], 64,
+     f"mesh of 64 rulings x {10**18} v-samples exceeds {8 * MAX_SAMPLES} vertices"),
+], ids=["samples", "v_samples"])
+def test_oversized_request_exit_2(tmp_path, capsys, argv, samples, message):
+    # both are refused before anything is allocated; numpy would refuse 1e18 at once anyway
+    data = {**planar_cfg(), "samples": samples}
+    out = tmp_path / "out"
+    assert main([*argv, "--input", write_cfg(tmp_path, "p.json", data), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"ConfigError: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.json"]
 
 
 @pytest.mark.parametrize("verify", ["x.json", "./x.json"], ids=["same_string", "dot_spelling"])
@@ -211,7 +233,7 @@ def test_near_uniform_sampled_grid_is_resampled(tmp_path):
 
 
 FLOAT_FLAG_COMMANDS = {
-    "offset": ["offset", "--c", "3", "--cstar", "0.3", "--s-lo", "1", "--s-hi", "2", "--tol", "1e-3"],
+    "offset": ["offset", "--c", "3", "--cstar", "0.3", "--s-lo", "1", "--s-hi", "2"],
     "export": ["export", "--offset", "--c", "3", "--cstar", "0.3", "--s-lo", "1", "--s-hi", "2",
                "--v-min", "0", "--v-max", "1", "--v-samples", "3"],
 }
@@ -220,7 +242,7 @@ FLOAT_FLAG_COMMANDS = {
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("flag,command", [
     ("--c", "export"), ("--cstar", "export"), ("--s-lo", "offset"), ("--s-hi", "offset"),
-    ("--tol", "offset"), ("--v-min", "export"), ("--v-max", "export"),
+    ("--v-min", "export"), ("--v-max", "export"),
 ])
 def test_non_finite_float_flag_exit_2(tmp_path, capsys, flag, command, value):
     argv = list(FLOAT_FLAG_COMMANDS[command])
@@ -312,13 +334,6 @@ def test_analyze_deterministic(tmp_path):
     gb = report["dual_apparatus"]["gamma_bar"]
     assert gb["re"][0] == pytest.approx(0.5, abs=1e-9)
     assert gb["du"][0] == pytest.approx(0.4, abs=1e-9)
-
-
-def test_analyze_samples_flag(tmp_path):
-    cfg_path = write_cfg(tmp_path, "c.json", constant_cfg())
-    out = tmp_path / "r.json"
-    assert main(["analyze", "--input", cfg_path, "--output", str(out), "--samples", "64"]) == 0
-    assert len(json.loads(out.read_text())["samples"]["s"]) == 64
 
 
 def test_offset_with_verification(tmp_path):
@@ -441,17 +456,35 @@ def test_error_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "ValidationError: window must be [lo, hi] with lo < hi, got [2.0, 1.0]\n")
 
-    with pytest.raises(SystemExit) as exc:
-        main(["export", "--input", planar, "--format", "stl", "--v-min", "0",
-              "--v-max", "1", "--v-samples", "3", "--output", out])
-    assert exc.value.code == 2
-    assert capsys.readouterr().err.splitlines()[-1] == (
-        "dualruled: error: unrecognized arguments: --format stl")
+    for argv, extra in (
+        (["export", "--v-min", "0", "--v-max", "1", "--v-samples", "3"], ["--format", "stl"]),
+        (["analyze"], ["--samples", "64"]),
+        (["offset", "--c", "3", "--cstar", "0.3"], ["--tol", "1e-3"]),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--input", planar, *extra, "--output", out])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"dualruled: error: unrecognized arguments: {' '.join(extra)}")
 
     code = main(["export", "--input", constant, "--offset", "--v-min", "0",
                  "--v-max", "1", "--v-samples", "3", "--output", out])
     assert code == 2
     assert capsys.readouterr().err == "ConfigError: --offset export needs --c and --cstar\n"
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("analyze", {"input", "output"}),
+    ("offset", {"input", "output", "verify", "c", "cstar", "s-lo", "s-hi"}),
+    ("export", {"input", "output", "offset", "c", "cstar", "s-lo", "s-hi",
+                "v-min", "v-max", "v-samples"}),
+], ids=["analyze", "offset", "export"])
+def test_cli_flag_surface(capsys, command, flags):
+    # every flag is pinned here: adding a setting means changing this test
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert set(re.findall(r"--([a-z][a-z-]*)", capsys.readouterr().out)) - {"help"} == flags
 
 
 # SHA-256 of canonical outputs at N = 1024; refactors must keep these bytes

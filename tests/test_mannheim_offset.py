@@ -135,9 +135,11 @@ def test_offset_causal_character(offset_pieces):
 
 def test_striction_shift_is_normal_translation(offset_pieces):
     m, spec, offset = offset_pieces
-    assert np.max(np.abs(offset.striction_shift_e)) < 1e-4
-    assert np.max(np.abs(offset.striction_shift_t)) < 1e-4
-    assert np.max(np.abs(offset.striction_shift_g + spec.theta_star)) < 1e-4
+    shift = offset.striction_shift
+    assert set(shift) == {"along_director", "along_tangent", "along_normal"}
+    assert np.max(np.abs(shift["along_director"])) < 1e-4
+    assert np.max(np.abs(shift["along_tangent"])) < 1e-4
+    assert np.max(np.abs(shift["along_normal"] + spec.theta_star)) < 1e-4
 
 
 def test_closed_form_spots(offset_report):
