@@ -25,7 +25,7 @@ from .mannheim_offset import (
     developability_predicates,
     offset_angle_profile,
 )
-from .minkowski3 import det3, lcross, linner, lnorm
+from .minkowski3 import det3, lcross, linner
 from .numerics import SampledCurve, grid_derivative, integrate_cumulative
 from .serialize import dumps_canonical
 from .surface_kernel import (
@@ -73,7 +73,6 @@ __all__ = [
     "integrate_cumulative",
     "lcross",
     "linner",
-    "lnorm",
     "offset_angle_profile",
     "study_residual",
     "synth_constant_invariant",

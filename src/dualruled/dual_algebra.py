@@ -5,39 +5,35 @@ The real part carries the value, the dual part carries a first derivative
 never feeds the dual part back into the real part, so the real slots of any
 computation are exactly what plain float arithmetic would have produced.
 
-Both slots accept floats or numpy arrays of matching shape; all operators
+Both slots are float arrays of matching shape, 0-d for a single number, so
+one number and a batch of samples take the same code path; all operators
 broadcast like numpy does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
 
 import numpy as np
 
 from .errors import DivisionByPureDual, DomainError, guard
 
-Number = Union[float, int, np.ndarray]
-
 
 @dataclass(frozen=True, eq=False)
 class DualScalar:
-    re: Number
-    du: Number
+    re: np.ndarray
+    du: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "re", np.asarray(self.re, dtype=float) if isinstance(self.re, np.ndarray) else float(self.re))
-        object.__setattr__(self, "du", np.asarray(self.du, dtype=float) if isinstance(self.du, np.ndarray) else float(self.du))
+        object.__setattr__(self, "re", np.asarray(self.re, dtype=float))
+        object.__setattr__(self, "du", np.asarray(self.du, dtype=float))
 
     @staticmethod
     def _coerce(x):
         if isinstance(x, DualScalar):
             return x
-        if isinstance(x, np.ndarray):
-            return DualScalar(x, np.zeros_like(np.asarray(x, dtype=float)))
-        if isinstance(x, (int, float, np.floating, np.integer)):
-            return DualScalar(x, 0.0)
+        if isinstance(x, (int, float, np.floating, np.integer, np.ndarray)):
+            return DualScalar(x, np.zeros_like(x, dtype=float))
         return None
 
     def __add__(self, other):
@@ -72,8 +68,8 @@ class DualScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if np.any(np.asarray(o.re) == 0.0):
-            raise DivisionByPureDual("division by a dual number with zero real part")
+        guard(o.re == 0.0, lambda i: DivisionByPureDual(
+            f"division by a dual number with zero real part at sample {i}"))
         return DualScalar(self.re / o.re, (self.du * o.re - self.re * o.du) / (o.re * o.re))
 
     def __rtruediv__(self, other):
@@ -88,10 +84,7 @@ class DualScalar:
     def __abs__(self):
         # sign taken from the real part and applied to both slots, matching
         # the composition rule for f(x) = |x| away from re = 0
-        if isinstance(self.re, np.ndarray):
-            s = np.where(self.re > 0, 1.0, -1.0)
-            return DualScalar(s * self.re, s * self.du)
-        s = 1.0 if self.re > 0 else -1.0
+        s = np.where(self.re > 0, 1.0, -1.0)
         return DualScalar(s * self.re, s * self.du)
 
     # equality exact on both parts
@@ -109,75 +102,64 @@ EPS = DualScalar(0.0, 1.0)
 
 
 def _domain_check(name: str, x: DualScalar, ok) -> None:
-    guard(~np.asarray(ok), lambda i: DomainError(name, float(np.asarray(x.re).flat[i])))
+    guard(~ok, lambda i: DomainError(name, float(x.re.flat[i])))
 
 
 def _pair(x: DualScalar, value, deriv) -> DualScalar:
     return DualScalar(value, x.du * deriv)
 
 
-_REGISTRY: dict[str, Callable[[DualScalar], DualScalar]] = {}
-
-
-def _register(name):
-    def deco(fn):
-        _REGISTRY[name] = fn
-        return fn
-    return deco
-
-
-@_register("cosh")
 def dual_cosh(x: DualScalar) -> DualScalar:
     return _pair(x, np.cosh(x.re), np.sinh(x.re))
 
 
-@_register("sinh")
 def dual_sinh(x: DualScalar) -> DualScalar:
     return _pair(x, np.sinh(x.re), np.cosh(x.re))
 
 
-@_register("tanh")
 def dual_tanh(x: DualScalar) -> DualScalar:
     c = np.cosh(x.re)
     return _pair(x, np.tanh(x.re), 1.0 / (c * c))
 
 
-@_register("coth")
 def dual_coth(x: DualScalar) -> DualScalar:
-    _domain_check("coth", x, np.asarray(x.re) != 0.0)
+    _domain_check("coth", x, x.re != 0.0)
     s = np.sinh(x.re)
     return _pair(x, np.cosh(x.re) / s, -1.0 / (s * s))
 
 
-@_register("sqrt")
 def dual_sqrt(x: DualScalar) -> DualScalar:
-    ok = np.asarray(x.re) > 0.0
-    _domain_check("sqrt", x, ok)
+    _domain_check("sqrt", x, x.re > 0.0)
     r = np.sqrt(x.re)
     return DualScalar(r, x.du / (2.0 * r))
 
 
-@_register("arccosh")
 def dual_arccosh(x: DualScalar) -> DualScalar:
-    ok = np.asarray(x.re) > 1.0
-    _domain_check("arccosh", x, ok)
+    _domain_check("arccosh", x, x.re > 1.0)
     return _pair(x, np.arccosh(x.re), 1.0 / np.sqrt(x.re * x.re - 1.0))
 
 
-@_register("artanh")
 def dual_artanh(x: DualScalar) -> DualScalar:
-    ok = np.abs(np.asarray(x.re)) < 1.0
-    _domain_check("artanh", x, ok)
+    _domain_check("artanh", x, np.abs(x.re) < 1.0)
     return _pair(x, np.arctanh(x.re), 1.0 / (1.0 - x.re * x.re))
 
 
-FUNCTION_NAMES = tuple(sorted(_REGISTRY))
+_FUNCTIONS = {
+    "arccosh": dual_arccosh,
+    "artanh": dual_artanh,
+    "cosh": dual_cosh,
+    "coth": dual_coth,
+    "sinh": dual_sinh,
+    "sqrt": dual_sqrt,
+    "tanh": dual_tanh,
+}
+FUNCTION_NAMES = tuple(sorted(_FUNCTIONS))
 
 
 def apply_function(name: str, x: DualScalar) -> DualScalar:
     """Evaluate a named analytic function on a DualScalar: (f(a), b*f'(a))."""
     try:
-        fn = _REGISTRY[name]
+        fn = _FUNCTIONS[name]
     except KeyError:
         raise KeyError(f"no dual function named {name!r}; have {FUNCTION_NAMES}") from None
     return fn(x)

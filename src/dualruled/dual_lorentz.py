@@ -17,15 +17,9 @@ import numpy as np
 
 from .dual_algebra import DualScalar, apply_function
 from .errors import InvalidLine, NotTimelike, NotUnit, NullDirection, ParallelLines, guard
-from .minkowski3 import lcross, linner, lnorm
+from .minkowski3 import lcross, linner
 
 LINE_TOL = 1e-6
-
-
-def _col(x):
-    # append a trailing axis so per-sample scalars broadcast against (..., 3)
-    x = np.asarray(x, dtype=float)
-    return x[..., None] if x.ndim >= 1 else x
 
 
 @dataclass(frozen=True)
@@ -46,7 +40,8 @@ class DualVec3:
     def __mul__(self, k: Union[DualScalar, float, int]) -> "DualVec3":
         # (a + eps b)(v + eps w) = a v + eps (a w + b v)
         if isinstance(k, DualScalar):
-            a, b = _col(k.re), _col(k.du)
+            # a trailing axis lets per-sample scalars broadcast against (..., 3)
+            a, b = k.re[..., None], k.du[..., None]
             return DualVec3(a * self.re, a * self.du + b * self.re)
         return DualVec3(k * self.re, k * self.du)
 
@@ -66,11 +61,11 @@ def dinner(a: DualVec3, b: DualVec3) -> DualScalar:
 
 def dnorm(a: DualVec3) -> DualScalar:
     """Dual norm (||re||, <re, du>/||re||). Undefined for null directions."""
-    q = linner(a.re, a.re)
-    null = np.abs(q) <= 1e-9 * np.maximum(1.0, np.sum(a.re * a.re, axis=-1))
+    d = dinner(a, a)  # (<re, re>, 2 <re, du>)
+    null = np.abs(d.re) <= 1e-9 * np.maximum(1.0, np.sum(a.re * a.re, axis=-1))
     guard(null, lambda i: NullDirection(f"null direction at sample {i}; dual norm undefined"))
-    n = lnorm(a.re)
-    return DualScalar(n, linner(a.re, a.du) / n)
+    n = np.sqrt(np.abs(d.re))
+    return DualScalar(n, d.du / (2.0 * n))
 
 
 def encode_line(direction: np.ndarray, point: np.ndarray) -> DualVec3:
@@ -82,13 +77,13 @@ def encode_line(direction: np.ndarray, point: np.ndarray) -> DualVec3:
     direction = np.asarray(direction, dtype=float)
     point = np.asarray(point, dtype=float)
     q = linner(direction, direction)
-    if np.any(q >= 0):
-        raise NotTimelike("line direction must be timelike (<d,d> < 0)")
+    guard(q >= 0, lambda i: NotTimelike(
+        f"line direction sample {i} is not timelike: <d,d> = {q.flat[i]:.3e} (need < 0)"))
     dev = np.abs(q + 1.0)
+    guard(dev - 1e-6, lambda i: NotUnit(
+        f"direction norm deviates by {dev.flat[i]:.3e} at sample {i} (limit 1e-6)"))
     if np.any(dev > 1e-9):
-        if np.any(dev > 1e-6):
-            raise NotUnit(f"direction norm deviates by {float(np.max(dev)):.3e} (limit 1e-6)")
-        direction = direction / _col(np.sqrt(-q))
+        direction = direction / np.sqrt(-q)[..., None]
     return DualVec3(direction, lcross(point, direction))
 
 
@@ -99,13 +94,14 @@ def decode_line_point(a: DualVec3) -> np.ndarray:
     the origin (Lorentz-orthogonally). Raises InvalidLine when the unit or
     orthogonality constraints are violated beyond LINE_TOL.
     """
-    unit_dev = np.abs(linner(a.re, a.re) + 1.0)
+    d = dinner(a, a)  # (<re, re>, 2 <re, du>)
+    unit_dev = np.abs(d.re + 1.0)
+    guard(unit_dev - LINE_TOL, lambda i: InvalidLine(
+        f"direction not unit timelike (deviation {unit_dev.flat[i]:.3e} at sample {i})"))
+    ortho_dev = np.abs(d.du) / 2.0
     moment_scale = np.maximum(1.0, np.sqrt(np.sum(a.du * a.du, axis=-1)))
-    ortho_dev = np.abs(linner(a.re, a.du))
-    if np.any(unit_dev > LINE_TOL):
-        raise InvalidLine(f"direction not unit timelike (max deviation {float(np.max(unit_dev)):.3e})")
-    if np.any(ortho_dev > LINE_TOL * moment_scale):
-        raise InvalidLine(f"moment not orthogonal to direction (max deviation {float(np.max(ortho_dev)):.3e})")
+    guard(ortho_dev - LINE_TOL * moment_scale, lambda i: InvalidLine(
+        f"moment not orthogonal to direction (deviation {ortho_dev.flat[i]:.3e} at sample {i})"))
     return lcross(a.re, a.du)
 
 
@@ -116,7 +112,7 @@ def dual_angle(a: DualVec3, b: DualVec3) -> DualAngle:
     carries the line distance with an orientation sign.
     """
     for v in (a, b):
-        dev = abs(float(linner(v.re, v.re)) + 1.0)
+        dev = abs(float(dinner(v, v).re) + 1.0)
         if dev > 1e-9:
             raise NotTimelike(f"dual_angle needs unit timelike directions (deviation {dev:.3e})")
     d = dinner(a, b)

@@ -238,8 +238,8 @@ def construct_offset(m: RuledSurfaceModel, spec: OffsetSpec) -> OffsetModel:
 def _formula_fields(gamma, delta, Delta, theta, theta_star) -> dict:
     """Closed-form offset quantities, evaluated verbatim from base data.
 
-    Works on scalars or arrays. K is the shared bracket of the dual-part
-    formulas. No reconciliation happens here.
+    K is the shared bracket of the dual-part formulas. No reconciliation
+    happens here.
     """
     coth = np.cosh(theta) / np.sinh(theta)
     sinh = np.sinh(theta)

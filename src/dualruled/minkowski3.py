@@ -34,11 +34,6 @@ def lcross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def lnorm(a: np.ndarray) -> np.ndarray:
-    """Lorentzian norm sqrt(|<a, a>|)."""
-    return np.sqrt(np.abs(linner(a, a)))
-
-
 def det3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Determinant of the 3x3 matrix with rows a, b, c."""
     a = np.asarray(a, dtype=float)

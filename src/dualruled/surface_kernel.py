@@ -218,7 +218,7 @@ def _curvature_elements(gamma, delta, Delta):
     unit band, spacelike inside. Returns (gamma_bar, R, C, S, branch).
     """
     gamma_bar = _gamma_bar(gamma, delta, Delta)
-    gre = np.asarray(gamma, dtype=float)
+    gre = gamma_bar.re
     margin = np.abs(1.0 - gre * gre)
     guard(margin < NULL_AXIS_GUARD, lambda i: NullDarbouxAxis(
         f"|1 - gamma_bar^2| = {margin.flat[i]:.3e} at sample {i} "

@@ -1,6 +1,7 @@
 """Ring arithmetic and analytic-function evaluation on dual numbers."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -166,10 +167,51 @@ def test_chain_rule(outer, inner, dom, rng):
     assert np.all(got.re == outer_val.re)
 
 
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _assert_per_sample_bits(batch: DualScalar, single: DualScalar, i: int) -> None:
+    assert _bits(batch.re[i]) == _bits(single.re) and _bits(batch.du[i]) == _bits(single.du)
+
+
 def test_array_scalar_parity():
-    xs = np.array([0.5, 1.5, 2.5])
-    stars = np.array([1.0, -1.0, 0.5])
-    arr = apply_function("cosh", DualScalar(xs, stars))
-    for i in range(3):
-        one = apply_function("cosh", DualScalar(xs[i], stars[i]))
-        assert arr.re[i] == one.re and arr.du[i] == one.du
+    # one number and a batch take the same code path: every function and
+    # operator gives each sample of a batch the bits of the scalar evaluation;
+    # an ndarray operand stands on the right (numpy owns ndarray + DualScalar)
+    stars = np.array([1.0, -1.0, 0.5, -0.25, 3.0])
+    for name in FUNCTION_NAMES:
+        xs = np.linspace(*DOMAINS[name], 5)
+        arr = apply_function(name, DualScalar(xs, stars))
+        for i in range(5):
+            _assert_per_sample_bits(arr, apply_function(name, DualScalar(xs[i], stars[i])), i)
+    xs = np.array([0.5, -1.5, 2.5, 3.0, -0.75])
+    ys = np.array([1.25, 3.0, -0.5, 7.0, 0.1])
+    arr = DualScalar(xs, stars)
+    others = (3, 2.5, np.float64(-1.25), DualScalar(0.75, -2.0))
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        by_array = op(arr, ys)
+        left = [op(arr, other) for other in others]
+        right = [op(other, arr) for other in others]
+        for i in range(5):
+            one = DualScalar(xs[i], stars[i])
+            _assert_per_sample_bits(by_array, op(one, ys[i]), i)
+            for other, l, r in zip(others, left, right):
+                _assert_per_sample_bits(l, op(one, other), i)
+                _assert_per_sample_bits(r, op(other, one), i)
+
+
+def test_scalar_slots_are_0d_float_arrays():
+    for x in (DualScalar(2, 3), DualScalar(np.float64(2.0), 3.0), EPS,
+              DualScalar(1.0, 2.0) * 3, 1 - DualScalar(1.0, 2.0), apply_function("sinh", EPS)):
+        for slot in (x.re, x.du):
+            assert type(slot) is np.ndarray and slot.shape == () and slot.dtype == np.float64
+
+
+def test_scalar_overflow_raises_like_arrays():
+    big = np.array([1e200])
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            DualScalar(big, np.zeros(1)) * DualScalar(big, np.zeros(1))
+        with pytest.raises(FloatingPointError):
+            DualScalar(1e200, 0.0) * DualScalar(1e200, 0.0)

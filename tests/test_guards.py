@@ -15,16 +15,22 @@ from dualruled import (
     SampledCurve,
     apply_function,
     build_surface,
+    decode_line_point,
     dnorm,
+    encode_line,
     synth_constant_invariant,
 )
 from dualruled.errors import (
     DegenerateIndicatrix,
     DegenerateOffsetIndicatrix,
     DegeneratePoint,
+    DivisionByPureDual,
     DomainError,
     FrameDriftExceeded,
+    InvalidLine,
+    NotTimelike,
     NotTimelikeDirector,
+    NotUnit,
     NullDarbouxAxis,
     NullDirection,
 )
@@ -107,6 +113,23 @@ GUARDS = {
     "dnorm_null": (
         lambda: dnorm(DualVec3(np.array([[0.0, 1, 0], [1, 1, 0], [1, 0, 1]]), np.zeros((3, 3)))),
         NullDirection, "null direction at sample 1; dual norm undefined"),
+    "decode_unit": (  # samples 1 and 2 fail; sample 2 deviates most
+        lambda: decode_line_point(DualVec3(np.array([[1.0, 0, 0], [1.5, 0, 0], [2, 0, 0]]),
+                                           np.zeros((3, 3)))),
+        InvalidLine, "direction not unit timelike (deviation 3.000e+00 at sample 2)"),
+    "decode_orthogonality": (
+        lambda: decode_line_point(DualVec3(np.tile([1.0, 0, 0], (3, 1)),
+                                           np.array([[0.0, 0, 0], [1e-3, 0, 0], [2e-3, 0, 0]]))),
+        InvalidLine, "moment not orthogonal to direction (deviation 2.000e-03 at sample 2)"),
+    "encode_not_timelike": (
+        lambda: encode_line(np.array([[1.0, 0, 0], [0.5, 1, 0], [0, 1, 0]]), np.zeros((3, 3))),
+        NotTimelike, "line direction sample 1 is not timelike: <d,d> = 7.500e-01 (need < 0)"),
+    "encode_not_unit": (
+        lambda: encode_line(np.array([[1.0, 0, 0], [1.1, 0, 0], [1.2, 0, 0]]), np.zeros((3, 3))),
+        NotUnit, "direction norm deviates by 4.400e-01 at sample 2 (limit 1e-6)"),
+    "division_by_pure_dual": (
+        lambda: DualScalar(1.0, 0.0) / DualScalar(np.array([1.0, 0.0, 0.0]), np.zeros(3)),
+        DivisionByPureDual, "division by a dual number with zero real part at sample 1"),
     "domain_array": (
         lambda: apply_function("sqrt", DualScalar(np.array([1.0, -2.0, -3.0]), np.zeros(3))),
         DomainError, "sqrt: argument -2.0 outside the real domain"),

@@ -2,18 +2,13 @@
 
 import numpy as np
 
-from dualruled import det3, lcross, linner, lnorm
+from dualruled import det3, lcross, linner
 
 
 def test_linner_examples():
     assert linner(np.array([1.0, 0, 0]), np.array([1.0, 0, 0])) == -1.0
     assert linner(np.array([0.0, 1, 0]), np.array([0.0, 0, 1])) == 0.0
     assert linner(np.array([1.0, 2, 3]), np.array([4.0, 5, 6])) == 24.0
-
-
-def test_lnorm():
-    assert lnorm(np.array([1.0, 0, 0])) == 1.0
-    assert lnorm(np.array([0.0, 3, 4])) == 5.0
 
 
 def test_lcross_examples():
