@@ -185,7 +185,7 @@ def build_model(cfg: SurfaceConfig) -> RuledSurfaceModel:
         # one Hermite pass over both curves: the Lagrange slope weights depend only on u
         curves = np.hstack([director, base])
         grid = np.linspace(u[0], u[-1], cfg.samples)
-        director, base = np.hsplit(hermite(u, curves, slopes(u, curves), grid), 2)
+        director, base = np.hsplit(hermite(u, grid)(curves, slopes(u, curves)), 2)
         u = grid
     return build_surface(SampledCurve(u, director), SampledCurve(u, base))
 

@@ -24,6 +24,10 @@ class DualScalar:
     re: np.ndarray
     du: np.ndarray
 
+    # numpy defers every operator with a DualScalar to its reflected method,
+    # so an ndarray on the left gives one DualScalar, not an object array
+    __array_ufunc__ = None
+
     def __post_init__(self):
         object.__setattr__(self, "re", np.asarray(self.re, dtype=float))
         object.__setattr__(self, "du", np.asarray(self.du, dtype=float))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dual_algebra import DualScalar, apply_function
 from .errors import InvalidLine, NotTimelike, NotUnit, NullDirection, ParallelLines, guard
-from .minkowski3 import lcross, linner
+from .minkowski3 import enorm, lcross, linner
 
 LINE_TOL = 1e-6
 
@@ -99,7 +99,7 @@ def decode_line_point(a: DualVec3) -> np.ndarray:
     guard(unit_dev - LINE_TOL, lambda i: InvalidLine(
         f"direction not unit timelike (deviation {unit_dev.flat[i]:.3e} at sample {i})"))
     ortho_dev = np.abs(d.du) / 2.0
-    moment_scale = np.maximum(1.0, np.sqrt(np.sum(a.du * a.du, axis=-1)))
+    moment_scale = np.maximum(1.0, enorm(a.du))
     guard(ortho_dev - LINE_TOL * moment_scale, lambda i: InvalidLine(
         f"moment not orthogonal to direction (deviation {ortho_dev.flat[i]:.3e} at sample {i})"))
     return lcross(a.re, a.du)

@@ -42,7 +42,7 @@ from .errors import (
     ValidationError,
     guard,
 )
-from .minkowski3 import lcross, linner
+from .minkowski3 import enorm, lcross, linner
 from .numerics import MIN_SAMPLES, grid_derivative, integrate_cumulative
 from .surface_kernel import (
     DEVELOPABLE_TOL,
@@ -51,7 +51,7 @@ from .surface_kernel import (
     _curvature_elements,
     _darboux_fields,
     _gamma_bar,
-    dual_frame,
+    _frame_line,
 )
 
 SINH_GUARD = 1e-6
@@ -177,7 +177,7 @@ def offset_angle_profile(m: RuledSurfaceModel, c_const: float, cstar_const: floa
 def transfer_dual_director(m: RuledSurfaceModel, spec: OffsetSpec) -> DualVec3:
     """Tilt the base ruling lines by the dual angle: e1 = cosh(tb) e + sinh(tb) t."""
     w = spec.window
-    e_d, t_d, _ = (DualVec3(x.re[w], x.du[w]) for x in dual_frame(m))
+    e_d, t_d = (_frame_line(m.c[w], x[w]) for x in (m.e, m.t))
     theta_bar = DualScalar(spec.theta, spec.theta_star)
     ch = apply_function("cosh", theta_bar)
     sh = apply_function("sinh", theta_bar)
@@ -186,7 +186,7 @@ def transfer_dual_director(m: RuledSurfaceModel, spec: OffsetSpec) -> DualVec3:
 
 def _distance_up_to_sign(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-sample Euclidean distance from a to whichever of +b, -b is nearer."""
-    return np.minimum(np.sqrt(np.sum((a - b) ** 2, axis=-1)), np.sqrt(np.sum((a + b) ** 2, axis=-1)))
+    return np.minimum(enorm(a - b), enorm(a + b))
 
 
 def construct_offset(m: RuledSurfaceModel, spec: OffsetSpec) -> OffsetModel:

@@ -24,14 +24,24 @@ def lcross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return np.stack(
-        [
-            a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
-            a[..., 0] * b[..., 2] - a[..., 2] * b[..., 0],
-            a[..., 1] * b[..., 0] - a[..., 0] * b[..., 1],
-        ],
-        axis=-1,
-    )
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    # each column is written in place; one scratch buffer takes the subtrahends
+    sub = np.empty(out.shape[:-1])
+    for k, (p, q) in enumerate(((1, 2), (0, 2), (1, 0))):
+        np.multiply(a[..., p], b[..., q], out=out[..., k])
+        np.multiply(a[..., q], b[..., p], out=sub)
+        out[..., k] -= sub
+    return out
+
+
+def enorm(v: np.ndarray) -> np.ndarray:
+    """Euclidean length over the last axis, v0^2 + v1^2 + v2^2 summed left to
+    right: the bits of np.sqrt(np.sum(v * v, axis=-1)) without the reduction."""
+    v = np.asarray(v, dtype=float)
+    out = v[..., 0] * v[..., 0]
+    out += v[..., 1] * v[..., 1]
+    out += v[..., 2] * v[..., 2]
+    return np.sqrt(out)
 
 
 def det3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -7,9 +7,15 @@ five-point central stencils inside, one-sided stencils of matching order on
 the two samples at each end, so the derivative lives on the same grid as the
 data.
 
-Resampling is one cubic Hermite evaluator, `hermite`, fed with slopes:
+Resampling is one cubic Hermite evaluator, `hermite(x, xq)`. It finds the
+intervals and the four basis weights of one map x -> xq once and returns a
+resampler that applies them to any number of fields, each with its slopes:
 the frame equations in the surface kernel, `slopes` (4th order on any
 grid) for raw non-uniform samples.
+
+The stencils and the resampler write into their output buffer in place but
+keep the operation order of the plain expressions, so every result is bit
+for bit what those expressions give.
 
 Quadrature note: the cumulative Simpson rule seeds odd-index values with a
 single trapezoid over the first interval. That leaves an O(h^3 f''(x0))
@@ -21,6 +27,7 @@ therefore cleanest when f''(x0) = 0. Tests respect this.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -83,7 +90,13 @@ def grid_derivative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise GridTooCoarse(f"need at least {MIN_SAMPLES} samples, got {n}")
     h = _uniform_step(x)
     out = np.empty_like(y)
-    out[2:-2] = (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / (12 * h)
+    # (y0 - 8 y1 + 8 y3 - y4) / 12h, evaluated left to right in out[2:-2]
+    mid = out[2:-2]
+    np.multiply(y[1:-3], 8, out=mid)
+    np.subtract(y[:-4], mid, out=mid)
+    mid += 8 * y[3:-1]
+    mid -= y[4:]
+    mid /= 12 * h
     out[0] = (-25 * y[0] + 48 * y[1] - 36 * y[2] + 16 * y[3] - 3 * y[4]) / (12 * h)
     out[1] = (-3 * y[0] - 10 * y[1] + 18 * y[2] - 6 * y[3] + y[4]) / (12 * h)
     out[-1] = (25 * y[-1] - 48 * y[-2] + 36 * y[-3] - 16 * y[-4] + 3 * y[-5]) / (12 * h)
@@ -128,12 +141,33 @@ def slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def hermite(x: np.ndarray, y: np.ndarray, dy: np.ndarray, xq: np.ndarray) -> np.ndarray:
-    """Cubic Hermite interpolant of values y and slopes dy at increasing nodes x,
-    evaluated at xq. y and dy are (N,) or (N, k)."""
+def hermite(x: np.ndarray, xq: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Cubic Hermite resampling from increasing nodes x to the points xq.
+
+    Returns `at(y, dy)`: the interpolant of values y and slopes dy at the nodes,
+    evaluated at xq. y and dy are (N,) or (N, k). The intervals and basis
+    weights depend on x and xq only, so they are found once per map.
+    """
     i = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, len(x) - 2)
-    shape = (-1,) + (1,) * (np.ndim(y) - 1)
-    h = (x[i + 1] - x[i]).reshape(shape)
-    t = (xq - x[i]).reshape(shape) / h
-    return ((1 + 2 * t) * (1 - t) ** 2 * y[i] + t * (1 - t) ** 2 * h * dy[i]
-            + t * t * (3 - 2 * t) * y[i + 1] + t * t * (t - 1) * h * dy[i + 1])
+    j = i + 1
+    h = x[j] - x[i]
+    t = (xq - x[i]) / h
+    weights = ((1 + 2 * t) * (1 - t) ** 2, t * (1 - t) ** 2 * h,
+               t * t * (3 - 2 * t), t * t * (t - 1) * h)
+
+    def at(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
+        y = np.asarray(y, dtype=float)
+        dy = np.asarray(dy, dtype=float)
+        shape = (-1,) + (1,) * (y.ndim - 1)
+        # ((w00 y_i + w10 dy_i) + w01 y_j) + w11 dy_j, one term at a time; i and j
+        # are in range, and mode="clip" lets take write into `term` unbuffered
+        out = np.take(y, i, axis=0)
+        out *= weights[0].reshape(shape)
+        term = np.empty_like(out)
+        for v, k, w in zip((dy, y, dy), (i, j, j), weights[1:]):
+            np.take(v, k, axis=0, out=term, mode="clip")
+            term *= w.reshape(shape)
+            out += term
+        return out
+
+    return at

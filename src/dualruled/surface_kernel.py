@@ -37,7 +37,7 @@ from .errors import (
     NullDarbouxAxis,
     guard,
 )
-from .minkowski3 import det3, lcross, linner
+from .minkowski3 import det3, enorm, lcross, linner
 from .numerics import SampledCurve, grid_derivative, hermite, integrate_cumulative
 
 TIMELIKE_AXIS = "TimelikeAxis"
@@ -136,14 +136,15 @@ def _model_from_fields(fields: dict) -> RuledSurfaceModel:
     """
     u, s = fields["u"], fields["s"]
     s_uniform = np.linspace(s[0], s[-1], len(u))
-    u_at_s = np.clip(hermite(s, u, 1.0 / fields["sigma"], s_uniform), u[0], u[-1])
+    u_at_s = np.clip(hermite(s, s_uniform)(u, 1.0 / fields["sigma"]), u[0], u[-1])
+    at = hermite(u, u_at_s)  # one basis for all six fields
     e, t, g = fields["e"], fields["t"], fields["g"]
     gamma, delta, Delta = (fields[k][:, None] for k in ("gamma", "delta", "Delta"))
 
     def resample(name, df_ds=None):
         f = fields[name]
         df = grid_derivative(u, f) if df_ds is None else fields["sigma"][:, None] * df_ds
-        return hermite(u, f, df, u_at_s)
+        return at(f, df)
 
     e1 = resample("e", t)
     drift = np.abs(linner(e1, e1) + 1.0)
@@ -234,13 +235,14 @@ def _curvature_elements(gamma, delta, Delta):
     return gamma_bar, R, C, S, branch
 
 
+def _frame_line(c: np.ndarray, x: np.ndarray) -> DualVec3:
+    """Line coordinates of the frame axis x through the striction point c: (x, c x x)."""
+    return DualVec3(x, lcross(c, x))
+
+
 def dual_frame(m: RuledSurfaceModel):
     """Line coordinates of the moving frame: x -> (x, c x x)."""
-    return (
-        DualVec3(m.e, lcross(m.c, m.e)),
-        DualVec3(m.t, lcross(m.c, m.t)),
-        DualVec3(m.g, lcross(m.c, m.g)),
-    )
+    return tuple(_frame_line(m.c, x) for x in (m.e, m.t, m.g))
 
 
 def dual_apparatus(m: RuledSurfaceModel) -> DualApparatus:
@@ -272,7 +274,7 @@ def frame_residuals(m: RuledSurfaceModel) -> dict:
     dg = grid_derivative(s, m.g)
     dc = grid_derivative(s, m.c)
     def mx(v):
-        return float(np.max(np.sqrt(np.sum(v * v, axis=-1))))
+        return float(np.max(enorm(v)))
     return {
         "unit_director": float(np.max(np.abs(linner(m.e, m.e) + 1.0))),
         "unit_tangent": float(np.max(np.abs(linner(m.t, m.t) - 1.0))),
@@ -292,14 +294,13 @@ def _dual_fd(x: DualVec3, s: np.ndarray) -> DualVec3:
 
 
 def _d_ds_bar(dx_ds: DualVec3, Delta: np.ndarray) -> DualVec3:
-    """d/ds -> d/ds_bar: ds_bar = (1 - eps Delta) ds, whose reciprocal is (1, Delta)."""
-    return dx_ds * DualScalar(np.ones_like(Delta), Delta)
+    """d/ds -> d/ds_bar: ds_bar = (1 - eps Delta) ds, whose reciprocal is (1, Delta),
+    so x' becomes (x', x'* + Delta x')."""
+    return DualVec3(dx_ds.re, dx_ds.du + Delta[:, None] * dx_ds.re)
 
 
 def _dual_vec_norms(x: DualVec3) -> float:
-    re = float(np.max(np.sqrt(np.sum(x.re * x.re, axis=-1))))
-    du = float(np.max(np.sqrt(np.sum(x.du * x.du, axis=-1))))
-    return max(re, du)
+    return max(float(np.max(enorm(x.re))), float(np.max(enorm(x.du))))
 
 
 def dual_frame_residuals(m: RuledSurfaceModel) -> dict:
@@ -323,9 +324,6 @@ def dual_frame_residuals(m: RuledSurfaceModel) -> dict:
 
 def study_residual(m: RuledSurfaceModel) -> float:
     """Max Euclidean distance from decoded ruling points to the model rulings."""
-    e_d, _, _ = dual_frame(m)
-    q = decode_line_point(e_d)
-    rel = q - m.c
-    cr = np.cross(rel, m.e)
-    dist = np.sqrt(np.sum(cr * cr, axis=-1)) / np.sqrt(np.sum(m.e * m.e, axis=-1))
+    q = decode_line_point(_frame_line(m.c, m.e))
+    dist = enorm(np.cross(q - m.c, m.e)) / enorm(m.e)
     return float(np.max(dist))

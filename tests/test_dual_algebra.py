@@ -177,8 +177,8 @@ def _assert_per_sample_bits(batch: DualScalar, single: DualScalar, i: int) -> No
 
 def test_array_scalar_parity():
     # one number and a batch take the same code path: every function and
-    # operator gives each sample of a batch the bits of the scalar evaluation;
-    # an ndarray operand stands on the right (numpy owns ndarray + DualScalar)
+    # operator gives each sample of a batch the bits of the scalar evaluation,
+    # with an ndarray operand on either side
     stars = np.array([1.0, -1.0, 0.5, -0.25, 3.0])
     for name in FUNCTION_NAMES:
         xs = np.linspace(*DOMAINS[name], 5)
@@ -191,11 +191,14 @@ def test_array_scalar_parity():
     others = (3, 2.5, np.float64(-1.25), DualScalar(0.75, -2.0))
     for op in (operator.add, operator.sub, operator.mul, operator.truediv):
         by_array = op(arr, ys)
+        array_left = op(ys, arr)
+        assert isinstance(array_left, DualScalar)
         left = [op(arr, other) for other in others]
         right = [op(other, arr) for other in others]
         for i in range(5):
             one = DualScalar(xs[i], stars[i])
             _assert_per_sample_bits(by_array, op(one, ys[i]), i)
+            _assert_per_sample_bits(array_left, op(float(ys[i]), one), i)
             for other, l, r in zip(others, left, right):
                 _assert_per_sample_bits(l, op(one, other), i)
                 _assert_per_sample_bits(r, op(other, one), i)

@@ -1,8 +1,32 @@
 """Lorentzian primitives: metric, cross product, determinant."""
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dualruled import det3, lcross, linner
+from dualruled.minkowski3 import enorm
+
+moderate = st.floats(min_value=-1e100, max_value=1e100, allow_nan=False, width=64)
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.shape, a.dtype, np.ascontiguousarray(a).tobytes()
+
+
+@st.composite
+def vectors(draw, shape):
+    """Float vectors of `shape`, as a plain array or a non-contiguous view."""
+    v = draw(hnp.arrays(float, shape, elements=moderate))
+    view = draw(st.sampled_from(["plain", "reversed", "fortran", "strided"]))
+    if view == "reversed" and v.ndim > 1:
+        v = v[::-1]
+    elif view == "fortran":
+        v = np.asfortranarray(v)
+    elif view == "strided":
+        v = np.repeat(v, 2, axis=-1)[..., ::2]
+    return v
 
 
 def test_linner_examples():
@@ -56,3 +80,24 @@ def test_det3_matches_numpy(rng):
     want = np.linalg.det(rows)
     got = det3(rows[:, 0], rows[:, 1], rows[:, 2])
     assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want) + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from([((7, 3), (7, 3)), ((3,), (7, 3)), ((7, 3), (3,)),
+                                   ((3,), (3,)), ((2, 5, 3), (5, 3)), ((1, 3), (4, 3))]))
+def test_lcross_matches_stacked_formula(data, shapes):
+    # the in-place columns keep the bits of the stacked expression, broadcasting included
+    a, b = (data.draw(vectors(shape)) for shape in shapes)
+    stacked = np.stack([
+        a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
+        a[..., 0] * b[..., 2] - a[..., 2] * b[..., 0],
+        a[..., 1] * b[..., 0] - a[..., 0] * b[..., 1],
+    ], axis=-1)
+    assert _bits(lcross(a, b)) == _bits(stacked)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from([(9, 3), (3,), (2, 4, 3), (0, 3)]))
+def test_enorm_matches_sum_reduction(data, shape):
+    v = data.draw(vectors(shape))
+    assert _bits(enorm(v)) == _bits(np.sqrt(np.sum(v * v, axis=-1)))

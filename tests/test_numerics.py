@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dualruled import (
     SampledCurve,
@@ -115,8 +117,79 @@ def test_hermite_reproduces_cubics(rng):
     y = np.stack([np.polyval(coef[:, k], x) for k in range(2)], axis=-1)
     dy = np.stack([np.polyval(np.polyder(coef[:, k]), x) for k in range(2)], axis=-1)
     want = np.stack([np.polyval(coef[:, k], xq) for k in range(2)], axis=-1)
-    assert np.max(np.abs(hermite(x, y, dy, xq) - want)) < 1e-12
-    assert np.max(np.abs(hermite(x, y[:, 0], dy[:, 0], x) - y[:, 0])) < 1e-12
+    assert np.max(np.abs(hermite(x, xq)(y, dy) - want)) < 1e-12
+    assert np.max(np.abs(hermite(x, x)(y[:, 0], dy[:, 0]) - y[:, 0])) < 1e-12
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.shape, a.dtype, np.ascontiguousarray(a).tobytes()
+
+
+moderate = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, width=64)
+
+
+@st.composite
+def resampling_cases(draw):
+    n = draw(st.integers(2, 24))
+    steps = draw(hnp.arrays(float, n - 1, elements=st.floats(1e-3, 10.0)))
+    x = draw(st.floats(-10.0, 10.0)) + np.concatenate([[0.0], np.cumsum(steps)])
+    xq = draw(hnp.arrays(float, draw(st.integers(1, 40)),
+                         elements=st.floats(float(x[0]) - 1.0, float(x[-1]) + 1.0)))
+    shapes = [draw(st.sampled_from([(n,), (n, 1), (n, 3), (n, 6)])) for _ in range(2)]
+    fields = [[draw(hnp.arrays(float, shape, elements=moderate)) for _ in range(2)] for shape in shapes]
+    return x, xq, fields
+
+
+@settings(max_examples=200, deadline=None)
+@given(resampling_cases())
+def test_hermite_resampler_matches_one_shot_formula(case):
+    # one resampler, applied to fields of any shape, keeps the bits of the
+    # one-shot expression it replaced
+    x, xq, fields = case
+
+    def one_shot(y, dy):
+        i = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, len(x) - 2)
+        shape = (-1,) + (1,) * (np.ndim(y) - 1)
+        h = (x[i + 1] - x[i]).reshape(shape)
+        t = (xq - x[i]).reshape(shape) / h
+        return ((1 + 2 * t) * (1 - t) ** 2 * y[i] + t * (1 - t) ** 2 * h * dy[i]
+                + t * t * (3 - 2 * t) * y[i + 1] + t * t * (t - 1) * h * dy[i + 1])
+
+    at = hermite(x, xq)
+    for y, dy in fields:
+        assert _bits(at(y, dy)) == _bits(one_shot(y, dy))
+
+
+@st.composite
+def stencil_cases(draw):
+    n = draw(st.integers(9, 40))
+    pad = draw(st.integers(0, 3))
+    k = draw(st.sampled_from([None, 1, 3, 4]))
+    full = draw(hnp.arrays(float, (n + 2 * pad,) if k is None else (n + 2 * pad, k), elements=moderate))
+    view = draw(st.sampled_from(["window", "reversed", "strided", "fortran", "columns"]))
+    y = full[pad:pad + n]
+    if view == "reversed":
+        y = full[::-1][pad:pad + n]
+    elif view == "strided":
+        y = np.repeat(full, 2, axis=0)[::2][pad:pad + n]
+    elif view == "fortran":
+        y = np.asfortranarray(full)[pad:pad + n]
+    elif view == "columns" and k is not None:
+        y = np.repeat(full, 2, axis=1)[pad:pad + n, ::2]
+    span = draw(st.floats(0.1, 10.0))
+    return np.linspace(0.0, span, n), y
+
+
+@settings(max_examples=200, deadline=None)
+@given(stencil_cases())
+def test_grid_derivative_interior_matches_plain_stencil(case):
+    # the in-place interior stencil keeps the bits of the one-line expression,
+    # also on window slices that are not contiguous
+    x, y = case
+    h = (x[-1] - x[0]) / (len(x) - 1)
+    plain = (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / (12 * h)
+    assert _bits(grid_derivative(x, y)[2:-2]) == _bits(plain)
 
 
 def test_slopes_reproduce_quartics(rng):
