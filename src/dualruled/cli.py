@@ -75,13 +75,22 @@ def _coerce(value, convert, what: str):
     raise ConfigError(f"{what}, got {value!r:.60}")
 
 
+def _number(value) -> float:
+    if isinstance(value, (str, bool)):  # float() would read "0.5" and false
+        raise TypeError(value)
+    return float(value)
+
+
 def _floats(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
+    out = np.asarray(value)
+    if out.dtype.kind not in "iuf":  # strings, booleans, null, objects
+        raise TypeError(value)
+    return out.astype(float, copy=False)
 
 
 def _integer(value) -> int:
     n = int(value)
-    if n != float(value):  # int() would truncate 1024.5 silently
+    if n != _number(value):  # int() would truncate 1024.5 and read "64" and true
         raise ValueError(value)
     return n
 
@@ -89,7 +98,7 @@ def _integer(value) -> int:
 def _number_param(params: dict, key: str) -> float:
     if key not in params:
         raise ConfigError(f"constant_invariant needs params.{key}")
-    return _coerce(params[key], float, f"params.{key} must be a number")
+    return _coerce(params[key], _number, f"params.{key} must be a number")
 
 
 def parse_config(data: dict) -> SurfaceConfig:
@@ -121,7 +130,8 @@ def parse_config(data: dict) -> SurfaceConfig:
                 raise ConfigError("u/director/base arrays must have equal length")
         s_range = (float(u[0]), float(u[-1]))
     else:
-        s_range = _coerce(data.get("s_range", (0.0, 2.0)), lambda r: tuple(map(float, r)),
+        s_range = _coerce(data.get("s_range", (0.0, 2.0)),
+                          lambda r: tuple(map(float, _floats(r).tolist())),
                           "s_range must be [lo, hi] numbers")
         if len(s_range) != 2 or not s_range[0] < s_range[1]:
             raise ConfigError(f"s_range must be [lo, hi] with lo < hi, got {list(s_range)}")
@@ -251,14 +261,14 @@ def cmd_analyze(args) -> int:
 def _offset_pieces(args):
     cfg = load_config(args.input)
     model = build_model(cfg)
-    window = None if args.s_lo is None else (args.s_lo, args.s_hi)
+    s = model.s_grid
+    window = (s[0], s[-1]) if args.s_lo is None else (args.s_lo, args.s_hi)
     spec = offset_angle_profile(model, args.c, args.cstar, window)
-    offset = construct_offset(model, spec)
-    return cfg, model, spec, offset
+    return cfg, spec, construct_offset(model, spec)
 
 
 def cmd_offset(args) -> int:
-    cfg, model, spec, offset = _offset_pieces(args)
+    cfg, spec, offset = _offset_pieces(args)
     payload = {
         "c_const": spec.c_const,
         "cstar_const": spec.cstar_const,
@@ -291,7 +301,7 @@ def cmd_offset(args) -> int:
     }
     outputs = {args.output: dumps_canonical(payload)}
     if args.verify:
-        report = consistency_report(model, spec, offset)
+        report = consistency_report(spec.source_model, spec, offset)
         verify_payload = {
             "formulas": report.formulas,
             "mannheim": {
@@ -304,7 +314,7 @@ def cmd_offset(args) -> int:
             "oracle": report.oracle,
             "residuals": report.residuals,
             "s": report.s,
-            "striction_shift": report.striction_shift,
+            "striction_shift": offset.striction_shift,
             "theta": report.theta,
             "theta_star": report.theta_star,
             "tol": report.tol,
@@ -334,7 +344,7 @@ def _write_obj(path: str, points: np.ndarray, e: np.ndarray,
 
 def cmd_export(args) -> int:
     if args.offset:
-        _, _, _, offset = _offset_pieces(args)
+        _, _, offset = _offset_pieces(args)
         points, e = offset.c1, offset.e1_dual.re
     else:
         model = build_model(load_config(args.input))

@@ -27,7 +27,6 @@ orientation-insensitive residuals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -101,7 +100,6 @@ class OffsetModel:
     mannheim_real_residual: np.ndarray
     mannheim_dual_residual: np.ndarray
     striction_shift: dict  # offset minus base striction point, by frame direction
-    source_model: RuledSurfaceModel
     spec: OffsetSpec
 
 
@@ -118,45 +116,42 @@ class OffsetReport:
     max_residual: dict
     mean_residual: dict
     verdicts: dict
-    striction_shift: dict
     mannheim_real_max: float
     mannheim_dual_max: float
     tol: float
 
 
 def offset_angle_profile(m: RuledSurfaceModel, c_const: float, cstar_const: float,
-                         window: Optional[tuple] = None) -> OffsetSpec:
+                         window: tuple) -> OffsetSpec:
     """Mannheim angle law on a model: theta = -s + c, theta_star = int(Delta) + c*.
 
     The distance integral is anchored at the model's grid origin. `window`
-    narrows the working range to [lo, hi] in s, which may overhang the model's
-    s range by less than one grid step; the profile must keep sinh(theta)
-    away from zero on that range.
+    is the working range [lo, hi] in s, which may overhang the model's s
+    range by less than one grid step; (m.s_grid[0], m.s_grid[-1]) is the
+    whole model. The profile must keep sinh(theta) away from zero on it.
     """
     s_full = m.s_grid
     theta_full = -s_full + float(c_const)
     theta_star_full = integrate_cumulative(s_full, m.Delta) + float(cstar_const)
-    if window is None:
-        lo_i, hi_i = 0, len(s_full)
-    else:
-        lo, hi = float(window[0]), float(window[1])
-        if not lo < hi:
-            raise ValidationError(f"window must be [lo, hi] with lo < hi, got [{lo}, {hi}]")
-        # an end a whole step past the grid would hold a sample the grid lacks; a
-        # shorter overhang (bounds snapped to mid-cell, quadrature error in s) clips nothing
-        step = (s_full[-1] - s_full[0]) / (len(s_full) - 1)
-        if lo <= s_full[0] - step or hi >= s_full[-1] + step:
-            raise ValidationError(
-                f"window [{lo}, {hi}] reaches past the model's s range "
-                f"[{s_full[0]:.12g}, {s_full[-1]:.12g}]"
-            )
-        lo_i = int(np.searchsorted(s_full, lo - 1e-12, side="left"))
-        hi_i = int(np.searchsorted(s_full, hi + 1e-12, side="right"))
-        if hi_i - lo_i < MIN_SAMPLES:
-            raise GridTooCoarse(
-                f"window [{lo}, {hi}] holds {hi_i - lo_i} samples; need {MIN_SAMPLES}"
-            )
-    theta = theta_full[lo_i:hi_i]
+    lo, hi = float(window[0]), float(window[1])
+    if not lo < hi:
+        raise ValidationError(f"window must be [lo, hi] with lo < hi, got [{lo}, {hi}]")
+    # an end a whole step past the grid would hold a sample the grid lacks; a
+    # shorter overhang (bounds snapped to mid-cell, quadrature error in s) clips nothing
+    step = (s_full[-1] - s_full[0]) / (len(s_full) - 1)
+    if lo <= s_full[0] - step or hi >= s_full[-1] + step:
+        raise ValidationError(
+            f"window [{lo}, {hi}] reaches past the model's s range "
+            f"[{s_full[0]:.12g}, {s_full[-1]:.12g}]"
+        )
+    lo_i = int(np.searchsorted(s_full, lo - 1e-12, side="left"))
+    hi_i = int(np.searchsorted(s_full, hi + 1e-12, side="right"))
+    if hi_i - lo_i < MIN_SAMPLES:
+        raise GridTooCoarse(
+            f"window [{lo}, {hi}] holds {hi_i - lo_i} samples; need {MIN_SAMPLES}"
+        )
+    w = slice(lo_i, hi_i)
+    s, theta = s_full[w], theta_full[w]
     # theta = 0 anywhere in the window kills the offset: catch samples inside
     # the guard band and sign changes that straddle the zero between samples
     small = np.abs(np.sinh(theta)) <= SINH_GUARD
@@ -165,18 +160,17 @@ def offset_angle_profile(m: RuledSurfaceModel, c_const: float, cstar_const: floa
         idx = int(np.argmin(np.abs(theta)))
         raise DegenerateWindow(
             f"theta = 0 crossing: sinh(theta) = {np.sinh(theta[idx]):.3e} near "
-            f"s = {s_full[lo_i + idx]:.6g}; shrink the window or change the angle constant"
+            f"s = {s[idx]:.6g}; shrink the window or change the angle constant"
         )
     return OffsetSpec(
-        c_const=float(c_const), cstar_const=float(cstar_const),
-        s=s_full[lo_i:hi_i], theta=theta, theta_star=theta_star_full[lo_i:hi_i],
-        lo_index=lo_i, hi_index=hi_i, source_model=m,
+        c_const=float(c_const), cstar_const=float(cstar_const), s=s, theta=theta,
+        theta_star=theta_star_full[w], lo_index=lo_i, hi_index=hi_i, source_model=m,
     )
 
 
-def transfer_dual_director(m: RuledSurfaceModel, spec: OffsetSpec) -> DualVec3:
+def transfer_dual_director(spec: OffsetSpec) -> DualVec3:
     """Tilt the base ruling lines by the dual angle: e1 = cosh(tb) e + sinh(tb) t."""
-    w = spec.window
+    m, w = spec.source_model, spec.window
     e_d, t_d = (_frame_line(m.c[w], x[w]) for x in (m.e, m.t))
     theta_bar = DualScalar(spec.theta, spec.theta_star)
     ch = apply_function("cosh", theta_bar)
@@ -201,7 +195,7 @@ def construct_offset(m: RuledSurfaceModel, spec: OffsetSpec) -> OffsetModel:
     w = spec.window
     s = m.s_grid[w]
     e, t, g, c = m.e[w], m.t[w], m.g[w], m.c[w]
-    e1_dual = transfer_dual_director(m, spec)
+    e1_dual = transfer_dual_director(spec)
     pts = decode_line_point(e1_dual)
 
     de1 = grid_derivative(s, e1_dual.re)
@@ -231,7 +225,7 @@ def construct_offset(m: RuledSurfaceModel, spec: OffsetSpec) -> OffsetModel:
         mannheim_dual_residual=_distance_up_to_sign(lcross(c1, t1), lcross(c, g)),
         striction_shift={"along_director": -linner(v, e), "along_tangent": linner(v, t),
                          "along_normal": linner(v, g)},
-        source_model=m, spec=spec,
+        spec=spec,
     )
 
 
@@ -269,13 +263,13 @@ def _formula_fields(gamma, delta, Delta, theta, theta_star) -> dict:
     return out
 
 
-def _closed_form_inputs(m: RuledSurfaceModel, spec: OffsetSpec) -> tuple:
+def _closed_form_inputs(spec: OffsetSpec) -> tuple:
     """Base (gamma, delta, Delta, theta, theta_star) on the spec's window.
 
     Raises DegeneratePoint where the closed forms divide by zero:
     |sinh(theta)| <= SINH_GUARD or |gamma| <= GAMMA_GUARD.
     """
-    w = spec.window
+    m, w = spec.source_model, spec.window
     gamma, theta = m.gamma[w], spec.theta
     small = (np.abs(np.sinh(theta)) <= SINH_GUARD) | (np.abs(gamma) <= GAMMA_GUARD)
     guard(small, lambda i: DegeneratePoint(
@@ -291,9 +285,9 @@ def consistency_report(m: RuledSurfaceModel, spec: OffsetSpec, offset: OffsetMod
     `arc_rate_dual` is compared up to one global orientation sign. A key is
     CONFIRMED when its max residual stays within VERDICT_TOL, else DISCREPANT.
     """
-    if offset.source_model is not m or offset.spec is not spec:
+    if offset.spec is not spec or spec.source_model is not m:
         raise MismatchedInputs("report inputs must be the model/spec pair the offset was built from")
-    gamma, delta, Delta, theta, theta_star = _closed_form_inputs(m, spec)
+    gamma, delta, Delta, theta, theta_star = _closed_form_inputs(spec)
     F = _formula_fields(gamma, delta, Delta, theta, theta_star)
 
     ds1 = offset.ds1_ds
@@ -336,14 +330,13 @@ def consistency_report(m: RuledSurfaceModel, spec: OffsetSpec, offset: OffsetMod
         s=spec.s, theta=spec.theta, theta_star=spec.theta_star,
         oracle=oracle, formulas=F, residuals=residuals,
         max_residual=max_residual, mean_residual=mean_residual, verdicts=verdicts,
-        striction_shift=offset.striction_shift,
         mannheim_real_max=float(np.max(offset.mannheim_real_residual)),
         mannheim_dual_max=float(np.max(offset.mannheim_dual_residual)),
         tol=VERDICT_TOL,
     )
 
 
-def developability_predicates(m: RuledSurfaceModel, spec: OffsetSpec) -> dict:
+def developability_predicates(spec: OffsetSpec) -> dict:
     """Developability conditions at every window sample, as per-sample arrays.
 
     Flags: base surface developable; offset developable (distance matches
@@ -351,7 +344,8 @@ def developability_predicates(m: RuledSurfaceModel, spec: OffsetSpec) -> dict:
     developable (theta_star = delta, both locally constant); conical
     curvature matching -tanh(theta). Equal means within DEVELOPABLE_TOL.
     """
-    gamma, delta, Delta, theta, theta_star = _closed_form_inputs(m, spec)
+    gamma, delta, Delta, theta, theta_star = _closed_form_inputs(spec)
+    m = spec.source_model
     ddelta = grid_derivative(m.s_grid, m.delta)[spec.window]
     target = -(delta / gamma) * np.tanh(theta)
     tol = DEVELOPABLE_TOL

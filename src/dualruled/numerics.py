@@ -60,9 +60,6 @@ class SampledCurve:
         if np.any(np.diff(params) <= 0):
             raise ValidationError("params must be strictly increasing")
 
-    def __len__(self):
-        return len(self.params)
-
 
 def is_uniform(x: np.ndarray) -> bool:
     """Whether every step of x is within 1e-12 of the mean step, relative to the

@@ -170,7 +170,7 @@ def build_surface(director: SampledCurve, base: SampledCurve) -> RuledSurfaceMod
     Both curves must share one uniform grid. Directors may carry any
     timelike magnitude; they are renormalized per sample.
     """
-    if len(director) != len(base) or not np.array_equal(director.params, base.params):
+    if not np.array_equal(director.params, base.params):
         raise MismatchedInputs("director and base curve must share one parameter grid")
     fields = _darboux_fields(director.params, director.values, base.values)
     return _model_from_fields(fields)

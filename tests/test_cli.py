@@ -38,6 +38,16 @@ def planar_cfg(samples=128):
             "s_range": [0.0, 2.0], "samples": samples}
 
 
+U16 = np.linspace(0.0, 1.0, 16)
+
+
+def hyperbola_params(u):
+    """Params of a sampled planar hyperbola: director (cosh u, sinh u, 0), base (0, 0, u)."""
+    zeros = np.zeros_like(u)
+    return {"u": u.tolist(), "director": np.stack([np.cosh(u), np.sinh(u), zeros], axis=-1).tolist(),
+            "base": np.stack([zeros, zeros, u], axis=-1).tolist()}
+
+
 def test_parse_config_roundtrip():
     cfg = parse_config(constant_cfg())
     assert cfg.name == "constant"
@@ -146,7 +156,18 @@ def test_build_model_param_errors():
     ({"name": "x", "kind": "sampled", "params": {"u": [], "director": [], "base": []}}, "ConfigError"),
     # cosh(520) is finite but its square overflows
     ({**constant_cfg(), "s_range": [0, 600]}, "FloatingPointError"),
-], ids=["gamma", "samples", "fractional_samples", "apex", "s_range", "director", "empty_u", "overflow"])
+    # a number slot refuses JSON strings and booleans, which float() and numpy would read
+    ({**planar_cfg(), "s_range": "12"}, "ConfigError"),
+    ({**planar_cfg(), "samples": "64"}, "ConfigError"),
+    ({**constant_cfg(), "params": {**CONSTANT_PARAMS, "gamma": "0.5"}}, "ConfigError"),
+    ({**constant_cfg(), "params": {**CONSTANT_PARAMS, "delta": False}}, "ConfigError"),
+    ({"name": "x", "kind": "cone", "samples": 64, "params": {"apex": ["1", "2", "3"]}}, "ConfigError"),
+    ({"name": "x", "kind": "sampled", "params": dict(hyperbola_params(U16), u=[str(x) for x in U16])},
+     "ConfigError"),
+    ({**planar_cfg(), "s_range": [False, True]}, "ConfigError"),
+], ids=["gamma", "samples", "fractional_samples", "apex", "s_range", "director", "empty_u", "overflow",
+        "s_range_string", "samples_string", "gamma_string", "delta_false", "apex_strings",
+        "u_strings", "s_range_booleans"])
 def test_malformed_config_values_exit_2(tmp_path, capsys, data, error):
     out = tmp_path / "r.json"
     assert main(["analyze", "--input", write_cfg(tmp_path, "bad.json", data), "--output", str(out)]) == 2
@@ -407,6 +428,33 @@ def test_export_offset_obj(tmp_path):
     rulings = len(verts) // 3
     assert rulings >= 9
     assert len(faces) == 2 * (rulings - 1) * 2
+
+
+@pytest.mark.parametrize("kind", ["constant", "sampled"])
+def test_windowless_offset_is_the_whole_model(tmp_path, constant_family, kind):
+    # no --s-lo/--s-hi means the window [s[0], s[-1]] of the built model; the sampled
+    # config is resampled onto arc length, so its s[-1] is no round number
+    if kind == "constant":
+        cfg = constant_cfg(128)
+    else:
+        x = np.linspace(0.0, 1.0, 200)
+        u = 3.0 * (x + 0.1 * np.sin(2 * np.pi * x) / (2 * np.pi))
+        e, c = constant_family(u)
+        cfg = {"name": kind, "kind": "sampled", "samples": 128,
+               "params": {"u": u.tolist(), "director": e.tolist(), "base": c.tolist()}}
+    cfg_path = write_cfg(tmp_path, "c.json", cfg)
+    s = build_model(parse_config(cfg)).s_grid
+    window = ["--s-lo", repr(float(s[0])), "--s-hi", repr(float(s[-1]))]
+    outputs = {}
+    for name, flags in (("none", []), ("full", window)):
+        paths = [tmp_path / f"{name}.{x}" for x in ("json", "verify.json", "obj")]
+        angle = ["--input", cfg_path, "--c", "4", "--cstar", "0.3", *flags]
+        assert main(["offset", *angle, "--output", str(paths[0]), "--verify", str(paths[1])]) == 0
+        assert main(["export", "--offset", *angle, "--v-min", "0", "--v-max", "1",
+                     "--v-samples", "3", "--output", str(paths[2])]) == 0
+        outputs[name] = [p.read_bytes() for p in paths]
+    assert outputs["none"] == outputs["full"]
+    assert json.loads(outputs["none"][0])["window"]["samples"] == 128
 
 
 def test_error_exit_codes(tmp_path, capsys):

@@ -76,9 +76,8 @@ def flat_offset():
 def closed_forms_on_gamma_step():
     # gamma drops to 0 past s = 1.5, inside the window [1, 2]
     m = synth_constant_invariant(0.5, 0.3, 0.2, (0.0, 2.0), 64)
-    spec = offset_angle_profile(m, 3.0, 0.3, (1.0, 2.0))
     stepped = dataclasses.replace(m, gamma=np.where(m.s_grid > 1.5, 0.0, 0.5))
-    return _closed_form_inputs(stepped, spec)
+    return _closed_form_inputs(offset_angle_profile(stepped, 3.0, 0.3, (1.0, 2.0)))
 
 
 GUARDS = {

@@ -60,7 +60,7 @@ def test_angle_profile_reference(offset_pieces):
 
 def test_angle_profile_zero_distribution():
     m = synth_constant_invariant(0.5, 0.3, 0.0, samples=512)
-    spec = offset_angle_profile(m, 3.0, 0.3)
+    spec = offset_angle_profile(m, 3.0, 0.3, (m.s_grid[0], m.s_grid[-1]))
     assert np.max(np.abs(spec.theta_star - 0.3)) < 1e-12
 
 
@@ -188,8 +188,6 @@ def test_report_window_and_shift(offset_report):
     assert r.s[-1] == 2.0
     assert r.theta[-1] == pytest.approx(1.0, abs=1e-14)
     assert r.theta_star[-1] == pytest.approx(0.7, abs=1e-9)
-    assert set(r.striction_shift) == {"along_director", "along_tangent", "along_normal"}
-    assert np.max(np.abs(r.striction_shift["along_normal"] + r.theta_star)) < 1e-4
 
 
 def test_report_rejects_foreign_inputs(planar_surface, offset_pieces):
@@ -209,8 +207,8 @@ def test_offset_rejects_vanishing_indicatrix(planar_surface):
 
 def test_developability_predicates_cases():
     m = synth_constant_invariant(0.5, 0.3, 0.0, samples=512)
-    spec = offset_angle_profile(m, 3.0, 0.3)
-    got = developability_predicates(m, spec)
+    spec = offset_angle_profile(m, 3.0, 0.3, (m.s_grid[0], m.s_grid[-1]))
+    got = developability_predicates(spec)
     assert got["base_developable"].all() and got["joint_developable"].all()
     assert not got["offset_developable"].any() and not got["gamma_matches_neg_tanh"].any()
     assert got["offset_developable_target"][-1] == pytest.approx(-0.456956, abs=1e-5)
@@ -218,8 +216,8 @@ def test_developability_predicates_cases():
 
     # gamma = -tanh(1) meets -tanh(theta) only where theta = 1, at the last sample
     matched = synth_constant_invariant(-np.tanh(1.0), 0.3, 0.0, samples=512)
-    spec2 = offset_angle_profile(matched, 3.0, 0.3)
-    got2 = developability_predicates(matched, spec2)
+    spec2 = offset_angle_profile(matched, 3.0, 0.3, (matched.s_grid[0], matched.s_grid[-1]))
+    got2 = developability_predicates(spec2)
     assert list(np.flatnonzero(got2["gamma_matches_neg_tanh"])) == [511]
     assert list(np.flatnonzero(got2["offset_developable"])) == [511]
     assert got2["offset_developable_target"][-1] == pytest.approx(0.3, abs=1e-9)
@@ -228,7 +226,7 @@ def test_developability_predicates_cases():
 def test_predicates_reject_degenerate_point(planar_surface):
     spec = offset_angle_profile(planar_surface, 3.0, 0.3, (1.0, 2.0))
     with pytest.raises(DegeneratePoint, match="window sample 0: gamma = "):
-        developability_predicates(planar_surface, spec)
+        developability_predicates(spec)
 
 
 def test_wrong_distance_breaks_the_dual_part(offset_pieces):

@@ -244,6 +244,10 @@ def test_build_rejects_mismatched_grids():
     _, base = hyperbola_curves(s_range=(0.0, 1.0), samples=64)
     with pytest.raises(MismatchedInputs):
         build_surface(director, base)
+    # grids of different lengths are unequal too: one check covers both
+    _, longer = hyperbola_curves(samples=65)
+    with pytest.raises(MismatchedInputs, match="^director and base curve must share one parameter grid$"):
+        build_surface(director, longer)
 
 
 def test_cone_accepts_custom_director():
