@@ -13,8 +13,11 @@ tolerance next to the residual maxima behind its verdicts.
 Exit codes: 0 success, 2 validation problem (bad config, non-timelike
 data, floating-point overflow, unwritable output path, oversized input
 or mesh), 3 numeric degeneracy (stalled indicatrix, null axis, vanishing
-window). Every output is built before any file is written, so a nonzero
-exit leaves no output file. A DISCREPANT verdict in the consistency report
+window). Every number of every output is computed before any file is
+opened; only then is the text streamed, block by block, into temporary
+files that are renamed into place once all are written. On any failure,
+an interrupt included, the temporary files are removed, so a nonzero exit
+leaves no output file. A DISCREPANT verdict in the consistency report
 is a finding, not a failure; it exits 0.
 """
 
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -37,7 +41,7 @@ from .mannheim_offset import (
     offset_angle_profile,
 )
 from .numerics import MAX_SAMPLES, MIN_SAMPLES, SampledCurve, hermite, is_uniform, slopes
-from .serialize import dumps_canonical
+from .serialize import dump_canonical, write_rows
 from .surface_kernel import (
     DEVELOPABLE_TOL,
     RuledSurfaceModel,
@@ -232,29 +236,33 @@ def _analyze_payload(cfg: SurfaceConfig, model: RuledSurfaceModel) -> dict:
 
 
 def _write_outputs(outputs: dict) -> None:
-    """Write {path: text} through temporary files renamed into place once all are
-    written, so a failure leaves no output behind; OSError becomes a ConfigError."""
+    """Stream {path: emit} into files: emit(write) passes a file's bytes to write, into
+    a temporary file, and the temporary files are renamed into place once all are
+    written. On any exception every temporary file is removed, so a failure leaves no
+    output behind; OSError becomes a ConfigError."""
     for path in outputs:  # os.replace would refuse it only after the earlier renames
         if os.path.isdir(path):
             raise ConfigError(f"cannot write {path}: Is a directory")
     tmps = {path: f"{path}.{os.getpid()}.tmp" for path in outputs}
     try:
-        for path, text in outputs.items():
-            with open(tmps[path], "w", encoding="utf-8") as fh:
-                fh.write(text)
+        for path, emit in outputs.items():
+            with open(tmps[path], "wb") as fh:
+                emit(fh.write)
         for path, tmp in tmps.items():
             os.replace(tmp, path)
-    except OSError as exc:
+    except BaseException as exc:
         for tmp in tmps.values():
             with contextlib.suppress(OSError):
                 os.remove(tmp)
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise
 
 
 def cmd_analyze(args) -> int:
     cfg = load_config(args.input)
     model = build_model(cfg)
-    _write_outputs({args.output: dumps_canonical(_analyze_payload(cfg, model))})
+    _write_outputs({args.output: functools.partial(dump_canonical, _analyze_payload(cfg, model))})
     return 0
 
 
@@ -299,7 +307,7 @@ def cmd_offset(args) -> int:
             "samples": int(len(spec.s)),
         },
     }
-    outputs = {args.output: dumps_canonical(payload)}
+    outputs = {args.output: functools.partial(dump_canonical, payload)}
     if args.verify:
         report = consistency_report(spec.source_model, spec, offset)
         verify_payload = {
@@ -320,7 +328,7 @@ def cmd_offset(args) -> int:
             "tol": report.tol,
             "verdicts": report.verdicts,
         }
-        outputs[args.verify] = dumps_canonical(verify_payload)
+        outputs[args.verify] = functools.partial(dump_canonical, verify_payload)
     _write_outputs(outputs)
     return 0
 
@@ -332,14 +340,17 @@ def _write_obj(path: str, points: np.ndarray, e: np.ndarray,
                           f"exceeds {8 * MAX_SAMPLES} vertices")
     vs = np.linspace(v_min, v_max, v_samples)
     # vertex (i, j) = points[i] + vs[j] e[i], row-major, 1-based in the faces
-    verts = (points[:, None, :] + vs[None, :, None] * e[:, None, :]).ravel()
+    verts = (points[:, None, :] + vs[None, :, None] * e[:, None, :]).reshape(-1, 3)
     m = v_samples
     a = (np.arange(len(points) - 1)[:, None] * m + np.arange(1, m)).ravel()
     # each grid cell (a, a+m, a+m+1, a+1) becomes two triangles
-    faces = np.stack([a, a + m, a + m + 1, a, a + m + 1, a + 1], axis=-1).ravel()
-    text = (("v %.9f %.9f %.9f\n" * (len(verts) // 3)) % tuple(verts.tolist())
-            + ("f %d %d %d\nf %d %d %d\n" * len(a)) % tuple(faces.tolist()))
-    _write_outputs({path: text})
+    faces = np.stack([a, a + m, a + m + 1, a, a + m + 1, a + 1], axis=-1).reshape(-1, 3)
+
+    def emit(write):
+        write_rows(verts, "%.9f", "v", write)
+        write_rows(faces, "%d", "f", write)
+
+    _write_outputs({path: emit})
 
 
 def cmd_export(args) -> int:

@@ -16,7 +16,7 @@ from typing import Union
 import numpy as np
 
 from .dual_algebra import DualScalar, apply_function
-from .errors import InvalidLine, NotTimelike, NotUnit, NullDirection, ParallelLines, guard
+from .errors import InvalidLine, KernelError, NotTimelike, NotUnit, NullDirection, ParallelLines, guard
 from .minkowski3 import enorm, lcross, linner
 
 LINE_TOL = 1e-6
@@ -87,20 +87,22 @@ def encode_line(direction: np.ndarray, point: np.ndarray) -> DualVec3:
     return DualVec3(direction, lcross(point, direction))
 
 
-def decode_line_point(a: DualVec3) -> np.ndarray:
+def decode_line_point(a: DualVec3, error: type[KernelError] = InvalidLine) -> np.ndarray:
     """Recover a point on the line encoded by a unit timelike DualVec3.
 
     Returns re x du, the point obtained by dropping the perpendicular from
-    the origin (Lorentz-orthogonally). Raises InvalidLine when the unit or
-    orthogonality constraints are violated beyond LINE_TOL.
+    the origin (Lorentz-orthogonally). Raises `error` (InvalidLine) when the
+    unit or orthogonality constraints are violated beyond LINE_TOL. A caller
+    that built the line itself passes DegenerateLine: there a violation is
+    lost digits, not bad input.
     """
     d = dinner(a, a)  # (<re, re>, 2 <re, du>)
     unit_dev = np.abs(d.re + 1.0)
-    guard(unit_dev - LINE_TOL, lambda i: InvalidLine(
+    guard(unit_dev - LINE_TOL, lambda i: error(
         f"direction not unit timelike (deviation {unit_dev.flat[i]:.3e} at sample {i})"))
     ortho_dev = np.abs(d.du) / 2.0
     moment_scale = np.maximum(1.0, enorm(a.du))
-    guard(ortho_dev - LINE_TOL * moment_scale, lambda i: InvalidLine(
+    guard(ortho_dev - LINE_TOL * moment_scale, lambda i: error(
         f"moment not orthogonal to direction (deviation {ortho_dev.flat[i]:.3e} at sample {i})"))
     return lcross(a.re, a.du)
 

@@ -65,6 +65,10 @@ class InvalidLine(ValidationError):
     """Dual vector violates the line constraints (unit direction, orthogonal moment)."""
 
 
+class DegenerateLine(DegeneracyError):
+    """A line the program built itself violates the line constraints: digits were lost."""
+
+
 class ParallelLines(DegeneracyError):
     """Dual angle requested between parallel lines; the distance part is undefined."""
 

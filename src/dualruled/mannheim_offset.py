@@ -33,6 +33,7 @@ import numpy as np
 from .dual_algebra import DualScalar, apply_function
 from .dual_lorentz import DualVec3, decode_line_point
 from .errors import (
+    DegenerateLine,
     DegenerateOffsetIndicatrix,
     DegeneratePoint,
     DegenerateWindow,
@@ -196,7 +197,7 @@ def construct_offset(m: RuledSurfaceModel, spec: OffsetSpec) -> OffsetModel:
     s = m.s_grid[w]
     e, t, g, c = m.e[w], m.t[w], m.g[w], m.c[w]
     e1_dual = transfer_dual_director(spec)
-    pts = decode_line_point(e1_dual)
+    pts = decode_line_point(e1_dual, DegenerateLine)
 
     de1 = grid_derivative(s, e1_dual.re)
     guard(linner(de1, de1) <= STALL_FLOOR, lambda i: DegenerateOffsetIndicatrix(

@@ -1,21 +1,33 @@
-"""Deterministic JSON: sorted keys, fixed-width floats, no platform drift.
+"""Deterministic text: canonical JSON reports and the number rows of OBJ meshes.
 
 Reports must be byte-identical across runs and machines, so floats are
 printed in 12-significant-digit scientific notation instead of repr's
 shortest roundtrip (which can differ between libm builds for the same
 value history). Every float is written with the bytes of Python's
 "%.11e" % float(v). Non-finite numbers are rejected outright. A dual
-number is written as the object {"du": ..., "re": ...}, and a 1-D string
-array in one join over its quoted labels.
+number is written as the object {"du": ..., "re": ...}.
 
-A 1-D or 2-D float array goes through a numpy digit kernel, in blocks of
-8192 values: it scales each value to a 12-digit integer mantissa in long
-double, rounds it, and looks up the digit bytes in small tables. A value
-whose rounding the working precision cannot decide (the digits past the
-twelfth, as a fraction of the last digit, lie within 64 * eps * 1e12 of
-one half, exact ties included), or that is out of range after one
-exponent correction, is formatted by Python instead, so the bytes are the
-same where long double is only double.
+Text goes to a sink: `dump_canonical(obj, write)` passes the bytes to
+write(piece) one piece after another, so a caller can stream a report into
+a file, and `dumps_canonical(obj)` is the same emitter into a list, joined.
+Number arrays go in blocks of 8192 values and string arrays in blocks of
+8192 labels, so no array's text is ever whole in memory.
+
+One numpy digit kernel formats every number array, in three modes, each
+with the bytes of a Python %-format:
+- "%.11e", the floats of a 1-D or 2-D JSON array: each value is scaled to a
+  12-digit integer mantissa in long double;
+- "%.9f", OBJ vertex coordinates: each value below 1e8 is scaled by 10**9
+  in long double;
+- "%d", OBJ face indices: integers below 10**8, as they are.
+The kernel rounds the scaled value and looks up the digit bytes in small
+tables, built on first use. A scaled value sc is within eps * sc of its
+exact value, so a value whose rounding the working precision cannot decide
+(the fraction of sc lies within 64 * eps * sc of one half, exact ties
+included), or that is out of the mode's range, is formatted by Python
+instead; the bytes are then the same where long double is only double.
+`write_rows(a, fmt, prefix, write)` writes the rows of a 2-D array as OBJ
+lines "prefix n n n".
 """
 
 from __future__ import annotations
@@ -35,15 +47,9 @@ def _fmt_float(x: float) -> str:
     return f"{x:.11e}"
 
 
-# In the working precision, sc = |v| * 10**(11 - E) is within about eps * 1e12
-# of its exact value (one rounding of a correctly rounded power, one of the
-# product), so trunc(sc) + (frac > 1/2) is the correctly rounded 12-digit
-# mantissa unless frac lies within _BAND_EPS * eps * 1e12 of 1/2 or sc is out
-# of [1e11, 1e12) after one exponent step.
 _WORK = np.longdouble
 _BAND_EPS = 64
 _BLOCK = 8192  # values per pass, which caps the kernel's transient memory
-_WORDS = 5  # a number is 20 bytes, "-d.d|dddd|dddd|dde-|ddd", zero-padded, as 4-byte words
 _E_LO, _E_HI = -330, 310  # decimal exponents of float64 values, with margin
 _P_LO = 11 - _E_HI  # the first power of ten in the table
 
@@ -56,32 +62,51 @@ def _words(texts) -> np.ndarray:
 
 
 @functools.cache
-def _byte_words() -> tuple:
-    """The kernel's words: sign, lead digit, point and next digit; four digits;
-    the last two digits, e and the exponent's sign; the exponent's digits."""
+def _tables() -> dict:
+    """The kernel's words: up to four text bytes each, zero-padded."""
 
     def word(*columns):  # one 4-byte word per row of the byte columns
         return np.stack(np.broadcast_arrays(*columns), axis=-1).astype(np.uint8).view(np.uint32)[..., 0]
 
-    zero, i = ord("0"), np.arange(100)
-    sign = np.array([[0], [ord("-")]])
-    lead = word(sign, zero + i // 10, ord("."), zero + i % 10).ravel()
-    k = np.arange(10000)
-    quad = word(zero + k // 1000, zero + k // 100 % 10, zero + k // 10 % 10, zero + k % 10)
-    last = word(zero + i // 10, zero + i % 10, ord("e"), np.array([[ord("+")], [ord("-")]])).ravel()
+    zero, i, k = ord("0"), np.arange(100), np.arange(10000)
+    digits = (k // 1000, k // 100 % 10, k // 10 % 10, k % 10)
+    quad = word(*(zero + d for d in digits))  # four digits, with leading zeros
+    # k without leading zeros; "0" for 0 in `low`, nothing in `high`
+    plain = word(*(np.where(k >= 10 ** (3 - j), zero + d, 0) for j, d in enumerate(digits[:3])), zero + digits[3])
     e = np.abs(np.arange(_E_LO, _E_HI + 1))
-    two = word(zero + e // 10, zero + e % 10, 0, 0)
-    three = word(zero + e // 100, zero + e // 10 % 10, zero + e % 10, 0)
-    exponent = np.where(e >= 100, three, two)
-    return lead, quad, last, exponent
+    signs = np.array([[ord("+")], [ord("-")]])
+    return {
+        # "%.11e": sign, lead digit, point and next digit; four digits, twice;
+        # the last two digits, e and the exponent's sign; the exponent's digits
+        "lead": word(np.array([[0], [ord("-")]]), zero + i // 10, ord("."), zero + i % 10).ravel(),
+        "quad": quad,
+        "last": word(zero + i // 10, zero + i % 10, ord("e"), signs).ravel(),
+        "exponent": np.where(e >= 100, word(zero + e // 100, zero + e // 10 % 10, zero + e % 10, 0),
+                             word(zero + e // 10, zero + e % 10, 0, 0)),
+        # "%d" and the integer part of "%.9f": minus sign; the high four digits; the low four
+        "minus": word(ord("-"), 0, 0, 0),
+        "high": np.where(k > 0, plain, 0),
+        "low": np.concatenate([quad, plain]),  # quad after a high part, plain without one
+        # the fraction of "%.9f": point and first digit, then two quads
+        "point": word(ord("."), zero + np.arange(10), 0, 0),
+    }
 
 
 @functools.cache
-def _powers(work) -> tuple:
-    """Powers of ten 10**_P_LO, ... in work, and the kernel's rounding band."""
+def _powers(work) -> np.ndarray:
+    """Powers of ten 10**_P_LO, ... in work."""
     # parsed from text, so each power is correctly rounded (inf past the range of work)
-    powers = np.array([f"1e{p}" for p in range(_P_LO, 12 - _E_LO)], dtype=work)
-    return powers, _BAND_EPS * float(np.finfo(work).eps) * 1e12
+    return np.array([f"1e{p}" for p in range(_P_LO, 12 - _E_LO)], dtype=work)
+
+
+def _round(sc: np.ndarray) -> tuple:
+    """Each nonnegative finite sc of the working precision rounded to an integer, and
+    whether the working precision decides that rounding (elsewhere the result is junk)."""
+    with np.errstate(invalid="ignore"):  # inf and nan sc are never decided
+        whole = sc.astype(np.int64)
+    frac = (sc - whole).astype(np.float64)
+    band = _BAND_EPS * float(np.finfo(sc.dtype).eps) * sc.astype(np.float64)
+    return whole + (frac > 0.5), np.abs(frac - 0.5) > band
 
 
 def _decimal(x: np.ndarray) -> tuple:
@@ -90,7 +115,7 @@ def _decimal(x: np.ndarray) -> tuple:
     Where the kernel is certain, "%.11e" % v has the digits of m and the exponent e;
     zeros are certain with m = e = 0. Elsewhere m = e = 0 and v needs Python's formatter.
     """
-    powers, band = _powers(_WORK)
+    powers = _powers(_WORK)
     zero = x == 0
     ax = np.abs(x)
     ax[zero] = 1.0
@@ -102,110 +127,176 @@ def _decimal(x: np.ndarray) -> tuple:
         if step.any():
             e += step
             sc = ax * powers[11 - _P_LO - e]
-        whole = sc.astype(np.int64)
-        frac = (sc - whole).astype(np.float64)
-    decided = (whole >= 10**11) & (whole < 10**12) & (np.abs(frac - 0.5) >= band) & ~zero
-    m = np.where(decided, whole + (frac > 0.5), 0)
+        m, decided = _round(sc)
+        decided &= (sc >= 1e11) & (sc < 1e12) & ~zero
+    m = np.where(decided, m, 0)
     carry = m == 10**12
     m[carry] = 10**11
     return m, np.where(decided, e + carry, 0), decided | zero
 
 
-def _format_block(x: np.ndarray, cells: np.ndarray) -> None:
-    """Write "%.11e" % v for each float64 v of x into the first words of its row of cells."""
-    lead, quad, last, exponent = _byte_words()
+def _scientific(x: np.ndarray) -> tuple:
+    """The "%.11e" words of each float of x, and where they are certain."""
+    x = x.astype(np.float64, copy=False)
+    finite = np.isfinite(x)
+    if not finite.all():
+        _fmt_float(float(x[~finite][0]))  # raises, naming the first non-finite value
+    t = _tables()
     m, e, certain = _decimal(x)
     head, upper, lower = m // 10**10, m // 10**6, m // 100  # floor division by a constant is fast
-    cells[:, 0] = lead[head + 100 * np.signbit(x)]
-    cells[:, 1] = quad[upper - head * 10**4]
-    cells[:, 2] = quad[lower - upper * 10**4]
-    cells[:, 3] = last[m - lower * 100 + 100 * (e < 0)]
-    cells[:, 4] = exponent[e - _E_LO]
-    for i in np.flatnonzero(~certain):
-        text = b"%.11e" % float(x[i])
-        row = cells[i, :_WORDS].view(np.uint8)
-        row[:] = 0
-        row[: len(text)] = list(text)
+    return [t["lead"][head + 100 * np.signbit(x)], t["quad"][upper - head * 10**4],
+            t["quad"][lower - upper * 10**4], t["last"][m - lower * 100 + 100 * (e < 0)],
+            t["exponent"][e - _E_LO]], certain
 
 
-def _emit_float_array(a: np.ndarray, pad: str, inner: str) -> str:
-    """Format a 1-D or 2-D float array with the digit kernel, as the per-item path would."""
-    finite = np.isfinite(a)
-    if not finite.all():
-        _fmt_float(float(a[~finite][0]))  # raises, naming the first non-finite value in C order
+def _integer_words(n: np.ndarray, negative: np.ndarray) -> list:
+    """The words of "%d" for integers 0 <= n < 10**8, with a minus sign where negative."""
+    t = _tables()
+    high = n // 10**4
+    return [np.where(negative, t["minus"], 0), t["high"][high], t["low"][n - high * 10**4 + 10**4 * (high == 0)]]
+
+
+def _integer(x: np.ndarray) -> tuple:
+    """The "%d" words of each integer of x, and where they are certain."""
+    certain = (x > -(10**8)) & (x < 10**8)
+    return _integer_words(np.where(certain, np.abs(x), 0), x < 0), certain
+
+
+def _fixed(x: np.ndarray) -> tuple:
+    """The "%.9f" words of each float of x, and where they are certain."""
+    x = x.astype(np.float64, copy=False)
+    ax = np.abs(x)
+    in_range = ax < 1e8  # not nan or inf
+    ax[~in_range] = 0.0
+    m, decided = _round(ax.astype(_WORK) * 10**9)
+    whole = m // 10**9
+    fraction = m - whole * 10**9
+    top, middle = fraction // 10**8, fraction // 10**4
+    t = _tables()
+    return _integer_words(whole, np.signbit(x)) + [
+        t["point"][top], t["quad"][middle - top * 10**4], t["quad"][fraction - middle * 10**4],
+    ], decided & in_range
+
+
+_MODES = {"%.11e": (_scientific, 5), "%.9f": (_fixed, 6), "%d": (_integer, 3)}
+
+
+def _write_numbers(a: np.ndarray, fmt: str, head: str, seps: tuple, write) -> None:
+    """Write head, then each number of the 2-D array a in fmt followed by its separator:
+    seps[0] within a row, seps[1] after a row, seps[2] after the last number."""
+    words, width = _MODES[fmt]
+    rows, cols = a.shape
+    seps = _words(seps)
+    per = max(_BLOCK // cols, 1)  # whole rows, so every block has one layout
+    cells = np.zeros((min(per, rows) * cols, width + seps.shape[1]), np.uint32)
+    cells[:, width:] = seps[(np.arange(len(cells)) % cols == cols - 1).astype(np.intp)]
+    write(head.encode())
+    for start in range(0, rows, per):
+        x = a[start : start + per].ravel()
+        if start + per >= rows:
+            cells = cells[: x.size]
+            cells[-1, width:] = seps[2]
+        columns, certain = words(x)
+        for j, column in enumerate(columns):
+            cells[:, j] = column
+        uncertain = np.flatnonzero(~certain).tolist()
+        cells[uncertain, :width] = 0
+        text = cells.tobytes()
+        if uncertain:  # Python's text goes where the row's number words were
+            row, at, pieces = cells.shape[1] * 4, 0, []
+            for i in uncertain:
+                pieces += (text[at : i * row], fmt.encode() % x[i].item())
+                at = i * row
+            pieces.append(text[at:])
+            text = b"".join(pieces)
+        write(text.translate(None, b"\0"))
+
+
+def write_rows(a: np.ndarray, fmt: str, prefix: str, write) -> None:
+    """Write each row of the 2-D array a as the line "prefix n n ...", its numbers in fmt
+    ("%.9f" for floats, "%d" for integers), through write(bytes)."""
+    if a.size:
+        _write_numbers(a, fmt, prefix + " ", (" ", "\n" + prefix + " ", "\n"), write)
+
+
+def _emit_float_array(a: np.ndarray, pad: str, inner: str, write) -> None:
+    """Write a 1-D or 2-D float array with the digit kernel, as the per-item path would."""
     if a.ndim == 2:
         cell = inner + "  "
         head = "[\n" + inner + "[\n" + cell
-        seps = [",\n" + cell, "\n" + inner + "],\n" + inner + "[\n" + cell, "\n" + inner + "]\n" + pad + "]"]
-        cols = a.shape[1]
+        seps = (",\n" + cell, "\n" + inner + "],\n" + inner + "[\n" + cell, "\n" + inner + "]\n" + pad + "]")
     else:
         head = "[\n" + inner
-        seps = ["", ",\n" + inner, "\n" + pad + "]"]
-        cols = 1
-    # after each number its separator: within a row, after a row, after the last number
-    seps = _words(seps)
-    flat = a.ravel()
-    block = min(max(_BLOCK // cols, 1) * cols, flat.size)  # whole rows, so every block has one layout
-    cells = np.zeros((block, _WORDS + seps.shape[1]), np.uint32)
-    cells[:, _WORDS:] = seps[(np.arange(block) % cols == cols - 1).astype(np.intp)]
-    parts = [head]
-    for start in range(0, flat.size, block):
-        x = flat[start : start + block].astype(np.float64, copy=False)
-        if start + x.size == flat.size:
-            cells = cells[: x.size]
-            cells[-1, _WORDS:] = seps[2]
-        _format_block(x, cells)
-        parts.append(cells.tobytes().translate(None, b"\0").decode("ascii"))
-    return "".join(parts)
+        seps = ("", ",\n" + inner, "\n" + pad + "]")
+        a = a.reshape(-1, 1)
+    _write_numbers(a, "%.11e", head, seps, write)
 
 
-def _emit_str_array(a: np.ndarray, pad: str, inner: str) -> str:
-    """Format a 1-D string array, quoting each distinct label once."""
-    items = a.tolist()
-    quoted = {x: json.dumps(x) for x in set(items)}
-    return "[\n" + inner + (",\n" + inner).join(map(quoted.__getitem__, items)) + "\n" + pad + "]"
+def _emit_str_array(a: np.ndarray, pad: str, inner: str, write) -> None:
+    """Write a 1-D string array, quoting each distinct label of a block once."""
+    sep = ",\n" + inner
+    write(("[\n" + inner).encode())
+    for start in range(0, a.size, _BLOCK):
+        items = a[start : start + _BLOCK].tolist()
+        quoted = {x: json.dumps(x) for x in set(items)}
+        write(((sep if start else "") + sep.join(map(quoted.__getitem__, items))).encode())
+    write(("\n" + pad + "]").encode())
 
 
-def _emit(obj, indent: int) -> str:
+def _emit(obj, indent: int, write) -> None:
+    """Write obj as canonical JSON at nesting depth indent, through write(bytes)."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, np.ndarray):
         if obj.ndim == 0:
-            return _emit(obj.item(), indent)
+            return _emit(obj.item(), indent, write)
         if obj.dtype.kind == "f" and obj.ndim <= 2 and obj.size > 0:
-            return _emit_float_array(obj, pad, inner)
+            return _emit_float_array(obj, pad, inner, write)
         if obj.dtype.kind == "U" and obj.ndim == 1 and obj.size > 0:
-            return _emit_str_array(obj, pad, inner)
+            return _emit_str_array(obj, pad, inner, write)
     if isinstance(obj, dict):
         if not obj:
-            return "{}"
-        parts = []
-        for key in sorted(obj):
+            return write(b"{}")
+        for n, key in enumerate(sorted(obj)):
             if not isinstance(key, str):
                 raise ValidationError(f"JSON object keys must be strings, got {key!r}")
-            parts.append(f"{inner}{json.dumps(key)}: {_emit(obj[key], indent + 1)}")
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+            write(f"{',' if n else '{'}\n{inner}{json.dumps(key)}: ".encode())
+            _emit(obj[key], indent + 1, write)
+        return write(f"\n{pad}}}".encode())
     if isinstance(obj, (list, tuple, np.ndarray)):
-        items = obj.tolist() if isinstance(obj, np.ndarray) else list(obj)
-        if not items:
-            return "[]"
-        parts = [f"{inner}{_emit(v, indent + 1)}" for v in items]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if obj is None:
-        return "null"
+        items = obj.tolist() if isinstance(obj, np.ndarray) else obj
+        if not len(items):
+            return write(b"[]")
+        for n, v in enumerate(items):
+            write(f"{',' if n else '['}\n{inner}".encode())
+            _emit(v, indent + 1, write)
+        return write(f"\n{pad}]".encode())
     if isinstance(obj, DualScalar):
-        return _emit({"du": obj.du, "re": obj.re}, indent)
-    raise ValidationError(f"cannot serialize {type(obj).__name__} deterministically")
+        return _emit({"du": obj.du, "re": obj.re}, indent, write)
+    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+        text = "true" if obj else "false"
+    elif isinstance(obj, (int, np.integer)):
+        text = str(int(obj))
+    elif isinstance(obj, (float, np.floating)):
+        text = _fmt_float(float(obj))
+    elif isinstance(obj, str):
+        text = json.dumps(obj)
+    elif obj is None:
+        text = "null"
+    else:
+        raise ValidationError(f"cannot serialize {type(obj).__name__} deterministically")
+    write(text.encode())
+
+
+def dump_canonical(obj, write) -> None:
+    """Write a report object as canonical JSON text (with trailing newline) through
+    write(bytes), one piece after another."""
+    _emit(obj, 0, write)
+    write(b"\n")
 
 
 def dumps_canonical(obj) -> str:
     """Render a report object to canonical JSON text (with trailing newline)."""
-    return _emit(obj, 0) + "\n"
+    parts = []
+    dump_canonical(obj, parts.append)
+    return b"".join(parts).decode("ascii")

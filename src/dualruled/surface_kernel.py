@@ -30,6 +30,7 @@ from .dual_algebra import DualScalar, apply_function
 from .dual_lorentz import DualVec3, decode_line_point, dnorm
 from .errors import (
     DegenerateIndicatrix,
+    DegenerateLine,
     FrameDriftExceeded,
     GammaOutOfRange,
     MismatchedInputs,
@@ -324,6 +325,6 @@ def dual_frame_residuals(m: RuledSurfaceModel) -> dict:
 
 def study_residual(m: RuledSurfaceModel) -> float:
     """Max Euclidean distance from decoded ruling points to the model rulings."""
-    q = decode_line_point(_frame_line(m.c, m.e))
+    q = decode_line_point(_frame_line(m.c, m.e), DegenerateLine)
     dist = enorm(np.cross(q - m.c, m.e)) / enorm(m.e)
     return float(np.max(dist))

@@ -188,6 +188,62 @@ def test_no_output_file_after_late_degeneracy(tmp_path, capsys):
     assert not out.exists() and not verify.exists()
 
 
+def _offset_argv(tmp_path, out, verify):
+    return ["offset", "--input", write_cfg(tmp_path, "c.json", constant_cfg(256)), "--c", "3",
+            "--cstar", "0.3", "--s-lo", "1", "--s-hi", "2", "--output", str(out), "--verify", str(verify)]
+
+
+@pytest.mark.parametrize("fault", ["nan", "interrupt"])
+def test_failure_mid_stream_leaves_no_file(tmp_path, capsys, monkeypatch, fault):
+    # the verify report is streamed after the --output file is whole; a NaN in it, or an
+    # interrupt while it is written, removes both temporary files and keeps the old output
+    from dataclasses import replace
+
+    from dualruled import cli
+
+    out, verify = tmp_path / "offset.json", tmp_path / "verify.json"
+    out.write_bytes(b"old bytes\n")
+    real_report, real_dump = cli.consistency_report, cli.dump_canonical
+    listings = []
+
+    def report_with_nan(*args):
+        report = real_report(*args)
+        return replace(report, theta_star=np.append(report.theta_star[:-1], np.nan))
+
+    def dump(obj, write):
+        listings.append(sorted(p.name for p in tmp_path.iterdir()))
+        if fault == "interrupt" and len(listings) == 2:
+            write(b"{\n")
+            raise KeyboardInterrupt
+        real_dump(obj, write)
+
+    monkeypatch.setattr(cli, "consistency_report", report_with_nan)
+    monkeypatch.setattr(cli, "dump_canonical", dump)
+    if fault == "nan":
+        assert main(_offset_argv(tmp_path, out, verify)) == 2
+        assert capsys.readouterr().err == "ValidationError: non-finite value nan in report payload\n"
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            main(_offset_argv(tmp_path, out, verify))
+    tmp_out = [name for name in listings[1] if name.startswith("offset.json.") and name.endswith(".tmp")]
+    assert len(listings) == 2 and len(tmp_out) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "offset.json"]
+    assert out.read_bytes() == b"old bytes\n"
+
+
+def test_lost_digits_in_a_built_line_exit_3(tmp_path, capsys):
+    # near a null Darboux axis the tilted director the program built loses its unit length:
+    # a numeric degeneracy, not bad input
+    cfg = {"name": "near_null", "kind": "constant_invariant",
+           "params": {"gamma": 0.999999999, "delta": 0, "Delta": 0}}
+    out = tmp_path / "offset.json"
+    assert main(["offset", "--input", write_cfg(tmp_path, "n.json", cfg), "--c", "3", "--cstar", "0.3",
+                 "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"DegenerateLine: direction not unit timelike \(deviation \S+ at sample \d+\)\n", err)
+    assert not out.exists()
+
+
 def test_window_past_the_s_range_exit_2(tmp_path, capsys):
     out = tmp_path / "offset.json"
     assert main(["offset", "--input", write_cfg(tmp_path, "c.json", constant_cfg(256)), "--c", "3",

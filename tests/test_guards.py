@@ -22,6 +22,7 @@ from dualruled import (
 )
 from dualruled.errors import (
     DegenerateIndicatrix,
+    DegenerateLine,
     DegenerateOffsetIndicatrix,
     DegeneratePoint,
     DivisionByPureDual,
@@ -120,6 +121,11 @@ GUARDS = {
         lambda: decode_line_point(DualVec3(np.tile([1.0, 0, 0], (3, 1)),
                                            np.array([[0.0, 0, 0], [1e-3, 0, 0], [2e-3, 0, 0]]))),
         InvalidLine, "moment not orthogonal to direction (deviation 2.000e-03 at sample 2)"),
+    "decode_built_line": (  # a line the program built: lost digits, a degeneracy (exit 3)
+        lambda: decode_line_point(DualVec3(np.tile([1.0, 0, 0], (3, 1)),
+                                           np.array([[0.0, 0, 0], [1e-3, 0, 0], [2e-3, 0, 0]])),
+                                  DegenerateLine),
+        DegenerateLine, "moment not orthogonal to direction (deviation 2.000e-03 at sample 2)"),
     "encode_not_timelike": (
         lambda: encode_line(np.array([[1.0, 0, 0], [0.5, 1, 0], [0, 1, 0]]), np.zeros((3, 3))),
         NotTimelike, "line direction sample 1 is not timelike: <d,d> = 7.500e-01 (need < 0)"),

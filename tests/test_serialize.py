@@ -167,3 +167,77 @@ def test_digit_kernel_matches_the_per_item_format(monkeypatch, work):
     rows = values[: 3 * (serialize._BLOCK // 3 + 7)].reshape(-1, 3)  # crosses a block boundary
     for a in (rows, rows[::-1], floats32[: rows.size].reshape(-1, 3)):
         assert dumps_canonical({"x": a}) == dumps_canonical({"x": a.tolist()})
+
+
+def _rows(a, fmt, prefix):
+    parts = []
+    serialize.write_rows(a, fmt, prefix, parts.append)
+    return b"".join(parts).decode("ascii")
+
+
+def _fixed_cases():
+    rng = np.random.default_rng(20261019)
+    lo, hi = np.array([1e-12, 1e6]).view(np.int64)
+    bits = rng.integers(lo, hi, size=60_000).view(np.float64)  # every bit pattern in [1e-12, 1e6]
+    ties = (2 * rng.integers(0, 2**29, size=3000) + 1) / 1024.0  # odd multiples of 2**-10
+    tiny = [-0.0, 0.0, -5e-324, -1e-300, -1e-12, -4.9e-10, -5e-10, -5.1e-10, 4.9e-10, 5e-10]
+    past = [1e8, -1e8, np.nextafter(1e8, 0.0), 123456789.5, 1e15, -1e20, 1.7976931348623157e308,
+            np.nan, np.inf, -np.inf]
+    values = np.concatenate([bits, -bits[::7], ties, -ties, 1 / 1024.0 + np.zeros(1), tiny, past])
+    return values[: values.size // 3 * 3].reshape(-1, 3), ties
+
+
+@pytest.mark.parametrize("work", [np.longdouble, np.float64], ids=["long_double", "double"])
+def test_fixed_and_integer_modes_match_python(monkeypatch, work):
+    # the OBJ modes of the digit kernel, held to "%.9f" and "%d" as CPython prints them
+    monkeypatch.setattr(serialize, "_WORK", work)
+    rows, ties = _fixed_cases()
+    assert rows.size > 5 * serialize._BLOCK
+    assert _rows(rows, "%.9f", "v") == "".join("v %.9f %.9f %.9f\n" % tuple(r) for r in rows.tolist())
+    _, certain = serialize._fixed(ties)
+    assert not certain.any()  # exact ties at the 10th decimal go to Python
+    assert _rows(np.array([[-0.0, -1e-12, -4e-10]]), "%.9f", "v") == "v -0.000000000 -0.000000000 -0.000000000\n"
+    rng = np.random.default_rng(5)
+    ints = np.concatenate([rng.integers(10 ** (d - 1), 10**d, size=3000) for d in range(1, 9)]
+                          + [[0, 9, 10, 9999, 10000, 99999999, 10**8, 10**9, -1, -(10**8), 2**62]])
+    ints = ints[: ints.size // 3 * 3].reshape(-1, 3)
+    assert _rows(ints, "%d", "f") == "".join("f %d %d %d\n" % tuple(r) for r in ints.tolist())
+    assert _rows(np.zeros((0, 3)), "%.9f", "v") == ""
+
+
+def test_obj_mesh_matches_the_percent_template(tmp_path):
+    # the mesh the export wrote before the digit kernel, across a block boundary
+    from dualruled.cli import _write_obj
+
+    rng = np.random.default_rng(11)
+    points, e = rng.normal(scale=30.0, size=(2 * serialize._BLOCK // 9, 3)), rng.normal(size=(2 * serialize._BLOCK // 9, 3))
+    points[:5] = [[0.5 / 1024, -0.0, 1e-12], [-3e-10, 2.5, 1e7], [123.0000000005, -7.0, 0.0],
+                  [1e8, -1e9, 1e-300], [np.pi, -np.e, 1 / 3]]
+    path = tmp_path / "mesh.obj"
+    _write_obj(str(path), points, e, -1.0, 2.0, 5)
+    vs = np.linspace(-1.0, 2.0, 5)
+    verts = (points[:, None, :] + vs[None, :, None] * e[:, None, :]).ravel()
+    a = (np.arange(len(points) - 1)[:, None] * 5 + np.arange(1, 5)).ravel()
+    faces = np.stack([a, a + 5, a + 6, a, a + 6, a + 1], axis=-1).ravel()
+    text = (("v %.9f %.9f %.9f\n" * (len(verts) // 3)) % tuple(verts.tolist())
+            + ("f %d %d %d\nf %d %d %d\n" * len(a)) % tuple(faces.tolist()))
+    assert verts.size > serialize._BLOCK and faces.size > serialize._BLOCK
+    assert path.read_bytes() == text.encode()
+
+
+def test_streaming_a_report_holds_no_array_text(tmp_path):
+    # a 2**17 x 3 float array is 9 MB of text; the stream holds one block of it at a time
+    import tracemalloc
+
+    payload = {"x": np.random.default_rng(3).normal(size=(2**17, 3)), "y": np.arange(5.0)}
+    serialize._tables(), serialize._powers(serialize._WORK)  # the lazy tables are not the stream's
+    path = tmp_path / "x.json"
+    tracemalloc.start()
+    try:
+        with open(path, "wb") as fh:
+            serialize.dump_canonical(payload, fh.write)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert path.read_text() == dumps_canonical(payload)
