@@ -1,10 +1,15 @@
-"""Built-in sample surfaces used by tests and the CLI fixture kinds."""
+"""Built-in sample surfaces used by tests and the CLI fixture kinds.
+
+Each synthesized curve is stacked as 3 rows and transposed, so its values
+are column-major like every N x 3 field of the kernel, and every curve is
+checked by `require_squarable` before it is used.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .numerics import SampledCurve
+from .numerics import SampledCurve, require_squarable
 
 
 def hyperbola_curves(s_range=(0.0, 2.0), samples: int = 1024):
@@ -15,9 +20,11 @@ def hyperbola_curves(s_range=(0.0, 2.0), samples: int = 1024):
     """
     u = np.linspace(float(s_range[0]), float(s_range[1]), samples)
     zeros = np.zeros_like(u)
-    director = SampledCurve(u, np.stack([np.cosh(u), np.sinh(u), zeros], axis=-1))
-    base = SampledCurve(u, np.stack([zeros, zeros, u], axis=-1))
-    return director, base
+    with np.errstate(over="ignore"):  # require_squarable names the sample
+        director = np.stack([np.cosh(u), np.sinh(u), zeros]).T
+    base = np.stack([zeros, zeros, u]).T
+    require_squarable("planar_hyperbola", director=director, base=base)
+    return SampledCurve(u, director), SampledCurve(u, base)
 
 
 def cone_curves(apex=(1.0, 2.0, 3.0), s_range=(0.0, 2.0), samples: int = 1024,
@@ -25,8 +32,8 @@ def cone_curves(apex=(1.0, 2.0, 3.0), s_range=(0.0, 2.0), samples: int = 1024,
     """All rulings through one fixed apex point (delta = Delta = 0)."""
     u = np.linspace(float(s_range[0]), float(s_range[1]), samples)
     if director_values is None:
-        zeros = np.zeros_like(u)
-        director_values = np.stack([np.cosh(u), np.sinh(u), zeros], axis=-1)
-    director = SampledCurve(u, director_values)
-    base = SampledCurve(u, np.tile(np.asarray(apex, dtype=float), (samples, 1)))
-    return director, base
+        with np.errstate(over="ignore"):  # require_squarable names the sample
+            director_values = np.stack([np.cosh(u), np.sinh(u), np.zeros_like(u)]).T
+    base = np.tile(np.asarray(apex, dtype=float)[:, None], samples).T
+    require_squarable("cone", director=director_values, base=base)
+    return SampledCurve(u, director_values), SampledCurve(u, base)

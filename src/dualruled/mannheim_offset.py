@@ -211,8 +211,10 @@ def construct_offset(m: RuledSurfaceModel, spec: OffsetSpec) -> OffsetModel:
     back = slice(None, None, orient)
     fields = _darboux_fields(orient * s[back], e1_dual.re[back], pts[back])
 
-    t1, g1, c1, gamma1, delta1, Delta1, s1_grid, sigma1 = (
-        fields[k][back] for k in ("t", "g", "c", "gamma", "delta", "Delta", "s", "sigma"))
+    # back to the window's order; a reversed N x 3 field is copied column-major again
+    t1, g1, c1 = (np.asfortranarray(fields[k][back]) for k in ("t", "g", "c"))
+    gamma1, delta1, Delta1, s1_grid, sigma1 = (
+        fields[k][back] for k in ("gamma", "delta", "Delta", "s", "sigma"))
     gamma1_bar, R1, C1, S1, branch1 = _curvature_elements(gamma1, delta1, Delta1)
 
     v = c1 - c

@@ -2,6 +2,12 @@
 
 Vectors are numpy arrays whose last axis has length 3; every function
 broadcasts over leading axes. Index 0 is the timelike coordinate.
+
+Layout: the kernel stores every N x 3 field column-major (Fortran order),
+so each of the three components is one contiguous length-N vector and the
+per-component products here run over contiguous memory. The functions
+accept either layout and give the same bits for both; the one array they
+allocate, the result of `lcross`, is column-major.
 """
 
 from __future__ import annotations
@@ -24,9 +30,9 @@ def lcross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), order="F")
     # each column is written in place; one scratch buffer takes the subtrahends
-    sub = np.empty(out.shape[:-1])
+    sub = np.empty(out.shape[:-1], order="F")
     for k, (p, q) in enumerate(((1, 2), (0, 2), (1, 0))):
         np.multiply(a[..., p], b[..., q], out=out[..., k])
         np.multiply(a[..., q], b[..., p], out=sub)

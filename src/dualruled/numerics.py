@@ -17,6 +17,13 @@ The stencils and the resampler write into their output buffer in place but
 keep the operation order of the plain expressions, so every result is bit
 for bit what those expressions give.
 
+Layout: N x k fields are stored column-major (Fortran order), so each
+component is one contiguous length-N vector; the surface kernel converts
+its inputs once where they enter. Every function here accepts either
+layout, and what it allocates follows the kernel's: the stencil and
+quadrature buffers take the layout of their input, and the resampler and
+`slopes` return column-major arrays, gathering one component at a time.
+
 Quadrature note: the cumulative Simpson rule seeds odd-index values with a
 single trapezoid over the first interval. That leaves an O(h^3 f''(x0))
 constant on odd samples which interior difference stencils cancel exactly
@@ -31,10 +38,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import GridTooCoarse, NonUniformGrid, ValidationError
+from .errors import GridTooCoarse, NonUniformGrid, ValidationError, guard
 
 MIN_SAMPLES = 9
-MAX_SAMPLES = 2**20  # ~3 GB peak in analyze, extrapolated from 392 MB at 2**17
+MAX_SAMPLES = 2**20  # analyze peaks at 715 MB RSS at this size (measured; see README)
+ENTRY_LIMIT = float(np.sqrt(np.finfo(float).max))  # the largest entry whose square is finite
 
 
 @dataclass(frozen=True)
@@ -59,6 +67,17 @@ class SampledCurve:
             raise ValidationError("non-finite sample data")
         if np.any(np.diff(params) <= 0):
             raise ValidationError("params must be strictly increasing")
+
+
+def require_squarable(kind: str, **fields: np.ndarray) -> None:
+    """Raise ValidationError at the first sample of an N x 3 field of a `kind` fixture
+    with an entry that is not finite or whose square overflows. Every Lorentz product
+    squares the entries, so such a field is unusable; the message names the field."""
+    for name, values in fields.items():
+        big = np.max(np.abs(values), axis=-1)
+        guard(~(big <= ENTRY_LIMIT), lambda i: ValidationError(
+            f"{kind} field {name} is out of range at sample {i}: |entry| = {big.flat[i]:.3e} "
+            f"exceeds {ENTRY_LIMIT:.3e}, the largest whose square is finite"))
 
 
 def is_uniform(x: np.ndarray) -> bool:
@@ -128,13 +147,13 @@ def slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise GridTooCoarse(f"need at least 5 samples for slopes, got {len(x)}")
     idx = np.clip(np.arange(len(x)) - 2, 0, len(x) - 5)[:, None] + np.arange(5)
     r = x[:, None] - x[idx]
-    out = np.zeros_like(y)
+    out = np.zeros(y.shape, order="F")
     for j in range(5):
         others = [k for k in range(5) if k != j]
         # L_j'(x) = sum_l prod_{k != j, l} (x - x_k) / prod_{k != j} (x_j - x_k)
         num = sum(np.prod(r[:, [k for k in others if k != l]], axis=1) for l in others)
         w = num / np.prod(r[:, others] - r[:, [j]], axis=1)
-        out += w.reshape((-1,) + (1,) * (y.ndim - 1)) * y[idx[:, j]]
+        out += w.reshape((-1,) + (1,) * (y.ndim - 1)) * np.take(y.T, idx[:, j], axis=-1).T
     return out
 
 
@@ -156,13 +175,16 @@ def hermite(x: np.ndarray, xq: np.ndarray) -> Callable[[np.ndarray, np.ndarray],
         y = np.asarray(y, dtype=float)
         dy = np.asarray(dy, dtype=float)
         shape = (-1,) + (1,) * (y.ndim - 1)
-        # ((w00 y_i + w10 dy_i) + w01 y_j) + w11 dy_j, one term at a time; i and j
-        # are in range, and mode="clip" lets take write into `term` unbuffered
-        out = np.take(y, i, axis=0)
+        # ((w00 y_i + w10 dy_i) + w01 y_j) + w11 dy_j, one term at a time. Each
+        # gather runs along the last axis of the transposed views, one component
+        # into one contiguous column; i and j are in range, and mode="clip" lets
+        # take write into the column-major buffers unbuffered
+        out = np.empty(i.shape + y.shape[1:], order="F")
+        np.take(y.T, i, axis=-1, out=out.T, mode="clip")
         out *= weights[0].reshape(shape)
         term = np.empty_like(out)
         for v, k, w in zip((dy, y, dy), (i, j, j), weights[1:]):
-            np.take(v, k, axis=0, out=term, mode="clip")
+            np.take(v.T, k, axis=-1, out=term.T, mode="clip")
             term *= w.reshape(shape)
             out += term
         return out

@@ -39,7 +39,7 @@ from .errors import (
     guard,
 )
 from .minkowski3 import det3, enorm, lcross, linner
-from .numerics import SampledCurve, grid_derivative, hermite, integrate_cumulative
+from .numerics import SampledCurve, grid_derivative, hermite, integrate_cumulative, require_squarable
 
 TIMELIKE_AXIS = "TimelikeAxis"
 SPACELIKE_AXIS = "SpacelikeAxis"
@@ -91,9 +91,12 @@ def _darboux_fields(u: np.ndarray, e_raw: np.ndarray, p_raw: np.ndarray) -> dict
     """Frame and invariants per input sample, derivatives via chain rule.
 
     All fields are indexed by the input grid; 'sigma' is the indicatrix
-    speed |de/du| and 's' the running arc length (origin u[0]).
+    speed |de/du| and 's' the running arc length (origin u[0]). The two
+    input curves are copied column-major here unless they already are, so
+    every N x 3 field downstream is too (numpy's elementwise operations keep
+    their operands' layout).
     """
-    e = _renormalize_director(np.asarray(e_raw, dtype=float))
+    e = _renormalize_director(np.asfortranarray(e_raw, dtype=float))
     de = grid_derivative(u, e)
     sig2 = linner(de, de)
 
@@ -110,9 +113,10 @@ def _darboux_fields(u: np.ndarray, e_raw: np.ndarray, p_raw: np.ndarray) -> dict
     guard(np.abs(et) - DRIFT_TOL, lambda i: FrameDriftExceeded(
         f"<e,t> = {et[i]:.3e} at sample {i} exceeds {DRIFT_TOL:.0e}"))
     g = -lcross(e, t)
-    dp = grid_derivative(u, np.asarray(p_raw, dtype=float))
+    p = np.asfortranarray(p_raw, dtype=float)
+    dp = grid_derivative(u, p)
     lam = -linner(dp, de) / sig2
-    c = p_raw + lam[:, None] * e
+    c = p + lam[:, None] * e
     dt_ds = grid_derivative(u, t) / sigma[:, None]
     gamma = linner(dt_ds, g)
     dc_ds = grid_derivative(u, c) / sigma[:, None]
@@ -194,13 +198,16 @@ def synth_constant_invariant(gamma0: float, delta0: float, Delta0: float,
     s = np.linspace(float(s_range[0]), float(s_range[1]), samples)
     zeros = np.zeros_like(s)
     ones = np.ones_like(s)
-    e = np.stack([A * np.cosh(k * s), A * np.sinh(k * s), B * ones], axis=-1)
-    t = np.stack([np.sinh(k * s), np.cosh(k * s), zeros], axis=-1)
-    g = np.stack([B * np.cosh(k * s), B * np.sinh(k * s), A * ones], axis=-1)
-    alpha = -delta0 * A + Delta0 * B
-    beta = -delta0 * B + Delta0 * A
-    c = (alpha / k) * np.stack([np.sinh(k * s), np.cosh(k * s) - 1.0, zeros], axis=-1) \
-        + beta * np.stack([zeros, zeros, s], axis=-1)
+    # each field is stacked as 3 rows and transposed: column-major, like every field
+    with np.errstate(over="ignore", invalid="ignore"):  # require_squarable names the sample
+        ch, sh = np.cosh(k * s), np.sinh(k * s)
+        e = np.stack([A * ch, A * sh, B * ones]).T
+        t = np.stack([sh, ch, zeros]).T
+        g = np.stack([B * ch, B * sh, A * ones]).T
+        alpha = -delta0 * A + Delta0 * B
+        beta = -delta0 * B + Delta0 * A
+        c = (alpha / k) * np.stack([sh, ch - 1.0, zeros]).T + beta * np.stack([zeros, zeros, s]).T
+    require_squarable("constant_invariant", e=e, t=t, g=g, c=c)
     return RuledSurfaceModel(
         s_grid=s, e=e, t=t, g=g, c=c,
         gamma=np.full_like(s, gamma0), delta=np.full_like(s, delta0),
@@ -326,5 +333,7 @@ def dual_frame_residuals(m: RuledSurfaceModel) -> dict:
 def study_residual(m: RuledSurfaceModel) -> float:
     """Max Euclidean distance from decoded ruling points to the model rulings."""
     q = decode_line_point(_frame_line(m.c, m.e), DegenerateLine)
-    dist = enorm(np.cross(q - m.c, m.e)) / enorm(m.e)
+    # lcross is the Euclidean cross product with two components negated, which
+    # its Euclidean length does not see
+    dist = enorm(lcross(q - m.c, m.e)) / enorm(m.e)
     return float(np.max(dist))

@@ -33,13 +33,12 @@ def cone_surface():
     return build_surface(*cone_curves(APEX, (0.0, 2.0), 1024))
 
 
-@pytest.fixture(scope="session")
-def constant_family():
-    """Closed-form director e(s) and striction curve c(s) of the (0.5, 0.3, 0.2)
-    constant-invariant family at arbitrary arc lengths s (any grid)."""
-    A = 1.0 / np.sqrt(0.75)
-    B, k = -0.5 * A, 1.0 / A
-    alpha, beta = -0.3 * A + 0.2 * B, -0.3 * B + 0.2 * A
+def family(gamma0, delta0, Delta0):
+    """Closed-form director e(s) and striction curve c(s) of the constant-invariant
+    family (gamma0, delta0, Delta0), |gamma0| < 1, at arbitrary arc lengths s."""
+    A = 1.0 / np.sqrt(1.0 - gamma0 * gamma0)
+    B, k = -gamma0 * A, 1.0 / A
+    alpha, beta = -delta0 * A + Delta0 * B, -delta0 * B + Delta0 * A
 
     def sample(s):
         ch, sh, zeros = np.cosh(k * s), np.sinh(k * s), np.zeros_like(s)
@@ -48,6 +47,55 @@ def constant_family():
         return e, c
 
     return sample
+
+
+@pytest.fixture(scope="session")
+def constant_family():
+    """The (0.5, 0.3, 0.2) family at any grid of arc lengths s."""
+    return family(0.5, 0.3, 0.2)
+
+
+def lorentz_map(zeta, a, b):
+    """Rotation by b about the timelike axis, then a boost of rapidity zeta along
+    x1, then a rotation by a: proper and orthochronous in signature (-, +, +)."""
+    def rot(angle):
+        m = np.eye(3)
+        m[1:, 1:] = [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
+        return m
+
+    boost = np.eye(3)
+    boost[:2, :2] = [[np.cosh(zeta), np.sinh(zeta)], [np.sinh(zeta), np.cosh(zeta)]]
+    return rot(a) @ boost @ rot(b)
+
+
+class Disguise:
+    """A member of the constant-invariant family as a user would sample it: moved
+    by a proper orthochronous Lorentz map L and a translation b, traversed in a
+    parameter u with ds/du = 1 + 0.3 sin(2.2 u + 0.5), the director rescaled by
+    exp(0.3 sin(1.3 u + 0.2)), and the base curve moved off the striction curve
+    along the ruling by 0.1 + 0.35 sin(0.9 u + 1.1)."""
+
+    gamma0, delta0, Delta0 = 0.45, 0.25, 0.3
+    L = lorentz_map(0.6, 0.7, 2.1)
+    b = np.array([0.8, -1.3, 0.4])
+    u_end = 2.0
+
+    def s(self, u):
+        return u + (0.3 / 2.2) * (np.cos(0.5) - np.cos(2.2 * u + 0.5))
+
+    def sample(self, n):
+        """Grid u (n,), director (n, 3) and base (n, 3): the raw samples."""
+        u = np.linspace(0.0, self.u_end, n)
+        e, c = family(self.gamma0, self.delta0, self.Delta0)(self.s(u))
+        e, c = e @ self.L.T, c @ self.L.T + self.b
+        rho = np.exp(0.3 * np.sin(1.3 * u + 0.2))
+        lam = 0.1 + 0.35 * np.sin(0.9 * u + 1.1)
+        return u, rho[:, None] * e, c + lam[:, None] * e
+
+
+@pytest.fixture(scope="session")
+def disguise():
+    return Disguise()
 
 
 @pytest.fixture(scope="session")

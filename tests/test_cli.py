@@ -154,8 +154,8 @@ def test_build_model_param_errors():
     ({"name": "x", "kind": "sampled",
       "params": {"u": [0.0, 1.0, 2.0], "director": 5, "base": [[0.0, 0.0, 0.0]] * 3}}, "ConfigError"),
     ({"name": "x", "kind": "sampled", "params": {"u": [], "director": [], "base": []}}, "ConfigError"),
-    # cosh(520) is finite but its square overflows
-    ({**constant_cfg(), "s_range": [0, 600]}, "FloatingPointError"),
+    # cosh(520) is finite but its square overflows: refused where the field is made
+    ({**constant_cfg(), "s_range": [0, 600]}, "ValidationError"),
     # a number slot refuses JSON strings and booleans, which float() and numpy would read
     ({**planar_cfg(), "s_range": "12"}, "ConfigError"),
     ({**planar_cfg(), "samples": "64"}, "ConfigError"),
@@ -174,6 +174,25 @@ def test_malformed_config_values_exit_2(tmp_path, capsys, data, error):
     err = capsys.readouterr().err
     assert err.startswith(f"{error}: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("data,field,sample", [
+    # A cosh(0.866 s) is finite, but from s = 410 its square overflows
+    ({**constant_cfg(), "s_range": [0, 600]}, "constant_invariant field e", 87),
+    # cosh(s) itself overflows from s = 710.5; its square from s = 355.4
+    ({**planar_cfg(), "s_range": [0, 800]}, "planar_hyperbola field director", 57),
+], ids=["constant_invariant", "planar_hyperbola"])
+@pytest.mark.parametrize("command", ["analyze", "offset", "export"])
+def test_overflowing_synthesized_field_exit_2(tmp_path, capsys, data, field, sample, command):
+    out = tmp_path / "r.out"
+    flags = {"analyze": [], "offset": ["--c", "3", "--cstar", "0.3"],
+             "export": ["--v-min", "-1", "--v-max", "1", "--v-samples", "3"]}[command]
+    assert main([command, "--input", write_cfg(tmp_path, "big.json", data), *flags,
+                 "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"ValidationError: {field} is out of range at sample {sample}: ")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [tmp_path / "big.json"]
 
 
 def test_no_output_file_after_late_degeneracy(tmp_path, capsys):
