@@ -59,11 +59,16 @@ def dinner(a: DualVec3, b: DualVec3) -> DualScalar:
     return DualScalar(linner(a.re, b.re), linner(a.re, b.du) + linner(a.du, b.re))
 
 
-def dnorm(a: DualVec3) -> DualScalar:
-    """Dual norm (||re||, <re, du>/||re||). Undefined for null directions."""
+def dnorm(a: DualVec3, start: int = 0) -> DualScalar:
+    """Dual norm (||re||, <re, du>/||re||). Undefined for null directions.
+
+    `start` is the number of a's first sample in the caller's numbering, for
+    a caller that passes one row block of a longer field; the error names
+    the sample by that numbering.
+    """
     d = dinner(a, a)  # (<re, re>, 2 <re, du>)
     null = np.abs(d.re) <= 1e-9 * np.maximum(1.0, np.sum(a.re * a.re, axis=-1))
-    guard(null, lambda i: NullDirection(f"null direction at sample {i}; dual norm undefined"))
+    guard(null, lambda i: NullDirection(f"null direction at sample {start + i}; dual norm undefined"))
     n = np.sqrt(np.abs(d.re))
     return DualScalar(n, d.du / (2.0 * n))
 

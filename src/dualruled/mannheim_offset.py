@@ -43,7 +43,14 @@ from .errors import (
     guard,
 )
 from .minkowski3 import enorm, lcross, linner
-from .numerics import MIN_SAMPLES, grid_derivative, integrate_cumulative
+from .numerics import (
+    MIN_SAMPLES,
+    grid_derivative,
+    grid_step,
+    integrate_cumulative,
+    require_squarable,
+    stencil_rows,
+)
 from .surface_kernel import (
     DEVELOPABLE_TOL,
     STALL_FLOOR,
@@ -154,8 +161,11 @@ def offset_angle_profile(m: RuledSurfaceModel, c_const: float, cstar_const: floa
     w = slice(lo_i, hi_i)
     s, theta = s_full[w], theta_full[w]
     # theta = 0 anywhere in the window kills the offset: catch samples inside
-    # the guard band and sign changes that straddle the zero between samples
-    small = np.abs(np.sinh(theta)) <= SINH_GUARD
+    # the guard band and sign changes that straddle the zero between samples.
+    # A sinh that overflows is far from the band; transfer_dual_director
+    # refuses the director it would tilt to
+    with np.errstate(over="ignore"):
+        small = np.abs(np.sinh(theta)) <= SINH_GUARD
     crosses = (theta.min() < -SINH_GUARD) and (theta.max() > SINH_GUARD)
     if np.any(small) or crosses:
         idx = int(np.argmin(np.abs(theta)))
@@ -170,13 +180,21 @@ def offset_angle_profile(m: RuledSurfaceModel, c_const: float, cstar_const: floa
 
 
 def transfer_dual_director(spec: OffsetSpec) -> DualVec3:
-    """Tilt the base ruling lines by the dual angle: e1 = cosh(tb) e + sinh(tb) t."""
+    """Tilt the base ruling lines by the dual angle: e1 = cosh(tb) e + sinh(tb) t.
+
+    Raises ValidationError at the first window sample where a large |theta|
+    gives the tilted director an entry whose square is not finite.
+    """
     m, w = spec.source_model, spec.window
     e_d, t_d = (_frame_line(m.c[w], x[w]) for x in (m.e, m.t))
     theta_bar = DualScalar(spec.theta, spec.theta_star)
-    ch = apply_function("cosh", theta_bar)
-    sh = apply_function("sinh", theta_bar)
-    return ch * e_d + sh * t_d
+    # an overflowing cosh or sinh leaves inf or nan entries, which require_squarable names
+    with np.errstate(over="ignore", invalid="ignore"):
+        ch = apply_function("cosh", theta_bar)
+        sh = apply_function("sinh", theta_bar)
+        e1 = ch * e_d + sh * t_d
+    require_squarable("offset", director=e1.re)
+    return e1
 
 
 def _distance_up_to_sign(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -199,7 +217,8 @@ def construct_offset(m: RuledSurfaceModel, spec: OffsetSpec) -> OffsetModel:
     e1_dual = transfer_dual_director(spec)
     pts = decode_line_point(e1_dual, DegenerateLine)
 
-    de1 = grid_derivative(s, e1_dual.re)
+    h = grid_step(s)
+    de1 = stencil_rows(e1_dual.re, h)
     guard(linner(de1, de1) <= STALL_FLOOR, lambda i: DegenerateOffsetIndicatrix(
         f"gamma = {m.gamma[w][i]:.3e}, sinh(theta) = {np.sinh(spec.theta[i]):.3e} "
         f"at s = {s[i]:.6g}: offset indicatrix speed |gamma*sinh(theta)| vanishes"))
@@ -209,7 +228,8 @@ def construct_offset(m: RuledSurfaceModel, spec: OffsetSpec) -> OffsetModel:
     drive = m.gamma[w] * np.sinh(spec.theta)
     orient = -1 if drive[mid] > 0 else 1
     back = slice(None, None, orient)
-    fields = _darboux_fields(orient * s[back], e1_dual.re[back], pts[back])
+    # the reflected grid -s[::-1] has the bits of the step of s
+    fields = _darboux_fields(orient * s[back], e1_dual.re[back], pts[back], h)
 
     # back to the window's order; a reversed N x 3 field is copied column-major again
     t1, g1, c1 = (np.asfortranarray(fields[k][back]) for k in ("t", "g", "c"))

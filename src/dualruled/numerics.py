@@ -7,6 +7,15 @@ five-point central stencils inside, one-sided stencils of matching order on
 the two samples at each end, so the derivative lives on the same grid as the
 data.
 
+Each grid is checked once: `grid_step(x)` runs the uniformity rule and
+returns the step, and the two kernels take that step, `stencil_rows(y, h,
+a, b)` for rows a:b of the derivative and `cumulative_simpson(f, h)` for
+the quadrature. `grid_derivative(x, y)` and `integrate_cumulative(x, f)`
+are the checked one-call forms. `stencil_rows` is the one stencil
+implementation: a caller that works in row blocks (the residual checks of
+the surface kernel) asks it for one block at a time, and the blocks put
+together are bit for bit the whole-grid derivative.
+
 Resampling is one cubic Hermite evaluator, `hermite(x, xq)`. It finds the
 intervals and the four basis weights of one map x -> xq once and returns a
 resampler that applies them to any number of fields, each with its slopes:
@@ -70,14 +79,23 @@ class SampledCurve:
 
 
 def require_squarable(kind: str, **fields: np.ndarray) -> None:
-    """Raise ValidationError at the first sample of an N x 3 field of a `kind` fixture
-    with an entry that is not finite or whose square overflows. Every Lorentz product
-    squares the entries, so such a field is unusable; the message names the field."""
+    """Raise ValidationError at the first sample of an N x 3 field with an entry that
+    is not finite or whose square overflows. Every Lorentz product squares the
+    entries, so such a field is unusable; the message names the field as `kind`
+    (a fixture, sampled input, the offset) and the keyword."""
     for name, values in fields.items():
-        big = np.max(np.abs(values), axis=-1)
-        guard(~(big <= ENTRY_LIMIT), lambda i: ValidationError(
-            f"{kind} field {name} is out of range at sample {i}: |entry| = {big.flat[i]:.3e} "
-            f"exceeds {ENTRY_LIMIT:.3e}, the largest whose square is finite"))
+        # the largest |entry| per sample, a column at a time (a NaN stays NaN): a
+        # reduction over a last axis of 3 is ~20x slower on row-major input
+        big = np.abs(values[..., 0])
+        for k in (1, 2):
+            np.maximum(big, np.abs(values[..., k]), out=big)
+
+        def error(i):
+            what = "an entry is nan" if np.isnan(big.flat[i]) else (
+                f"|entry| = {big.flat[i]:.3e} exceeds {ENTRY_LIMIT:.3e}, the largest whose square is finite")
+            return ValidationError(f"{kind} field {name} is out of range at sample {i}: {what}")
+
+        guard(~(big <= ENTRY_LIMIT), error)
 
 
 def is_uniform(x: np.ndarray) -> bool:
@@ -89,7 +107,11 @@ def is_uniform(x: np.ndarray) -> bool:
     return not np.any(np.abs(np.diff(x) - h) > tol)
 
 
-def _uniform_step(x: np.ndarray) -> float:
+def grid_step(x: np.ndarray) -> float:
+    """The step of a uniform grid x of at least MIN_SAMPLES points: the one check
+    a caller runs per grid before handing the step to the kernels below."""
+    if len(x) < MIN_SAMPLES:
+        raise GridTooCoarse(f"need at least {MIN_SAMPLES} samples, got {len(x)}")
     if not is_uniform(x):
         raise NonUniformGrid("grid spacing varies beyond 1e-12 relative; resample first")
     return (x[-1] - x[0]) / (len(x) - 1)
@@ -104,19 +126,41 @@ def grid_derivative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     n = y.shape[0]
     if n < MIN_SAMPLES:
         raise GridTooCoarse(f"need at least {MIN_SAMPLES} samples, got {n}")
-    h = _uniform_step(x)
-    out = np.empty_like(y)
-    # (y0 - 8 y1 + 8 y3 - y4) / 12h, evaluated left to right in out[2:-2]
-    mid = out[2:-2]
-    np.multiply(y[1:-3], 8, out=mid)
-    np.subtract(y[:-4], mid, out=mid)
-    mid += 8 * y[3:-1]
-    mid -= y[4:]
-    mid /= 12 * h
-    out[0] = (-25 * y[0] + 48 * y[1] - 36 * y[2] + 16 * y[3] - 3 * y[4]) / (12 * h)
-    out[1] = (-3 * y[0] - 10 * y[1] + 18 * y[2] - 6 * y[3] + y[4]) / (12 * h)
-    out[-1] = (25 * y[-1] - 48 * y[-2] + 36 * y[-3] - 16 * y[-4] + 3 * y[-5]) / (12 * h)
-    out[-2] = (3 * y[-1] + 10 * y[-2] - 18 * y[-3] + 6 * y[-4] - y[-5]) / (12 * h)
+    return stencil_rows(y, grid_step(x))
+
+
+def stencil_rows(y: np.ndarray, h: float, a: int = 0, b: int | None = None) -> np.ndarray:
+    """Rows a:b of the derivative of samples y (along axis 0) at grid step h.
+
+    Interior rows read y[a-2:b+2]; the one-sided stencils go to rows 0, 1,
+    n-2 and n-1 of y only, and read the five samples at their end. So y may
+    be a window of a longer grid: rows a:b are then window rows, and the
+    window must hold the two samples on each side of them that the grid
+    has, and the five samples at an end of the grid that they reach. Every
+    row gets the bits it gets in the whole-grid derivative.
+    """
+    y = np.asarray(y, dtype=float)
+    n = y.shape[0]
+    b = n if b is None else b
+    out = np.empty_like(y[a:b])
+    lo, hi = max(a, 2), min(b, n - 2)
+    if lo < hi:
+        # (y0 - 8 y1 + 8 y3 - y4) / 12h, evaluated left to right in place
+        mid = out[lo - a:hi - a]
+        np.multiply(y[lo - 1:hi - 1], 8, out=mid)
+        np.subtract(y[lo - 2:hi - 2], mid, out=mid)
+        mid += 8 * y[lo + 1:hi + 1]
+        mid -= y[lo + 2:hi + 2]
+        mid /= 12 * h
+    ends = {
+        0: lambda: (-25 * y[0] + 48 * y[1] - 36 * y[2] + 16 * y[3] - 3 * y[4]) / (12 * h),
+        1: lambda: (-3 * y[0] - 10 * y[1] + 18 * y[2] - 6 * y[3] + y[4]) / (12 * h),
+        n - 2: lambda: (3 * y[-1] + 10 * y[-2] - 18 * y[-3] + 6 * y[-4] - y[-5]) / (12 * h),
+        n - 1: lambda: (25 * y[-1] - 48 * y[-2] + 36 * y[-3] - 16 * y[-4] + 3 * y[-5]) / (12 * h),
+    }
+    for i, row in ends.items():
+        if a <= i < b:
+            out[i - a] = row()
     return out
 
 
@@ -129,7 +173,12 @@ def integrate_cumulative(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if f.shape[0] < MIN_SAMPLES:
         raise GridTooCoarse(f"need at least {MIN_SAMPLES} samples, got {f.shape[0]}")
-    h = _uniform_step(x)
+    return cumulative_simpson(f, grid_step(x))
+
+
+def cumulative_simpson(f: np.ndarray, h: float) -> np.ndarray:
+    """The quadrature of `integrate_cumulative` at grid step h."""
+    f = np.asarray(f, dtype=float)
     out = np.zeros_like(f)
     out[1] = h * (f[0] + f[1]) / 2.0
     panels = h / 3.0 * (f[:-2] + 4.0 * f[1:-1] + f[2:])

@@ -18,6 +18,18 @@ The resampler is cubic Hermite whose slopes are the frame equations
 themselves, so a resampled model obeys its own ODEs to 4th order:
 re-differentiating its fields on its own grid gives residuals that fall
 about 16x per 4x samples until rounding takes over.
+
+Each grid is checked once: the step comes from `numerics.grid_step`, and
+every derivative from the one stencil kernel, `numerics.stencil_rows`. The
+residual checks (`frame_residuals`, `dual_frame_residuals`) run in row
+blocks of at most ROW_BLOCK samples, split evenly, so a model of up to
+ROW_BLOCK samples is one block. A block asks the kernel for its own rows,
+and the dual check builds its frame lines (x, c x x) only on the block and
+the two rows on each side that its stencils read. Every per-sample value
+is the one the whole-array expression gives, and the per-block maxima
+combine exactly, so each returned value is the whole-array maximum bit for
+bit. The blocks keep every temporary small enough for the allocator to
+reuse it, instead of faulting tens of MB of fresh pages in per call.
 """
 
 from __future__ import annotations
@@ -39,7 +51,15 @@ from .errors import (
     guard,
 )
 from .minkowski3 import det3, enorm, lcross, linner
-from .numerics import SampledCurve, grid_derivative, hermite, integrate_cumulative, require_squarable
+from .numerics import (
+    SampledCurve,
+    cumulative_simpson,
+    grid_step,
+    hermite,
+    integrate_cumulative,
+    require_squarable,
+    stencil_rows,
+)
 
 TIMELIKE_AXIS = "TimelikeAxis"
 SPACELIKE_AXIS = "SpacelikeAxis"
@@ -48,6 +68,7 @@ NULL_AXIS_GUARD = 1e-6
 DRIFT_TOL = 1e-4
 DEVELOPABLE_TOL = 1e-6  # |Delta| (or |delta|) at or below this counts as zero
 STALL_FLOOR = 1e-16  # <e',e'> at or below this: the indicatrix stalls (speed <= 1e-8)
+ROW_BLOCK = 16384  # most rows per block of the residual checks
 
 
 @dataclass(frozen=True)
@@ -87,17 +108,20 @@ def _renormalize_director(e: np.ndarray) -> np.ndarray:
     return e / np.sqrt(-q)[:, None]
 
 
-def _darboux_fields(u: np.ndarray, e_raw: np.ndarray, p_raw: np.ndarray) -> dict:
+def _darboux_fields(u: np.ndarray, e_raw: np.ndarray, p_raw: np.ndarray,
+                    h: float | None = None) -> dict:
     """Frame and invariants per input sample, derivatives via chain rule.
 
-    All fields are indexed by the input grid; 'sigma' is the indicatrix
-    speed |de/du| and 's' the running arc length (origin u[0]). The two
-    input curves are copied column-major here unless they already are, so
-    every N x 3 field downstream is too (numpy's elementwise operations keep
-    their operands' layout).
+    u is a uniform grid; h is its step, taken here by `grid_step` unless
+    the caller has it, and returned as 'h'. All fields are indexed by the
+    input grid; 'sigma' is the indicatrix speed |de/du| and 's' the running
+    arc length (origin u[0]). The two input curves are copied column-major
+    here unless they already are, so every N x 3 field downstream is too
+    (numpy's elementwise operations keep their operands' layout).
     """
     e = _renormalize_director(np.asfortranarray(e_raw, dtype=float))
-    de = grid_derivative(u, e)
+    h = grid_step(u) if h is None else h
+    de = stencil_rows(e, h)
     sig2 = linner(de, de)
 
     def stalled(i):
@@ -114,17 +138,17 @@ def _darboux_fields(u: np.ndarray, e_raw: np.ndarray, p_raw: np.ndarray) -> dict
         f"<e,t> = {et[i]:.3e} at sample {i} exceeds {DRIFT_TOL:.0e}"))
     g = -lcross(e, t)
     p = np.asfortranarray(p_raw, dtype=float)
-    dp = grid_derivative(u, p)
+    dp = stencil_rows(p, h)
     lam = -linner(dp, de) / sig2
     c = p + lam[:, None] * e
-    dt_ds = grid_derivative(u, t) / sigma[:, None]
+    dt_ds = stencil_rows(t, h) / sigma[:, None]
     gamma = linner(dt_ds, g)
-    dc_ds = grid_derivative(u, c) / sigma[:, None]
+    dc_ds = stencil_rows(c, h) / sigma[:, None]
     delta = linner(dc_ds, e)
     Delta = det3(dc_ds, e, t)
-    s = u[0] + integrate_cumulative(u, sigma)
+    s = u[0] + cumulative_simpson(sigma, h)
     return {
-        "u": np.asarray(u, dtype=float), "s": s, "sigma": sigma,
+        "u": np.asarray(u, dtype=float), "h": h, "s": s, "sigma": sigma,
         "e": e, "t": t, "g": g, "c": c,
         "gamma": gamma, "delta": delta, "Delta": Delta,
     }
@@ -148,7 +172,7 @@ def _model_from_fields(fields: dict) -> RuledSurfaceModel:
 
     def resample(name, df_ds=None):
         f = fields[name]
-        df = grid_derivative(u, f) if df_ds is None else fields["sigma"][:, None] * df_ds
+        df = stencil_rows(f, fields["h"]) if df_ds is None else fields["sigma"][:, None] * df_ds
         return at(f, df)
 
     e1 = resample("e", t)
@@ -173,10 +197,12 @@ def build_surface(director: SampledCurve, base: SampledCurve) -> RuledSurfaceMod
     """Build the Darboux model of the ruled surface p(u) + v e(u).
 
     Both curves must share one uniform grid. Directors may carry any
-    timelike magnitude; they are renormalized per sample.
+    timelike magnitude; they are renormalized per sample. Every entry of
+    both must square to a finite number, as every Lorentz product squares it.
     """
     if not np.array_equal(director.params, base.params):
         raise MismatchedInputs("director and base curve must share one parameter grid")
+    require_squarable("sampled", director=director.values, base=base.values)
     fields = _darboux_fields(director.params, director.values, base.values)
     return _model_from_fields(fields)
 
@@ -270,35 +296,52 @@ def classify(m: RuledSurfaceModel) -> dict:
     return {"developable": developable, "cone": cone}
 
 
+def _row_blocks(n: int) -> list:
+    """Bounds (a, b) of the fewest near-equal row blocks of at most ROW_BLOCK rows."""
+    k = -(-n // ROW_BLOCK)
+    return [(n * i // k, n * (i + 1) // k) for i in range(k)]
+
+
+def _block_maxima(blocks: list) -> dict:
+    """Per-key maximum over the blocks' dicts of maxima. np.max keeps a NaN, as the
+    maximum over the whole array does, so every value is that maximum's."""
+    return {key: float(np.max([block[key] for block in blocks])) for key in blocks[0]}
+
+
 def frame_residuals(m: RuledSurfaceModel) -> dict:
     """Max residuals of the frame ODEs and striction properties on the model grid.
 
     On reparameterized input the ODE residuals carry the 4th-order resampling
     error (about 16x smaller per 4x samples); see the module docstring.
     """
-    s = m.s_grid
-    de = grid_derivative(s, m.e)
-    dt = grid_derivative(s, m.t)
-    dg = grid_derivative(s, m.g)
-    dc = grid_derivative(s, m.c)
+    h = grid_step(m.s_grid)
+    return _block_maxima([_frame_block(m, h, a, b) for a, b in _row_blocks(len(m))])
+
+
+def _frame_block(m: RuledSurfaceModel, h: float, a: int, b: int) -> dict:
+    e, t, g = m.e[a:b], m.t[a:b], m.g[a:b]
+    gamma, delta, Delta = (x[a:b, None] for x in (m.gamma, m.delta, m.Delta))
+    de, dt, dg, dc = (stencil_rows(x, h, a, b) for x in (m.e, m.t, m.g, m.c))
+
     def mx(v):
-        return float(np.max(enorm(v)))
+        return np.max(enorm(v))
     return {
-        "unit_director": float(np.max(np.abs(linner(m.e, m.e) + 1.0))),
-        "unit_tangent": float(np.max(np.abs(linner(m.t, m.t) - 1.0))),
-        "unit_normal": float(np.max(np.abs(linner(m.g, m.g) - 1.0))),
-        "orthogonality": float(np.max(np.abs([linner(m.e, m.t), linner(m.e, m.g), linner(m.t, m.g)]))),
-        "frame_closure": mx(m.g + lcross(m.e, m.t)),
-        "director_ode": mx(de - m.t),
-        "tangent_ode": mx(dt - m.e - m.gamma[:, None] * m.g),
-        "normal_ode": mx(dg + m.gamma[:, None] * m.t),
-        "striction": float(np.max(np.abs(linner(dc, m.t)))),
-        "striction_decomposition": mx(dc + m.delta[:, None] * m.e - m.Delta[:, None] * m.g),
+        "unit_director": np.max(np.abs(linner(e, e) + 1.0)),
+        "unit_tangent": np.max(np.abs(linner(t, t) - 1.0)),
+        "unit_normal": np.max(np.abs(linner(g, g) - 1.0)),
+        "orthogonality": np.max(np.abs([linner(e, t), linner(e, g), linner(t, g)])),
+        "frame_closure": mx(g + lcross(e, t)),
+        "director_ode": mx(de - t),
+        "tangent_ode": mx(dt - e - gamma * g),
+        "normal_ode": mx(dg + gamma * t),
+        "striction": np.max(np.abs(linner(dc, t))),
+        "striction_decomposition": mx(dc + delta * e - Delta * g),
     }
 
 
-def _dual_fd(x: DualVec3, s: np.ndarray) -> DualVec3:
-    return DualVec3(grid_derivative(s, x.re), grid_derivative(s, x.du))
+def _dual_fd(x: DualVec3, h: float, rows: slice) -> DualVec3:
+    return DualVec3(stencil_rows(x.re, h, rows.start, rows.stop),
+                    stencil_rows(x.du, h, rows.start, rows.stop))
 
 
 def _d_ds_bar(dx_ds: DualVec3, Delta: np.ndarray) -> DualVec3:
@@ -313,20 +356,31 @@ def _dual_vec_norms(x: DualVec3) -> float:
 
 def dual_frame_residuals(m: RuledSurfaceModel) -> dict:
     """Residuals of the dual frame ODEs, differentiating in dual arc length."""
-    e_d, t_d, g_d = dual_frame(m)
-    s = m.s_grid
-    gamma_bar = _gamma_bar(m.gamma, m.delta, m.Delta)
-    raw = _dual_fd(e_d, s)
-    de = _d_ds_bar(raw, m.Delta)
-    dt = _d_ds_bar(_dual_fd(t_d, s), m.Delta)
-    dg = _d_ds_bar(_dual_fd(g_d, s), m.Delta)
-    speed = dnorm(raw)
+    h = grid_step(m.s_grid)
+    return _block_maxima([_dual_frame_block(m, h, a, b) for a, b in _row_blocks(len(m))])
+
+
+def _dual_frame_block(m: RuledSurfaceModel, h: float, a: int, b: int) -> dict:
+    # the frame lines are built on the block and the two rows on each side
+    # that its stencils read; `rows` is the block within them
+    lo, hi = max(a - 2, 0), min(b + 2, len(m))
+    rows = slice(a - lo, b - lo)
+    c = m.c[lo:hi]
+    e_l, t_l, g_l = (_frame_line(c, x[lo:hi]) for x in (m.e, m.t, m.g))
+    e_d, t_d, g_d = (DualVec3(x.re[rows], x.du[rows]) for x in (e_l, t_l, g_l))
+    Delta = m.Delta[a:b]
+    gamma_bar = _gamma_bar(m.gamma[a:b], m.delta[a:b], Delta)
+    raw = _dual_fd(e_l, h, rows)
+    de = _d_ds_bar(raw, Delta)
+    dt = _d_ds_bar(_dual_fd(t_l, h, rows), Delta)
+    dg = _d_ds_bar(_dual_fd(g_l, h, rows), Delta)
+    speed = dnorm(raw, start=a)
     return {
         "director_ode": _dual_vec_norms(de - t_d),
         "tangent_ode": _dual_vec_norms(dt - e_d - gamma_bar * g_d),
         "normal_ode": _dual_vec_norms(dg + gamma_bar * t_d),
-        "director_speed_re": float(np.max(np.abs(speed.re - 1.0))),
-        "director_speed_du": float(np.max(np.abs(speed.du + m.Delta))),
+        "director_speed_re": np.max(np.abs(speed.re - 1.0)),
+        "director_speed_du": np.max(np.abs(speed.du + Delta)),
     }
 
 

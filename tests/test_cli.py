@@ -195,6 +195,34 @@ def test_overflowing_synthesized_field_exit_2(tmp_path, capsys, data, field, sam
     assert list(tmp_path.iterdir()) == [tmp_path / "big.json"]
 
 
+@pytest.mark.parametrize("c,detail", [
+    # cosh(theta) itself overflows, and inf * 0 leaves a nan entry
+    ("800", "an entry is nan"),
+    # cosh(theta) is finite, but the tilted director's square overflows
+    ("400", "|entry| = 3.015e+173 exceeds 1.341e+154, the largest whose square is finite"),
+])
+def test_overflowing_angle_law_exit_2(tmp_path, capsys, c, detail):
+    out = tmp_path / "offset.json"
+    assert main(["offset", "--input", write_cfg(tmp_path, "c.json", constant_cfg()), "--c", c,
+                 "--cstar", "0.3", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"ValidationError: offset field director is out of range at sample 0: {detail}\n")
+    assert not out.exists()
+
+
+def test_overflowing_sampled_input_exit_2(tmp_path, capsys):
+    u = np.linspace(0.0, 1.0, 64)
+    params = hyperbola_params(u)
+    params["director"] = (1e200 * np.array(params["director"])).tolist()
+    data = {"name": "huge", "kind": "sampled", "params": params}
+    out = tmp_path / "r.json"
+    assert main(["analyze", "--input", write_cfg(tmp_path, "huge.json", data), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "ValidationError: sampled field director is out of range at sample 0: |entry| = 1.000e+200 "
+        "exceeds 1.341e+154, the largest whose square is finite\n")
+    assert not out.exists()
+
+
 def test_no_output_file_after_late_degeneracy(tmp_path, capsys):
     # the offset summary is ready before consistency_report finds gamma below its guard
     cfg = constant_cfg(1024)

@@ -11,7 +11,7 @@ from dualruled import (
     integrate_cumulative,
 )
 from dualruled.errors import GridTooCoarse, NonUniformGrid, ValidationError
-from dualruled.numerics import hermite, is_uniform, slopes
+from dualruled.numerics import grid_step, hermite, is_uniform, slopes, stencil_rows
 
 
 def test_sampled_curve_validation():
@@ -201,3 +201,24 @@ def test_slopes_reproduce_quartics(rng):
     assert np.max(np.abs(got[:, 1] + want)) < 1e-9
     with pytest.raises(GridTooCoarse):
         slopes(x[:4], x[:4])
+
+
+@pytest.mark.parametrize("shape,order", [((37,), "C"), ((37, 3), "C"), ((37, 3), "F")])
+def test_stencil_row_blocks_join_to_the_whole_derivative(rng, shape, order):
+    # every block size, the ends and a short last block included; each block
+    # also from a window holding only its rows and the samples its stencils read
+    x = np.linspace(-1.0, 2.5, shape[0])
+    y = np.asarray(rng.normal(size=shape), order=order)
+    whole = grid_derivative(x, y)
+    h, n = grid_step(x), shape[0]
+    for size in range(1, n + 1):
+        bounds = [(a, min(a + size, n)) for a in range(0, n, size)]
+        assert np.array_equal(np.concatenate([stencil_rows(y, h, a, b) for a, b in bounds]), whole)
+        windowed = []
+        for a, b in bounds:
+            lo, hi = max(a - 2, 0), min(b + 2, n)
+            # a window at an end of the grid holds the five samples its end stencils read
+            hi = max(hi, 5) if lo == 0 else hi
+            lo = min(lo, n - 5) if hi == n else lo
+            windowed.append(stencil_rows(y[lo:hi], h, a - lo, b - lo))
+        assert np.array_equal(np.concatenate(windowed), whole)

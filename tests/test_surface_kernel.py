@@ -1,6 +1,7 @@
 """Darboux kernel tests: fixture recovery, frame residuals, dual apparatus."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,14 +24,18 @@ from dualruled import (
     study_residual,
     synth_constant_invariant,
 )
+from dualruled.dual_lorentz import DualVec3, dnorm
 from dualruled.errors import (
     DegenerateIndicatrix,
     GammaOutOfRange,
     MismatchedInputs,
     NotTimelikeDirector,
     NullDarbouxAxis,
+    NullDirection,
 )
+from dualruled.minkowski3 import enorm
 from dualruled.numerics import is_uniform
+from dualruled.surface_kernel import ROW_BLOCK, RuledSurfaceModel
 
 
 def assert_dual_close(x, re, du, atol):
@@ -273,3 +278,94 @@ def test_reparameterized_input_keeps_frame_orthonormal(constant_family):
     assert np.max(np.abs(m.gamma - 0.5)) < 1e-6
     assert np.max(np.abs(m.delta - 0.3)) < 1e-6
     assert np.max(np.abs(m.Delta - 0.2)) < 1e-6
+
+
+def _whole_frame_residuals(m):
+    """frame_residuals written out over whole arrays, in one pass."""
+    s = m.s_grid
+    de, dt, dg, dc = (grid_derivative(s, x) for x in (m.e, m.t, m.g, m.c))
+    gamma, delta, Delta = (x[:, None] for x in (m.gamma, m.delta, m.Delta))
+
+    def mx(v):
+        return float(np.max(enorm(v)))
+    return {
+        "unit_director": float(np.max(np.abs(linner(m.e, m.e) + 1.0))),
+        "unit_tangent": float(np.max(np.abs(linner(m.t, m.t) - 1.0))),
+        "unit_normal": float(np.max(np.abs(linner(m.g, m.g) - 1.0))),
+        "orthogonality": float(np.max(np.abs([linner(m.e, m.t), linner(m.e, m.g), linner(m.t, m.g)]))),
+        "frame_closure": mx(m.g + lcross(m.e, m.t)),
+        "director_ode": mx(de - m.t),
+        "tangent_ode": mx(dt - m.e - gamma * m.g),
+        "normal_ode": mx(dg + gamma * m.t),
+        "striction": float(np.max(np.abs(linner(dc, m.t)))),
+        "striction_decomposition": mx(dc + delta * m.e - Delta * m.g),
+    }
+
+
+def _whole_dual_derivative(m, line):
+    """d/ds of a whole dual frame line, and its d/ds_bar form."""
+    raw = DualVec3(grid_derivative(m.s_grid, line.re), grid_derivative(m.s_grid, line.du))
+    return raw, DualVec3(raw.re, raw.du + m.Delta[:, None] * raw.re)
+
+
+def _whole_dual_frame_residuals(m):
+    """dual_frame_residuals written out over whole arrays, in one pass."""
+    e_d, t_d, g_d = dual_frame(m)
+    gamma_bar = DualScalar(m.gamma, m.delta + m.gamma * m.Delta)
+    raw, de = _whole_dual_derivative(m, e_d)
+    dt, dg = (_whole_dual_derivative(m, x)[1] for x in (t_d, g_d))
+    speed = dnorm(raw)
+
+    def norms(x):
+        return max(float(np.max(enorm(x.re))), float(np.max(enorm(x.du))))
+    return {
+        "director_ode": norms(de - t_d),
+        "tangent_ode": norms(dt - e_d - gamma_bar * g_d),
+        "normal_ode": norms(dg + gamma_bar * t_d),
+        "director_speed_re": float(np.max(np.abs(speed.re - 1.0))),
+        "director_speed_du": float(np.max(np.abs(speed.du + m.Delta))),
+    }
+
+
+def test_row_blocked_residuals_equal_the_whole_array_maxima(disguise):
+    # three row blocks; every value is the whole-array maximum bit for bit
+    u, director, base = disguise.sample(2 * ROW_BLOCK + 101)
+    m = build_surface(SampledCurve(u, director), SampledCurve(u, base))
+    assert frame_residuals(m) == _whole_frame_residuals(m)
+    assert dual_frame_residuals(m) == _whole_dual_frame_residuals(m)
+
+
+def test_director_stall_in_a_later_block_names_the_global_sample():
+    # the director stands still on rows 16000:16100, inside the second of three
+    # blocks: the dual norm of its derivative is undefined from the first row
+    # whose stencil sees only the stall
+    n = 2 * ROW_BLOCK + 50
+    s = np.linspace(0.0, 1.0, n)
+    phi = s.copy()
+    phi[16000:16100] = phi[16000]
+    zeros = np.zeros_like(s)
+    e = np.stack([np.cosh(phi), np.sinh(phi), zeros], axis=-1)
+    t = np.stack([np.sinh(phi), np.cosh(phi), zeros], axis=-1)
+    g = np.stack([zeros, zeros, zeros + 1.0], axis=-1)
+    c = np.stack([zeros, zeros, s], axis=-1)
+    m = RuledSurfaceModel(s_grid=s, e=e, t=t, g=g, c=c, gamma=zeros, delta=zeros, Delta=zeros)
+    with pytest.raises(NullDirection) as whole:
+        _whole_dual_frame_residuals(m)
+    assert str(whole.value) == "null direction at sample 16002; dual norm undefined"
+    with pytest.raises(NullDirection) as blocked:
+        dual_frame_residuals(m)
+    assert str(blocked.value) == str(whole.value)
+
+
+def test_dual_frame_residuals_memory_peak():
+    # on 2^17 samples the whole-array evaluation peaked at 51.0 MB of traced
+    # temporaries; row blocks of ROW_BLOCK samples peak at 6.4 MB
+    m = synth_constant_invariant(0.5, 0.3, 0.2, (0.0, 2.0), 2**17)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        dual_frame_residuals(m)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
