@@ -26,7 +26,7 @@ from .mannheim_offset import (
     offset_angle_profile,
 )
 from .minkowski3 import det3, lcross, linner
-from .numerics import SampledCurve, grid_derivative, integrate_cumulative
+from .numerics import SampledCurve
 from .serialize import dumps_canonical
 from .surface_kernel import (
     build_surface,
@@ -68,9 +68,7 @@ __all__ = [
     "dumps_canonical",
     "encode_line",
     "frame_residuals",
-    "grid_derivative",
     "hyperbola_curves",
-    "integrate_cumulative",
     "lcross",
     "linner",
     "offset_angle_profile",

@@ -36,6 +36,7 @@ import numpy as np
 from .errors import ConfigError, DegeneracyError, ValidationError
 from .fixtures import cone_curves, hyperbola_curves
 from .mannheim_offset import (
+    VERDICT_TOL,
     construct_offset,
     consistency_report,
     offset_angle_profile,
@@ -277,13 +278,14 @@ def _offset_pieces(args):
 
 def cmd_offset(args) -> int:
     cfg, spec, offset = _offset_pieces(args)
+    mannheim = {
+        "dual_max": float(np.max(offset.mannheim_dual_residual)),
+        "real_max": float(np.max(offset.mannheim_real_residual)),
+    }
     payload = {
         "c_const": spec.c_const,
         "cstar_const": spec.cstar_const,
-        "mannheim": {
-            "dual_max": float(np.max(offset.mannheim_dual_residual)),
-            "real_max": float(np.max(offset.mannheim_real_residual)),
-        },
+        "mannheim": mannheim,
         "name": cfg.name,
         "orientation": offset.orientation,
         "profile": {
@@ -312,20 +314,17 @@ def cmd_offset(args) -> int:
         report = consistency_report(spec.source_model, spec, offset)
         verify_payload = {
             "formulas": report.formulas,
-            "mannheim": {
-                "dual_max": report.mannheim_dual_max,
-                "real_max": report.mannheim_real_max,
-            },
+            "mannheim": mannheim,
             "max_residual": report.max_residual,
             "mean_residual": report.mean_residual,
             "name": cfg.name,
             "oracle": report.oracle,
             "residuals": report.residuals,
-            "s": report.s,
+            "s": spec.s,
             "striction_shift": offset.striction_shift,
-            "theta": report.theta,
-            "theta_star": report.theta_star,
-            "tol": report.tol,
+            "theta": spec.theta,
+            "theta_star": spec.theta_star,
+            "tol": VERDICT_TOL,
             "verdicts": report.verdicts,
         }
         outputs[args.verify] = functools.partial(dump_canonical, verify_payload)

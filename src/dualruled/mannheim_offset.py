@@ -43,14 +43,7 @@ from .errors import (
     guard,
 )
 from .minkowski3 import enorm, lcross, linner
-from .numerics import (
-    MIN_SAMPLES,
-    grid_derivative,
-    grid_step,
-    integrate_cumulative,
-    require_squarable,
-    stencil_rows,
-)
+from .numerics import MIN_SAMPLES, cumulative_simpson, grid_step, require_squarable, stencil_rows
 from .surface_kernel import (
     DEVELOPABLE_TOL,
     STALL_FLOOR,
@@ -116,7 +109,6 @@ class OffsetReport:
     """Per-sample adjudication of the closed-form offset identities."""
 
     s: np.ndarray
-    theta: np.ndarray
     theta_star: np.ndarray
     oracle: dict
     formulas: dict
@@ -126,7 +118,6 @@ class OffsetReport:
     verdicts: dict
     mannheim_real_max: float
     mannheim_dual_max: float
-    tol: float
 
 
 def offset_angle_profile(m: RuledSurfaceModel, c_const: float, cstar_const: float,
@@ -140,14 +131,13 @@ def offset_angle_profile(m: RuledSurfaceModel, c_const: float, cstar_const: floa
     """
     s_full = m.s_grid
     theta_full = -s_full + float(c_const)
-    theta_star_full = integrate_cumulative(s_full, m.Delta) + float(cstar_const)
+    theta_star_full = cumulative_simpson(m.Delta, m.h) + float(cstar_const)
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValidationError(f"window must be [lo, hi] with lo < hi, got [{lo}, {hi}]")
     # an end a whole step past the grid would hold a sample the grid lacks; a
     # shorter overhang (bounds snapped to mid-cell, quadrature error in s) clips nothing
-    step = (s_full[-1] - s_full[0]) / (len(s_full) - 1)
-    if lo <= s_full[0] - step or hi >= s_full[-1] + step:
+    if lo <= s_full[0] - m.h or hi >= s_full[-1] + m.h:
         raise ValidationError(
             f"window [{lo}, {hi}] reaches past the model's s range "
             f"[{s_full[0]:.12g}, {s_full[-1]:.12g}]"
@@ -183,7 +173,8 @@ def transfer_dual_director(spec: OffsetSpec) -> DualVec3:
     """Tilt the base ruling lines by the dual angle: e1 = cosh(tb) e + sinh(tb) t.
 
     Raises ValidationError at the first window sample where a large |theta|
-    gives the tilted director an entry whose square is not finite.
+    or |theta_star| gives the tilted director or its moment an entry whose
+    square is not finite.
     """
     m, w = spec.source_model, spec.window
     e_d, t_d = (_frame_line(m.c[w], x[w]) for x in (m.e, m.t))
@@ -193,7 +184,7 @@ def transfer_dual_director(spec: OffsetSpec) -> DualVec3:
         ch = apply_function("cosh", theta_bar)
         sh = apply_function("sinh", theta_bar)
         e1 = ch * e_d + sh * t_d
-    require_squarable("offset", director=e1.re)
+    require_squarable("offset", director=e1.re, moment=e1.du)
     return e1
 
 
@@ -350,12 +341,11 @@ def consistency_report(m: RuledSurfaceModel, spec: OffsetSpec, offset: OffsetMod
     verdicts = {k: ("CONFIRMED" if max_residual[k] <= VERDICT_TOL else "DISCREPANT")
                 for k in residuals}
     return OffsetReport(
-        s=spec.s, theta=spec.theta, theta_star=spec.theta_star,
+        s=spec.s, theta_star=spec.theta_star,
         oracle=oracle, formulas=F, residuals=residuals,
         max_residual=max_residual, mean_residual=mean_residual, verdicts=verdicts,
         mannheim_real_max=float(np.max(offset.mannheim_real_residual)),
         mannheim_dual_max=float(np.max(offset.mannheim_dual_residual)),
-        tol=VERDICT_TOL,
     )
 
 
@@ -368,8 +358,8 @@ def developability_predicates(spec: OffsetSpec) -> dict:
     curvature matching -tanh(theta). Equal means within DEVELOPABLE_TOL.
     """
     gamma, delta, Delta, theta, theta_star = _closed_form_inputs(spec)
-    m = spec.source_model
-    ddelta = grid_derivative(m.s_grid, m.delta)[spec.window]
+    m, w = spec.source_model, spec.window
+    ddelta = stencil_rows(m.delta, m.h, w.start, w.stop)
     target = -(delta / gamma) * np.tanh(theta)
     tol = DEVELOPABLE_TOL
     return {

@@ -10,11 +10,12 @@ data.
 Each grid is checked once: `grid_step(x)` runs the uniformity rule and
 returns the step, and the two kernels take that step, `stencil_rows(y, h,
 a, b)` for rows a:b of the derivative and `cumulative_simpson(f, h)` for
-the quadrature. `grid_derivative(x, y)` and `integrate_cumulative(x, f)`
-are the checked one-call forms. `stencil_rows` is the one stencil
-implementation: a caller that works in row blocks (the residual checks of
-the surface kernel) asks it for one block at a time, and the blocks put
-together are bit for bit the whole-grid derivative.
+the quadrature. The surface model runs `grid_step` on its arc-length grid
+when it is made and carries the step as `h`, so its readers never check
+the grid again. `stencil_rows` is the one stencil implementation: a caller
+that works in row blocks (the residual checks of the surface kernel) asks
+it for one block at a time, and the blocks put together are bit for bit
+the whole-grid derivative.
 
 Resampling is one cubic Hermite evaluator, `hermite(x, xq)`. It finds the
 intervals and the four basis weights of one map x -> xq once and returns a
@@ -117,18 +118,6 @@ def grid_step(x: np.ndarray) -> float:
     return (x[-1] - x[0]) / (len(x) - 1)
 
 
-def grid_derivative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Differentiate samples y(x) on a uniform grid, 4th-order accurate.
-
-    y may be (N,) or (N, k); differentiation runs along axis 0.
-    """
-    y = np.asarray(y, dtype=float)
-    n = y.shape[0]
-    if n < MIN_SAMPLES:
-        raise GridTooCoarse(f"need at least {MIN_SAMPLES} samples, got {n}")
-    return stencil_rows(y, grid_step(x))
-
-
 def stencil_rows(y: np.ndarray, h: float, a: int = 0, b: int | None = None) -> np.ndarray:
     """Rows a:b of the derivative of samples y (along axis 0) at grid step h.
 
@@ -164,20 +153,12 @@ def stencil_rows(y: np.ndarray, h: float, a: int = 0, b: int | None = None) -> n
     return out
 
 
-def integrate_cumulative(x: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Cumulative integral of samples f(x) on a uniform grid.
+def cumulative_simpson(f: np.ndarray, h: float) -> np.ndarray:
+    """Cumulative integral of samples f (along axis 0) at grid step h.
 
     Composite Simpson on sample pairs; the first interval is a trapezoid so
     odd-index entries exist (value at the grid start is 0).
     """
-    f = np.asarray(f, dtype=float)
-    if f.shape[0] < MIN_SAMPLES:
-        raise GridTooCoarse(f"need at least {MIN_SAMPLES} samples, got {f.shape[0]}")
-    return cumulative_simpson(f, grid_step(x))
-
-
-def cumulative_simpson(f: np.ndarray, h: float) -> np.ndarray:
-    """The quadrature of `integrate_cumulative` at grid step h."""
     f = np.asarray(f, dtype=float)
     out = np.zeros_like(f)
     out[1] = h * (f[0] + f[1]) / 2.0

@@ -20,7 +20,10 @@ re-differentiating its fields on its own grid gives residuals that fall
 about 16x per 4x samples until rounding takes over.
 
 Each grid is checked once: the step comes from `numerics.grid_step`, and
-every derivative from the one stencil kernel, `numerics.stencil_rows`. The
+every derivative from the one stencil kernel, `numerics.stencil_rows`. A
+model checks its arc-length grid when it is made and carries the step as
+`h`, so a model whose grid is not uniform, or shorter than MIN_SAMPLES,
+never exists, and every reader of the model grid takes `m.h`. The
 residual checks (`frame_residuals`, `dual_frame_residuals`) run in row
 blocks of at most ROW_BLOCK samples, split evenly, so a model of up to
 ROW_BLOCK samples is one block. A block asks the kernel for its own rows,
@@ -34,7 +37,7 @@ reuse it, instead of faulting tens of MB of fresh pages in per call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,7 +59,6 @@ from .numerics import (
     cumulative_simpson,
     grid_step,
     hermite,
-    integrate_cumulative,
     require_squarable,
     stencil_rows,
 )
@@ -73,7 +75,8 @@ ROW_BLOCK = 16384  # most rows per block of the residual checks
 
 @dataclass(frozen=True)
 class RuledSurfaceModel:
-    """Sampled Darboux data of one timelike ruled surface on an arc-length grid."""
+    """Sampled Darboux data of one timelike ruled surface on a uniform arc-length
+    grid; h is the grid's step, checked once when the model is made."""
 
     s_grid: np.ndarray
     e: np.ndarray
@@ -83,6 +86,10 @@ class RuledSurfaceModel:
     gamma: np.ndarray
     delta: np.ndarray
     Delta: np.ndarray
+    h: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "h", grid_step(self.s_grid))
 
     def __len__(self):
         return len(self.s_grid)
@@ -108,19 +115,17 @@ def _renormalize_director(e: np.ndarray) -> np.ndarray:
     return e / np.sqrt(-q)[:, None]
 
 
-def _darboux_fields(u: np.ndarray, e_raw: np.ndarray, p_raw: np.ndarray,
-                    h: float | None = None) -> dict:
+def _darboux_fields(u: np.ndarray, e_raw: np.ndarray, p_raw: np.ndarray, h: float) -> dict:
     """Frame and invariants per input sample, derivatives via chain rule.
 
-    u is a uniform grid; h is its step, taken here by `grid_step` unless
-    the caller has it, and returned as 'h'. All fields are indexed by the
-    input grid; 'sigma' is the indicatrix speed |de/du| and 's' the running
-    arc length (origin u[0]). The two input curves are copied column-major
-    here unless they already are, so every N x 3 field downstream is too
-    (numpy's elementwise operations keep their operands' layout).
+    u is a uniform grid and h its step (`grid_step(u)`), returned as 'h'.
+    All fields are indexed by the input grid; 'sigma' is the indicatrix
+    speed |de/du| and 's' the running arc length (origin u[0]). The two
+    input curves are copied column-major here unless they already are, so
+    every N x 3 field downstream is too (numpy's elementwise operations
+    keep their operands' layout).
     """
     e = _renormalize_director(np.asfortranarray(e_raw, dtype=float))
-    h = grid_step(u) if h is None else h
     de = stencil_rows(e, h)
     sig2 = linner(de, de)
 
@@ -203,7 +208,8 @@ def build_surface(director: SampledCurve, base: SampledCurve) -> RuledSurfaceMod
     if not np.array_equal(director.params, base.params):
         raise MismatchedInputs("director and base curve must share one parameter grid")
     require_squarable("sampled", director=director.values, base=base.values)
-    fields = _darboux_fields(director.params, director.values, base.values)
+    u = director.params
+    fields = _darboux_fields(u, director.values, base.values, grid_step(u))
     return _model_from_fields(fields)
 
 
@@ -281,7 +287,7 @@ def dual_frame(m: RuledSurfaceModel):
 
 def dual_apparatus(m: RuledSurfaceModel) -> DualApparatus:
     """Dual arc length, dual conical curvature, and curvature elements."""
-    s_bar = DualScalar(m.s_grid, -integrate_cumulative(m.s_grid, m.Delta))
+    s_bar = DualScalar(m.s_grid, -cumulative_simpson(m.Delta, m.h))
     gamma_bar, R, C, S, branch = _curvature_elements(m.gamma, m.delta, m.Delta)
     return DualApparatus(
         s_bar=s_bar, gamma_bar=gamma_bar, R_bar=R,
@@ -314,14 +320,13 @@ def frame_residuals(m: RuledSurfaceModel) -> dict:
     On reparameterized input the ODE residuals carry the 4th-order resampling
     error (about 16x smaller per 4x samples); see the module docstring.
     """
-    h = grid_step(m.s_grid)
-    return _block_maxima([_frame_block(m, h, a, b) for a, b in _row_blocks(len(m))])
+    return _block_maxima([_frame_block(m, a, b) for a, b in _row_blocks(len(m))])
 
 
-def _frame_block(m: RuledSurfaceModel, h: float, a: int, b: int) -> dict:
+def _frame_block(m: RuledSurfaceModel, a: int, b: int) -> dict:
     e, t, g = m.e[a:b], m.t[a:b], m.g[a:b]
     gamma, delta, Delta = (x[a:b, None] for x in (m.gamma, m.delta, m.Delta))
-    de, dt, dg, dc = (stencil_rows(x, h, a, b) for x in (m.e, m.t, m.g, m.c))
+    de, dt, dg, dc = (stencil_rows(x, m.h, a, b) for x in (m.e, m.t, m.g, m.c))
 
     def mx(v):
         return np.max(enorm(v))
@@ -356,11 +361,10 @@ def _dual_vec_norms(x: DualVec3) -> float:
 
 def dual_frame_residuals(m: RuledSurfaceModel) -> dict:
     """Residuals of the dual frame ODEs, differentiating in dual arc length."""
-    h = grid_step(m.s_grid)
-    return _block_maxima([_dual_frame_block(m, h, a, b) for a, b in _row_blocks(len(m))])
+    return _block_maxima([_dual_frame_block(m, a, b) for a, b in _row_blocks(len(m))])
 
 
-def _dual_frame_block(m: RuledSurfaceModel, h: float, a: int, b: int) -> dict:
+def _dual_frame_block(m: RuledSurfaceModel, a: int, b: int) -> dict:
     # the frame lines are built on the block and the two rows on each side
     # that its stencils read; `rows` is the block within them
     lo, hi = max(a - 2, 0), min(b + 2, len(m))
@@ -370,10 +374,10 @@ def _dual_frame_block(m: RuledSurfaceModel, h: float, a: int, b: int) -> dict:
     e_d, t_d, g_d = (DualVec3(x.re[rows], x.du[rows]) for x in (e_l, t_l, g_l))
     Delta = m.Delta[a:b]
     gamma_bar = _gamma_bar(m.gamma[a:b], m.delta[a:b], Delta)
-    raw = _dual_fd(e_l, h, rows)
+    raw = _dual_fd(e_l, m.h, rows)
     de = _d_ds_bar(raw, Delta)
-    dt = _d_ds_bar(_dual_fd(t_l, h, rows), Delta)
-    dg = _d_ds_bar(_dual_fd(g_l, h, rows), Delta)
+    dt = _d_ds_bar(_dual_fd(t_l, m.h, rows), Delta)
+    dg = _d_ds_bar(_dual_fd(g_l, m.h, rows), Delta)
     speed = dnorm(raw, start=a)
     return {
         "director_ode": _dual_vec_norms(de - t_d),

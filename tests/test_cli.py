@@ -210,6 +210,22 @@ def test_overflowing_angle_law_exit_2(tmp_path, capsys, c, detail):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cstar,detail", [
+    # the moment carries theta_star (sinh(theta) e + cosh(theta) t): finite, but its
+    # square overflows
+    ("1e200", "|entry| = 1.157e+201 exceeds 1.341e+154, the largest whose square is finite"),
+    # theta_star times the frame overflows, and inf - inf leaves a nan entry
+    ("1e308", "an entry is nan"),
+], ids=["square_overflows", "nan"])
+def test_overflowing_tilted_moment_exit_2(tmp_path, capsys, cstar, detail):
+    out, verify = tmp_path / "offset.json", tmp_path / "verify.json"
+    assert main(["offset", "--input", write_cfg(tmp_path, "c.json", constant_cfg()), "--c", "3",
+                 "--cstar", cstar, "--output", str(out), "--verify", str(verify)]) == 2
+    assert capsys.readouterr().err == (
+        f"ValidationError: offset field moment is out of range at sample 0: {detail}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
 def test_overflowing_sampled_input_exit_2(tmp_path, capsys):
     u = np.linspace(0.0, 1.0, 64)
     params = hyperbola_params(u)
@@ -255,7 +271,7 @@ def test_failure_mid_stream_leaves_no_file(tmp_path, capsys, monkeypatch, fault)
 
     def report_with_nan(*args):
         report = real_report(*args)
-        return replace(report, theta_star=np.append(report.theta_star[:-1], np.nan))
+        return replace(report, mean_residual={**report.mean_residual, "arc_rate": np.nan})
 
     def dump(obj, write):
         listings.append(sorted(p.name for p in tmp_path.iterdir()))

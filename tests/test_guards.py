@@ -36,6 +36,7 @@ from dualruled.errors import (
     NullDirection,
 )
 from dualruled.mannheim_offset import _closed_form_inputs, construct_offset, offset_angle_profile
+from dualruled.numerics import grid_step
 from dualruled.surface_kernel import _curvature_elements, _darboux_fields, _model_from_fields
 
 
@@ -62,7 +63,7 @@ def director_kinked_at_20():
     """Chain-rule fields whose director sample 20 is 1 % too long."""
     u = np.linspace(0.0, 1.0, 32)
     fields = _darboux_fields(u, np.stack([np.cosh(u), np.sinh(u), 0 * u], -1),
-                             np.stack([0 * u, 0 * u, u], -1))
+                             np.stack([0 * u, 0 * u, u], -1), grid_step(u))
     fields["e"] = fields["e"].copy()
     fields["e"][20] *= 1.01
     return _model_from_fields(fields)

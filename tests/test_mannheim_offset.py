@@ -11,8 +11,12 @@ from dualruled import (
     construct_offset,
     consistency_report,
     developability_predicates,
+    dual_apparatus,
+    dual_frame_residuals,
+    frame_residuals,
     linner,
     offset_angle_profile,
+    study_residual,
     synth_constant_invariant,
 )
 from dualruled.errors import (
@@ -23,6 +27,8 @@ from dualruled.errors import (
     MismatchedInputs,
     ValidationError,
 )
+from dualruled import numerics
+from dualruled.mannheim_offset import VERDICT_TOL
 
 CONFIRMED_KEYS = {
     "arc_rate",
@@ -180,13 +186,13 @@ def test_report_residual_magnitudes(offset_report):
     assert r.residuals["offset_distance_constraint"][-1] == pytest.approx(0.541470, abs=1e-4)
     assert r.mannheim_real_max < 1e-4
     assert r.mannheim_dual_max < 1e-4
-    assert r.tol == 1e-3
+    assert VERDICT_TOL == 1e-3
 
 
-def test_report_window_and_shift(offset_report):
-    r = offset_report
+def test_report_window_and_shift(offset_pieces, offset_report):
+    spec, r = offset_pieces[1], offset_report
     assert r.s[-1] == 2.0
-    assert r.theta[-1] == pytest.approx(1.0, abs=1e-14)
+    assert spec.theta[-1] == pytest.approx(1.0, abs=1e-14)
     assert r.theta_star[-1] == pytest.approx(0.7, abs=1e-9)
 
 
@@ -253,3 +259,20 @@ def test_oracle_on_resampled_surface_at_large_n():
     spec = offset_angle_profile(m, 3.0, 0.3, (1.0, 2.0))
     offset = construct_offset(m, spec)
     assert np.max(np.abs(offset.gamma1 + 1.0 / np.tanh(spec.theta))) < 1e-4
+
+
+def test_one_pipeline_checks_three_grids(disguise, monkeypatch):
+    # the input grid, the model's arc-length grid and the offset window: every other
+    # reader takes the step the model carries
+    calls, real = [], numerics.is_uniform
+    monkeypatch.setattr(numerics, "is_uniform", lambda x: calls.append(len(x)) or real(x))
+    u, director, base = disguise.sample(257)
+    m = build_surface(SampledCurve(u, director), SampledCurve(u, base))
+    dual_apparatus(m)
+    frame_residuals(m)
+    dual_frame_residuals(m)
+    study_residual(m)
+    spec = offset_angle_profile(m, 2.5, 0.3, (1.0, 2.0))
+    consistency_report(m, spec, construct_offset(m, spec))
+    developability_predicates(spec)
+    assert calls == [257, 257, spec.hi_index - spec.lo_index]

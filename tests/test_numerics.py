@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dualruled import (
-    SampledCurve,
-    grid_derivative,
-    integrate_cumulative,
-)
+from dualruled import SampledCurve
 from dualruled.errors import GridTooCoarse, NonUniformGrid, ValidationError
-from dualruled.numerics import grid_step, hermite, is_uniform, slopes, stencil_rows
+from dualruled.numerics import (
+    cumulative_simpson,
+    grid_step,
+    hermite,
+    is_uniform,
+    slopes,
+    stencil_rows,
+)
 
 
 def test_sampled_curve_validation():
@@ -34,7 +37,7 @@ def test_sampled_curve_validation():
 
 def test_first_derivative_sin_example():
     u = np.linspace(0.0, 1.0, 1001)
-    d = grid_derivative(u, np.sin(u))
+    d = stencil_rows(np.sin(u), grid_step(u))
     i = 500
     assert abs(u[i] - 0.5) < 1e-12
     assert abs(d[i] - np.cos(0.5)) < 1e-10
@@ -42,7 +45,7 @@ def test_first_derivative_sin_example():
 
 def test_constant_curve_derivative_is_zero():
     u = np.linspace(0.0, 2.0, 64)
-    d = grid_derivative(u, np.full((64, 3), 3.7))
+    d = stencil_rows(np.full((64, 3), 3.7), grid_step(u))
     assert d.shape == (64, 3)
     assert np.max(np.abs(d)) < 1e-12
 
@@ -52,7 +55,7 @@ def test_non_uniform_grid_rejected():
     u[5] += 1e-3
     assert not is_uniform(u)
     with pytest.raises(NonUniformGrid):
-        grid_derivative(u, np.sin(u))
+        stencil_rows(np.sin(u), grid_step(u))
 
 
 @pytest.mark.parametrize("shift,uniform", [(0.0, True), (0.9e-12, True), (1.1e-12, False)])
@@ -63,10 +66,10 @@ def test_is_uniform_bounds_each_step(shift, uniform):
     u[11:] -= 5.0 * shift
     assert is_uniform(u) == uniform
     if uniform:
-        grid_derivative(u, np.sin(u))
+        stencil_rows(np.sin(u), grid_step(u))
     else:
         with pytest.raises(NonUniformGrid):
-            integrate_cumulative(u, np.sin(u))
+            cumulative_simpson(np.sin(u), grid_step(u))
 
 
 def test_fourth_order_convergence():
@@ -76,22 +79,22 @@ def test_fourth_order_convergence():
         errs = []
         for n in (129, 257):
             u = np.linspace(0.0, 1.0, n)
-            d = grid_derivative(u, f(u))
+            d = stencil_rows(f(u), grid_step(u))
             errs.append(np.max(np.abs(d - df(u))))
         assert errs[0] / errs[1] >= 12.0
 
 
 def test_integrate_examples():
     u = np.linspace(0.0, 2.0, 513)
-    total = integrate_cumulative(u, np.ones_like(u))
+    total = cumulative_simpson(np.ones_like(u), grid_step(u))
     assert total[0] == 0.0
     assert abs(total[-1] - 2.0) < 1e-12
 
     u1 = np.linspace(0.0, 1.0, 513)
-    lin = integrate_cumulative(u1, u1)
+    lin = cumulative_simpson(u1, grid_step(u1))
     assert abs(lin[-1] - 0.5) < 1e-10
 
-    const = integrate_cumulative(u, np.full_like(u, 0.2))
+    const = cumulative_simpson(np.full_like(u, 0.2), grid_step(u))
     assert abs(const[-1] - 0.4) < 1e-12
 
 
@@ -99,14 +102,15 @@ def test_derivative_of_cumulative_integral_is_identity():
     # integrands with f''(start) = 0, where the leading trapezoid panel of
     # the parity fix contributes no h^2 boundary term
     u = np.linspace(0.0, 2.0, 512)
+    h = grid_step(u)
     for f in (np.sin(u), u ** 3 / 3.0):
-        back = grid_derivative(u, integrate_cumulative(u, f))
+        back = stencil_rows(cumulative_simpson(f, h), h)
         assert np.max(np.abs(back - f)) < 1e-6
 
 
 def test_cumulative_integral_tracks_antiderivative_between_endpoints():
     u = np.linspace(0.0, 2.0, 1024)
-    got = integrate_cumulative(u, np.cos(u))
+    got = cumulative_simpson(np.cos(u), grid_step(u))
     assert np.max(np.abs(got - np.sin(u))) < 1e-8
 
 
@@ -189,7 +193,7 @@ def test_grid_derivative_interior_matches_plain_stencil(case):
     x, y = case
     h = (x[-1] - x[0]) / (len(x) - 1)
     plain = (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / (12 * h)
-    assert _bits(grid_derivative(x, y)[2:-2]) == _bits(plain)
+    assert _bits(stencil_rows(y, grid_step(x))[2:-2]) == _bits(plain)
 
 
 def test_slopes_reproduce_quartics(rng):
@@ -209,8 +213,8 @@ def test_stencil_row_blocks_join_to_the_whole_derivative(rng, shape, order):
     # also from a window holding only its rows and the samples its stencils read
     x = np.linspace(-1.0, 2.5, shape[0])
     y = np.asarray(rng.normal(size=shape), order=order)
-    whole = grid_derivative(x, y)
     h, n = grid_step(x), shape[0]
+    whole = stencil_rows(y, h)
     for size in range(1, n + 1):
         bounds = [(a, min(a + size, n)) for a in range(0, n, size)]
         assert np.array_equal(np.concatenate([stencil_rows(y, h, a, b) for a, b in bounds]), whole)

@@ -1,6 +1,7 @@
 """Darboux kernel tests: fixture recovery, frame residuals, dual apparatus."""
 
 import dataclasses
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,6 @@ from dualruled import (
     dual_frame,
     dual_frame_residuals,
     frame_residuals,
-    grid_derivative,
     hyperbola_curves,
     lcross,
     linner,
@@ -28,13 +28,15 @@ from dualruled.dual_lorentz import DualVec3, dnorm
 from dualruled.errors import (
     DegenerateIndicatrix,
     GammaOutOfRange,
+    GridTooCoarse,
     MismatchedInputs,
+    NonUniformGrid,
     NotTimelikeDirector,
     NullDarbouxAxis,
     NullDirection,
 )
 from dualruled.minkowski3 import enorm
-from dualruled.numerics import is_uniform
+from dualruled.numerics import is_uniform, stencil_rows
 from dualruled.surface_kernel import ROW_BLOCK, RuledSurfaceModel
 
 
@@ -111,7 +113,7 @@ def test_frame_residuals_all_fixtures(all_surfaces):
 
 def test_striction_derivative_identities(constant_surface, planar_surface):
     for m in (constant_surface, planar_surface):
-        dc = grid_derivative(m.s_grid, m.c)
+        dc = stencil_rows(m.c, m.h)
         want = -m.delta[:, None] * m.e + m.Delta[:, None] * m.g
         assert np.max(np.abs(dc - want)) < 1e-9
         # c' x e collapses to -Delta t: the delta term dies against e x e
@@ -255,6 +257,35 @@ def test_build_rejects_mismatched_grids():
         build_surface(director, longer)
 
 
+def _hand_built_model(s):
+    zeros = np.zeros_like(s)
+    e = np.stack([np.cosh(s), np.sinh(s), zeros], axis=-1)
+    t = np.stack([np.sinh(s), np.cosh(s), zeros], axis=-1)
+    g = np.stack([zeros, zeros, zeros + 1.0], axis=-1)
+    return RuledSurfaceModel(s_grid=s, e=e, t=t, g=g, c=0 * e, gamma=zeros, delta=zeros, Delta=zeros)
+
+
+def test_model_checks_its_grid_when_it_is_made():
+    s = np.linspace(0.0, 1.0, 32)
+    s[5] += 1e-3
+    with pytest.raises(NonUniformGrid):
+        _hand_built_model(s)
+    with pytest.raises(GridTooCoarse, match="^need at least 9 samples, got 8$"):
+        _hand_built_model(np.linspace(0.0, 1.0, 8))
+    # the step is the model's, not a constructor argument
+    assert "h" not in inspect.signature(RuledSurfaceModel).parameters
+    with pytest.raises(ValueError):
+        dataclasses.replace(_hand_built_model(np.linspace(0.0, 1.0, 9)), h=0.5)
+
+
+def test_model_carries_the_step_of_its_grid(constant_surface, planar_surface):
+    for m in (constant_surface, planar_surface):
+        s = m.s_grid
+        assert m.h == (s[-1] - s[0]) / (len(s) - 1)
+        # replace builds a new model, and the new model takes its step again
+        assert dataclasses.replace(m, gamma=np.full_like(m.gamma, 0.1)).h == m.h
+
+
 def test_cone_accepts_custom_director():
     u = np.linspace(0.0, 2.0, 128)
     vals = np.stack([np.cosh(u) * 1.5, np.sinh(u) * 1.5, np.zeros_like(u)], axis=-1)
@@ -282,8 +313,7 @@ def test_reparameterized_input_keeps_frame_orthonormal(constant_family):
 
 def _whole_frame_residuals(m):
     """frame_residuals written out over whole arrays, in one pass."""
-    s = m.s_grid
-    de, dt, dg, dc = (grid_derivative(s, x) for x in (m.e, m.t, m.g, m.c))
+    de, dt, dg, dc = (stencil_rows(x, m.h) for x in (m.e, m.t, m.g, m.c))
     gamma, delta, Delta = (x[:, None] for x in (m.gamma, m.delta, m.Delta))
 
     def mx(v):
@@ -304,7 +334,7 @@ def _whole_frame_residuals(m):
 
 def _whole_dual_derivative(m, line):
     """d/ds of a whole dual frame line, and its d/ds_bar form."""
-    raw = DualVec3(grid_derivative(m.s_grid, line.re), grid_derivative(m.s_grid, line.du))
+    raw = DualVec3(stencil_rows(line.re, m.h), stencil_rows(line.du, m.h))
     return raw, DualVec3(raw.re, raw.du + m.Delta[:, None] * raw.re)
 
 
