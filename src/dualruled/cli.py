@@ -183,6 +183,12 @@ def load_config(path: str) -> SurfaceConfig:
         raise ConfigError(f"cannot read config {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}")
+    except RecursionError as exc:
+        raise ConfigError(f"config {path} nests too deeply: {exc}")
+    except ValueError as exc:  # an integer past CPython's digit limit for int(str)
+        raise ConfigError(f"config {path} is not readable JSON: {exc}")
     return parse_config(data)
 
 

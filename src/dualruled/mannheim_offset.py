@@ -52,6 +52,7 @@ from .surface_kernel import (
     _darboux_fields,
     _gamma_bar,
     _frame_line,
+    axis_labels,
 )
 
 SINH_GUARD = 1e-6
@@ -97,11 +98,16 @@ class OffsetModel:
     rho1_cosh: DualScalar
     rho1_sinh: DualScalar
     rho1_star: np.ndarray
-    branch1: np.ndarray
+    timelike_axis1: np.ndarray  # where the offset's Darboux axis is timelike
     mannheim_real_residual: np.ndarray
     mannheim_dual_residual: np.ndarray
     striction_shift: dict  # offset minus base striction point, by frame direction
     spec: OffsetSpec
+
+    @property
+    def branch1(self) -> np.ndarray:
+        """The offset's axis kind of each sample as a label, spelled from timelike_axis1."""
+        return axis_labels(self.timelike_axis1)
 
 
 @dataclass
@@ -226,7 +232,7 @@ def construct_offset(m: RuledSurfaceModel, spec: OffsetSpec) -> OffsetModel:
     t1, g1, c1 = (np.asfortranarray(fields[k][back]) for k in ("t", "g", "c"))
     gamma1, delta1, Delta1, s1_grid, sigma1 = (
         fields[k][back] for k in ("gamma", "delta", "Delta", "s", "sigma"))
-    gamma1_bar, R1, C1, S1, branch1 = _curvature_elements(gamma1, delta1, Delta1)
+    gamma1_bar, R1, C1, S1, timelike1 = _curvature_elements(gamma1, delta1, Delta1)
 
     v = c1 - c
     return OffsetModel(
@@ -234,7 +240,7 @@ def construct_offset(m: RuledSurfaceModel, spec: OffsetSpec) -> OffsetModel:
         s1_grid=s1_grid, ds1_ds=orient * sigma1, orientation=orient,
         t1=t1, g1=g1, c1=c1, gamma1=gamma1, delta1=delta1, Delta1=Delta1,
         gamma1_bar=gamma1_bar, R1_bar=R1, rho1_cosh=C1, rho1_sinh=S1,
-        rho1_star=C1.du / S1.re, branch1=branch1,
+        rho1_star=C1.du / S1.re, timelike_axis1=timelike1,
         mannheim_real_residual=_distance_up_to_sign(t1, g),
         mannheim_dual_residual=_distance_up_to_sign(lcross(c1, t1), lcross(c, g)),
         striction_shift={"along_director": -linner(v, e), "along_tangent": linner(v, t),

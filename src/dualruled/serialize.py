@@ -16,16 +16,21 @@ Number arrays go in blocks of 8192 values and string arrays in blocks of
 One numpy digit kernel formats every number array, in three modes, each
 with the bytes of a Python %-format:
 - "%.11e", the floats of a 1-D or 2-D JSON array: each value is scaled to a
-  12-digit integer mantissa in long double;
+  12-digit integer mantissa in float64;
 - "%.9f", OBJ vertex coordinates: each value below 1e8 is scaled by 10**9
-  in long double;
+  in float64;
 - "%d", OBJ face indices: integers below 10**8, as they are.
 The kernel rounds the scaled value and looks up the digit bytes in small
-tables, built on first use. A scaled value sc is within eps * sc of its
-exact value, so a value whose rounding the working precision cannot decide
-(the fraction of sc lies within 64 * eps * sc of one half, exact ties
-included), or that is out of the mode's range, is formatted by Python
-instead; the bytes are then the same where long double is only double.
+tables, built on first use. With u = 2**-53, a scaled value sc is within
+2u * sc of its exact value: each power of ten is parsed from text (at most
+half an ulp off) and the product adds at most half an ulp more ("%.9f"
+multiplies by the exact 10**9, so only the product rounds). A value whose
+rounding float64 cannot decide (the fraction of sc lies within
+4 * eps * sc = 8u * sc of one half, exact ties included), or that is out of
+the mode's range, is formatted by Python instead, so the bytes are always
+Python's. That band covers every fraction once sc reaches about 5.6e14:
+an OBJ coordinate with |x| >= 5.6e5 always takes the Python path, as does
+a JSON float below about 1e-297, whose power of ten overflows float64.
 `write_rows(a, fmt, prefix, write)` writes the rows of a 2-D array as OBJ
 lines "prefix n n n".
 """
@@ -47,8 +52,7 @@ def _fmt_float(x: float) -> str:
     return f"{x:.11e}"
 
 
-_WORK = np.longdouble
-_BAND_EPS = 64
+_BAND_EPS = 4
 _BLOCK = 8192  # values per pass, which caps the kernel's transient memory
 _E_LO, _E_HI = -330, 310  # decimal exponents of float64 values, with margin
 _P_LO = 11 - _E_HI  # the first power of ten in the table
@@ -93,19 +97,19 @@ def _tables() -> dict:
 
 
 @functools.cache
-def _powers(work) -> np.ndarray:
-    """Powers of ten 10**_P_LO, ... in work."""
-    # parsed from text, so each power is correctly rounded (inf past the range of work)
-    return np.array([f"1e{p}" for p in range(_P_LO, 12 - _E_LO)], dtype=work)
+def _powers() -> np.ndarray:
+    """Powers of ten 10**_P_LO, ... in float64."""
+    # parsed from text, so each power is correctly rounded (inf past the range of float64)
+    return np.array([f"1e{p}" for p in range(_P_LO, 12 - _E_LO)], dtype=np.float64)
 
 
 def _round(sc: np.ndarray) -> tuple:
-    """Each nonnegative finite sc of the working precision rounded to an integer, and
-    whether the working precision decides that rounding (elsewhere the result is junk)."""
+    """Each nonnegative finite float64 sc rounded to an integer, and whether float64
+    decides that rounding (elsewhere the result is junk)."""
     with np.errstate(invalid="ignore"):  # inf and nan sc are never decided
         whole = sc.astype(np.int64)
-    frac = (sc - whole).astype(np.float64)
-    band = _BAND_EPS * float(np.finfo(sc.dtype).eps) * sc.astype(np.float64)
+    frac = sc - whole
+    band = _BAND_EPS * np.finfo(np.float64).eps * sc
     return whole + (frac > 0.5), np.abs(frac - 0.5) > band
 
 
@@ -115,13 +119,12 @@ def _decimal(x: np.ndarray) -> tuple:
     Where the kernel is certain, "%.11e" % v has the digits of m and the exponent e;
     zeros are certain with m = e = 0. Elsewhere m = e = 0 and v needs Python's formatter.
     """
-    powers = _powers(_WORK)
+    powers = _powers()
     zero = x == 0
     ax = np.abs(x)
     ax[zero] = 1.0
     e = np.floor(np.log10(ax)).astype(np.int64)
-    ax = ax.astype(_WORK)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf powers where work is double
+    with np.errstate(over="ignore", invalid="ignore"):  # inf powers below about 1e-297
         sc = ax * powers[11 - _P_LO - e]
         step = (sc >= 1e12).astype(np.int64) - (sc < 1e11)  # log10 rounded across a power of ten
         if step.any():
@@ -168,7 +171,7 @@ def _fixed(x: np.ndarray) -> tuple:
     ax = np.abs(x)
     in_range = ax < 1e8  # not nan or inf
     ax[~in_range] = 0.0
-    m, decided = _round(ax.astype(_WORK) * 10**9)
+    m, decided = _round(ax * 10**9)
     whole = m // 10**9
     fraction = m - whole * 10**9
     top, middle = fraction // 10**8, fraction // 10**4

@@ -33,6 +33,12 @@ is the one the whole-array expression gives, and the per-block maxima
 combine exactly, so each returned value is the whole-array maximum bit for
 bit. The blocks keep every temporary small enough for the allocator to
 reuse it, instead of faulting tens of MB of fresh pages in per call.
+
+The kind of each sample's Darboux axis is stored once, as the boolean mask
+`DualApparatus.timelike_axis` (1 byte a sample). Its labels, TIMELIKE_AXIS
+and SPACELIKE_AXIS, are 52 bytes a sample as a '<U13' array, so they are
+spelled from the mask only when `darboux_branch` is read (`axis_labels`);
+the offset's `OffsetModel.branch1` works the same way.
 """
 
 from __future__ import annotations
@@ -95,17 +101,28 @@ class RuledSurfaceModel:
         return len(self.s_grid)
 
 
+def axis_labels(timelike: np.ndarray) -> np.ndarray:
+    """TIMELIKE_AXIS where the mask is set, SPACELIKE_AXIS elsewhere."""
+    return np.where(timelike, TIMELIKE_AXIS, SPACELIKE_AXIS)
+
+
 @dataclass(frozen=True)
 class DualApparatus:
     """Dual-number layer over a model: dual arc length, dual conical curvature,
-    curvature radius, and the (cosh, sinh) pair of the dual spherical radius."""
+    curvature radius, the (cosh, sinh) pair of the dual spherical radius, and
+    where the Darboux axis is timelike (|gamma_bar| > 1)."""
 
     s_bar: DualScalar
     gamma_bar: DualScalar
     R_bar: DualScalar
     rho_cosh: DualScalar
     rho_sinh: DualScalar
-    darboux_branch: np.ndarray
+    timelike_axis: np.ndarray
+
+    @property
+    def darboux_branch(self) -> np.ndarray:
+        """The axis kind of each sample as a label, spelled from timelike_axis."""
+        return axis_labels(self.timelike_axis)
 
 
 def _renormalize_director(e: np.ndarray) -> np.ndarray:
@@ -256,7 +273,8 @@ def _curvature_elements(gamma, delta, Delta):
     """gamma_bar, curvature radius and (cosh, sinh) spherical-radius pair.
 
     Branch splits on |gamma| vs 1: the Darboux axis is timelike outside the
-    unit band, spacelike inside. Returns (gamma_bar, R, C, S, branch).
+    unit band, spacelike inside. Returns (gamma_bar, R, C, S, timelike), the
+    last a boolean mask of the samples whose axis is timelike.
     """
     gamma_bar = _gamma_bar(gamma, delta, Delta)
     gre = gamma_bar.re
@@ -271,8 +289,7 @@ def _curvature_elements(gamma, delta, Delta):
     timelike = np.abs(gre) > 1.0
     C = DualScalar(np.where(timelike, mgR.re, mR.re), np.where(timelike, mgR.du, mR.du))
     S = DualScalar(np.where(timelike, mR.re, mgR.re), np.where(timelike, mR.du, mgR.du))
-    branch = np.where(timelike, TIMELIKE_AXIS, SPACELIKE_AXIS)
-    return gamma_bar, R, C, S, branch
+    return gamma_bar, R, C, S, timelike
 
 
 def _frame_line(c: np.ndarray, x: np.ndarray) -> DualVec3:
@@ -288,10 +305,10 @@ def dual_frame(m: RuledSurfaceModel):
 def dual_apparatus(m: RuledSurfaceModel) -> DualApparatus:
     """Dual arc length, dual conical curvature, and curvature elements."""
     s_bar = DualScalar(m.s_grid, -cumulative_simpson(m.Delta, m.h))
-    gamma_bar, R, C, S, branch = _curvature_elements(m.gamma, m.delta, m.Delta)
+    gamma_bar, R, C, S, timelike = _curvature_elements(m.gamma, m.delta, m.Delta)
     return DualApparatus(
         s_bar=s_bar, gamma_bar=gamma_bar, R_bar=R,
-        rho_cosh=C, rho_sinh=S, darboux_branch=branch,
+        rho_cosh=C, rho_sinh=S, timelike_axis=timelike,
     )
 
 

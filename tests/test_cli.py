@@ -123,13 +123,29 @@ def test_samples_floor_exit_2(tmp_path, capsys, source):
     assert not out.exists()
 
 
-def test_load_config_errors(tmp_path):
+def test_load_config_errors(tmp_path, capsys):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(str(tmp_path / "missing.json"))
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(str(bad))
+    # text that is not UTF-8, nesting deeper than the decoder's recursion limit, and
+    # an integer longer than CPython converts from text (where it has that limit)
+    unreadable = {"utf16.json": (b'\xff\xfe{"name": "x"}', "is not UTF-8 text: "),
+                  "deep.json": (b"[" * 100000 + b"]" * 100000, "nests too deeply: ")}
+    if hasattr(sys, "get_int_max_str_digits"):
+        unreadable["long.json"] = (b'{"samples": ' + b"9" * 5000 + b"}", "is not readable JSON: ")
+    out = tmp_path / "out.json"
+    for name, (data, message) in unreadable.items():
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(ConfigError, match=f"config {re.escape(str(path))} {message}"):
+            load_config(str(path))
+        assert main(["analyze", "--input", str(path), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ConfigError: config {path} {message}") and err.count("\n") == 1
+        assert not out.exists()
 
 
 def test_build_model_param_errors():

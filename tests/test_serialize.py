@@ -150,13 +150,12 @@ def _kernel_cases():
                            np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), edges])
 
 
-@pytest.mark.parametrize("work", [np.longdouble, np.float64], ids=["long_double", "double"])
-def test_digit_kernel_matches_the_per_item_format(monkeypatch, work):
-    # float64 as the working precision stands in for a platform whose long double is double
-    monkeypatch.setattr(serialize, "_WORK", work)
+@pytest.mark.parametrize("dtype", [np.longdouble, np.float64], ids=["long_double", "double"])
+def test_digit_kernel_matches_the_per_item_format(dtype):
+    # the kernel works in float64; a long double array of the same values takes it too
     values = _kernel_cases()
     assert values.size > 10 * serialize._BLOCK
-    assert dumps_canonical(values) == _per_item(values)
+    assert dumps_canonical(values.astype(dtype)) == _per_item(values)
     _, _, certain = serialize._decimal(values)
     exact_ties = (values % 1 == 0.5) & (np.abs(values) >= 1e11) & (np.abs(values) < 1e12)
     assert exact_ties.sum() >= 2000 and not certain[exact_ties].any()
@@ -164,7 +163,7 @@ def test_digit_kernel_matches_the_per_item_format(monkeypatch, work):
     floats32 = bits32.view(np.float32)
     floats32 = floats32[np.isfinite(floats32)]
     assert dumps_canonical(floats32) == _per_item(floats32)
-    rows = values[: 3 * (serialize._BLOCK // 3 + 7)].reshape(-1, 3)  # crosses a block boundary
+    rows = values[: 3 * (serialize._BLOCK // 3 + 7)].reshape(-1, 3).astype(dtype)  # crosses a block boundary
     for a in (rows, rows[::-1], floats32[: rows.size].reshape(-1, 3)):
         assert dumps_canonical({"x": a}) == dumps_canonical({"x": a.tolist()})
 
@@ -187,13 +186,12 @@ def _fixed_cases():
     return values[: values.size // 3 * 3].reshape(-1, 3), ties
 
 
-@pytest.mark.parametrize("work", [np.longdouble, np.float64], ids=["long_double", "double"])
-def test_fixed_and_integer_modes_match_python(monkeypatch, work):
+@pytest.mark.parametrize("dtype", [np.longdouble, np.float64], ids=["long_double", "double"])
+def test_fixed_and_integer_modes_match_python(dtype):
     # the OBJ modes of the digit kernel, held to "%.9f" and "%d" as CPython prints them
-    monkeypatch.setattr(serialize, "_WORK", work)
     rows, ties = _fixed_cases()
     assert rows.size > 5 * serialize._BLOCK
-    assert _rows(rows, "%.9f", "v") == "".join("v %.9f %.9f %.9f\n" % tuple(r) for r in rows.tolist())
+    assert _rows(rows.astype(dtype), "%.9f", "v") == "".join("v %.9f %.9f %.9f\n" % tuple(r) for r in rows.tolist())
     _, certain = serialize._fixed(ties)
     assert not certain.any()  # exact ties at the 10th decimal go to Python
     assert _rows(np.array([[-0.0, -1e-12, -4e-10]]), "%.9f", "v") == "v -0.000000000 -0.000000000 -0.000000000\n"
@@ -230,7 +228,7 @@ def test_streaming_a_report_holds_no_array_text(tmp_path):
     import tracemalloc
 
     payload = {"x": np.random.default_rng(3).normal(size=(2**17, 3)), "y": np.arange(5.0)}
-    serialize._tables(), serialize._powers(serialize._WORK)  # the lazy tables are not the stream's
+    serialize._tables(), serialize._powers()  # the lazy tables are not the stream's
     path = tmp_path / "x.json"
     tracemalloc.start()
     try:

@@ -399,3 +399,44 @@ def test_dual_frame_residuals_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak < 12 * 2**20
+
+
+def stored_arrays(obj) -> list:
+    """The arrays a result dataclass stores: its array fields, the parts of its dual
+    fields and the values of its dict fields."""
+    out = []
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        parts = value.values() if isinstance(value, dict) else [value]
+        for part in parts:
+            out += [part] if isinstance(part, np.ndarray) else [
+                getattr(part, k) for k in ("re", "du") if hasattr(part, k)]
+    return out
+
+
+def test_axis_kind_is_a_mask_spelled_on_read(constant_surface, offset_pieces):
+    # a label is 52 bytes a sample; the apparatus and the offset keep 1 byte and
+    # spell the labels on read
+    g0 = constant_surface.gamma  # spacelike axis; then timelike, then mixed
+    for gamma in (g0, np.full_like(g0, 1.5), np.where(np.arange(g0.size) % 3, 0.5, -1.5)):
+        ap = dual_apparatus(dataclasses.replace(constant_surface, gamma=gamma))
+        assert all(a.dtype.kind != "U" for a in stored_arrays(ap))
+        assert ap.timelike_axis.dtype == bool
+        labels = np.where(np.abs(ap.gamma_bar.re) > 1.0, "TimelikeAxis", "SpacelikeAxis")
+        assert ap.darboux_branch.dtype == np.dtype("<U13") == labels.dtype
+        assert np.array_equal(ap.darboux_branch, labels)
+    offset = offset_pieces[2]
+    assert all(a.dtype.kind != "U" for a in stored_arrays(offset))
+    assert offset.timelike_axis1.dtype == bool
+    labels = np.where(np.abs(offset.gamma1_bar.re) > 1.0, "TimelikeAxis", "SpacelikeAxis")
+    assert offset.branch1.dtype == np.dtype("<U13") and np.array_equal(offset.branch1, labels)
+    m = synth_constant_invariant(0.5, 0.3, 0.2, (0.0, 2.0), 2**17)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ap = dual_apparatus(m)
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    # eight float arrays and the mask: 8.1 MiB; with the labels stored it was 14.5 MiB
+    assert retained < 9 * 2**20

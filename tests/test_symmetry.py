@@ -6,6 +6,8 @@ reversing the traversal or negating the director flips the signs of gamma
 and delta; a reflection flips gamma and Delta. The input is the disguised
 surface of conftest.py (reparameterized, director rescaled, base off the
 striction curve), so the laws are checked on the path a user's samples take.
+The offset report's verdicts, built by the same angle law, stay the same
+under all four transforms.
 
 Bounds: gamma and delta come from second and third derivatives of the
 samples, so rounding in the inputs reaches them amplified by about 1/h^2 at
@@ -21,7 +23,13 @@ import numpy as np
 import pytest
 
 from conftest import lorentz_map
-from dualruled import SampledCurve, build_surface
+from dualruled import (
+    SampledCurve,
+    build_surface,
+    consistency_report,
+    construct_offset,
+    offset_angle_profile,
+)
 
 N = 1025
 L2 = lorentz_map(0.8, 2.5, 0.3)
@@ -95,3 +103,29 @@ def test_reflection_flips_gamma_and_Delta(raw, base_model):
     assert np.array_equal(ref.e, m.e @ REFLECT) and np.array_equal(ref.c, m.c @ REFLECT)
     # an improper map reverses the cross product: g -> -R g
     assert np.array_equal(ref.g, -(m.g @ REFLECT))
+
+
+def verdicts(m):
+    """Verdicts and maxima of the offset report at c = 2.5, c* = 0.3 on s in [1, 2]."""
+    spec = offset_angle_profile(m, 2.5, 0.3, (1.0, 2.0))
+    report = consistency_report(m, spec, construct_offset(m, spec))
+    return report.verdicts, report.max_residual
+
+
+def test_offset_verdicts_survive_the_transforms(raw, base_model):
+    # a sign flip makes the same (c, c*) law build a different offset, whose
+    # DISCREPANT maxima move; the verdicts and the CONFIRMED agreement stay
+    u, director, base = raw
+    transformed = {
+        "lorentz_and_translation": (u, director @ L2.T, base @ L2.T + B2),
+        "reversed": (u, director[::-1], base[::-1]),  # on u, as u[-1] - u[::-1] is u
+        "negated_director": (u, -director, base),
+        "reflection": (u, director @ REFLECT, base @ REFLECT),
+    }
+    expected, maxima = verdicts(base_model)
+    for name, samples in transformed.items():
+        got, got_maxima = verdicts(model(*samples))
+        assert got == expected, name
+        for key, verdict in got.items():
+            if verdict == "CONFIRMED":
+                assert max(maxima[key], got_maxima[key]) <= 1e-5, (name, key)
