@@ -224,7 +224,7 @@ def _analyze_payload(cfg: SurfaceConfig, model: RuledSurfaceModel) -> dict:
             "gamma_bar": app.gamma_bar,
             "rho_cosh": app.rho_cosh,
             "rho_sinh": app.rho_sinh,
-            "s_bar": app.s_bar,
+            "s_bar": model.s_bar,
         },
         "name": cfg.name,
         "residual_maxima": residuals,
@@ -301,7 +301,7 @@ def cmd_offset(args) -> int:
         },
         "recovered": {
             "Delta1": offset.Delta1,
-            "branch": offset.branch1,
+            "branch": offset.apparatus1.darboux_branch,
             "delta1": offset.delta1,
             "ds1_ds": offset.ds1_ds,
             "gamma1": offset.gamma1,

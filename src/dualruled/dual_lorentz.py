@@ -48,12 +48,6 @@ class DualVec3:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class DualAngle:
-    theta: float
-    theta_star: float
-
-
 def dinner(a: DualVec3, b: DualVec3) -> DualScalar:
     """Dual Lorentzian inner product: (<a,b>, <a,b*> + <a*,b>)."""
     return DualScalar(linner(a.re, b.re), linner(a.re, b.du) + linner(a.du, b.re))
@@ -112,8 +106,8 @@ def decode_line_point(a: DualVec3, error: type[KernelError] = InvalidLine) -> np
     return lcross(a.re, a.du)
 
 
-def dual_angle(a: DualVec3, b: DualVec3) -> DualAngle:
-    """Dual hyperbolic angle between two unit timelike lines.
+def dual_angle(a: DualVec3, b: DualVec3) -> DualScalar:
+    """Dual hyperbolic angle (theta, theta_star) between two unit timelike lines.
 
     theta >= 0 comes from arccosh(-<a, b>); theta_star = -dual/sinh(theta)
     carries the line distance with an orientation sign.
@@ -128,5 +122,4 @@ def dual_angle(a: DualVec3, b: DualVec3) -> DualAngle:
         raise NotTimelike("directions are not both future-oriented timelike")
     if v <= 1.0 + 1e-12:
         raise ParallelLines("sinh(theta) = 0; distance part undefined by the angle formula")
-    ang = apply_function("arccosh", DualScalar(v, -float(d.du)))
-    return DualAngle(float(ang.re), float(ang.du))
+    return apply_function("arccosh", DualScalar(v, -float(d.du)))

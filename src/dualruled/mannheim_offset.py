@@ -39,20 +39,21 @@ from .errors import (
     DegenerateWindow,
     GridTooCoarse,
     MismatchedInputs,
+    NullDarbouxAxis,
     ValidationError,
     guard,
 )
 from .minkowski3 import enorm, lcross, linner
-from .numerics import MIN_SAMPLES, cumulative_simpson, grid_step, require_squarable, stencil_rows
+from .numerics import MIN_SAMPLES, grid_step, require_squarable, stencil_rows
 from .surface_kernel import (
     DEVELOPABLE_TOL,
     STALL_FLOOR,
+    DualApparatus,
     RuledSurfaceModel,
     _curvature_elements,
     _darboux_fields,
     _gamma_bar,
     _frame_line,
-    axis_labels,
 )
 
 SINH_GUARD = 1e-6
@@ -93,21 +94,12 @@ class OffsetModel:
     gamma1: np.ndarray
     delta1: np.ndarray
     Delta1: np.ndarray
-    gamma1_bar: DualScalar
-    R1_bar: DualScalar
-    rho1_cosh: DualScalar
-    rho1_sinh: DualScalar
+    apparatus1: DualApparatus  # the offset's curvature elements
     rho1_star: np.ndarray
-    timelike_axis1: np.ndarray  # where the offset's Darboux axis is timelike
     mannheim_real_residual: np.ndarray
     mannheim_dual_residual: np.ndarray
     striction_shift: dict  # offset minus base striction point, by frame direction
     spec: OffsetSpec
-
-    @property
-    def branch1(self) -> np.ndarray:
-        """The offset's axis kind of each sample as a label, spelled from timelike_axis1."""
-        return axis_labels(self.timelike_axis1)
 
 
 @dataclass
@@ -128,16 +120,16 @@ class OffsetReport:
 
 def offset_angle_profile(m: RuledSurfaceModel, c_const: float, cstar_const: float,
                          window: tuple) -> OffsetSpec:
-    """Mannheim angle law on a model: theta = -s + c, theta_star = int(Delta) + c*.
+    """Mannheim angle law on a model, theta_bar = c_bar - s_bar: theta = c - s and
+    theta_star = c* + int(Delta ds).
 
-    The distance integral is anchored at the model's grid origin. `window`
-    is the working range [lo, hi] in s, which may overhang the model's s
-    range by less than one grid step; (m.s_grid[0], m.s_grid[-1]) is the
-    whole model. The profile must keep sinh(theta) away from zero on it.
+    The distance integral is anchored at the model's grid origin, as `m.s_bar`
+    is. `window` is the working range [lo, hi] in s, which may overhang the
+    model's s range by less than one grid step; (m.s_grid[0], m.s_grid[-1])
+    is the whole model. The profile must keep sinh(theta) away from zero on it.
     """
     s_full = m.s_grid
-    theta_full = -s_full + float(c_const)
-    theta_star_full = cumulative_simpson(m.Delta, m.h) + float(cstar_const)
+    theta_bar = DualScalar(c_const, cstar_const) - m.s_bar
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValidationError(f"window must be [lo, hi] with lo < hi, got [{lo}, {hi}]")
@@ -155,7 +147,7 @@ def offset_angle_profile(m: RuledSurfaceModel, c_const: float, cstar_const: floa
             f"window [{lo}, {hi}] holds {hi_i - lo_i} samples; need {MIN_SAMPLES}"
         )
     w = slice(lo_i, hi_i)
-    s, theta = s_full[w], theta_full[w]
+    s, theta = s_full[w], theta_bar.re[w]
     # theta = 0 anywhere in the window kills the offset: catch samples inside
     # the guard band and sign changes that straddle the zero between samples.
     # A sinh that overflows is far from the band; transfer_dual_director
@@ -171,7 +163,7 @@ def offset_angle_profile(m: RuledSurfaceModel, c_const: float, cstar_const: floa
         )
     return OffsetSpec(
         c_const=float(c_const), cstar_const=float(cstar_const), s=s, theta=theta,
-        theta_star=theta_star_full[w], lo_index=lo_i, hi_index=hi_i, source_model=m,
+        theta_star=theta_bar.du[w], lo_index=lo_i, hi_index=hi_i, source_model=m,
     )
 
 
@@ -232,15 +224,17 @@ def construct_offset(m: RuledSurfaceModel, spec: OffsetSpec) -> OffsetModel:
     t1, g1, c1 = (np.asfortranarray(fields[k][back]) for k in ("t", "g", "c"))
     gamma1, delta1, Delta1, s1_grid, sigma1 = (
         fields[k][back] for k in ("gamma", "delta", "Delta", "s", "sigma"))
-    gamma1_bar, R1, C1, S1, timelike1 = _curvature_elements(gamma1, delta1, Delta1)
+    try:
+        apparatus1 = _curvature_elements(gamma1, delta1, Delta1)
+    except NullDarbouxAxis as exc:
+        raise NullDarbouxAxis(f"offset: {exc}") from exc
 
     v = c1 - c
     return OffsetModel(
         e1_dual=e1_dual,
         s1_grid=s1_grid, ds1_ds=orient * sigma1, orientation=orient,
         t1=t1, g1=g1, c1=c1, gamma1=gamma1, delta1=delta1, Delta1=Delta1,
-        gamma1_bar=gamma1_bar, R1_bar=R1, rho1_cosh=C1, rho1_sinh=S1,
-        rho1_star=C1.du / S1.re, timelike_axis1=timelike1,
+        apparatus1=apparatus1, rho1_star=apparatus1.rho_cosh.du / apparatus1.rho_sinh.re,
         mannheim_real_residual=_distance_up_to_sign(t1, g),
         mannheim_dual_residual=_distance_up_to_sign(lcross(c1, t1), lcross(c, g)),
         striction_shift={"along_director": -linner(v, e), "along_tangent": linner(v, t),
@@ -310,23 +304,23 @@ def consistency_report(m: RuledSurfaceModel, spec: OffsetSpec, offset: OffsetMod
     gamma, delta, Delta, theta, theta_star = _closed_form_inputs(spec)
     F = _formula_fields(gamma, delta, Delta, theta, theta_star)
 
-    ds1 = offset.ds1_ds
+    ds1, a1 = offset.ds1_ds, offset.apparatus1
     arc_dual_oracle = DualScalar(ds1, ds1 * (Delta - offset.Delta1))
     oracle = {
         "arc_rate": np.abs(ds1),
         "arc_rate_dual": arc_dual_oracle,
         "conical_curvature": offset.gamma1,
-        "conical_curvature_dual_re": offset.gamma1_bar.re,
-        "conical_curvature_dual_du": offset.gamma1_bar.du,
+        "conical_curvature_dual_re": a1.gamma_bar.re,
+        "conical_curvature_dual_du": a1.gamma_bar.du,
         "drift": offset.delta1,
         "dist_param_rate_route": offset.Delta1,
         "dist_param_det_route": offset.Delta1,
-        "curvature_radius_re": offset.R1_bar.re,
-        "curvature_radius_du": offset.R1_bar.du,
-        "sph_radius_cosh_re": offset.rho1_cosh.re,
-        "sph_radius_cosh_du": offset.rho1_cosh.du,
-        "sph_radius_sinh": offset.rho1_sinh.re,
-        "sph_radius_sinh_du": offset.rho1_sinh.du,
+        "curvature_radius_re": a1.R_bar.re,
+        "curvature_radius_du": a1.R_bar.du,
+        "sph_radius_cosh_re": a1.rho_cosh.re,
+        "sph_radius_cosh_du": a1.rho_cosh.du,
+        "sph_radius_sinh": a1.rho_sinh.re,
+        "sph_radius_sinh_du": a1.rho_sinh.du,
         "sph_radius_shift": offset.rho1_star,
         "offset_distance_constraint": spec.theta_star,
     }

@@ -34,11 +34,14 @@ combine exactly, so each returned value is the whole-array maximum bit for
 bit. The blocks keep every temporary small enough for the allocator to
 reuse it, instead of faulting tens of MB of fresh pages in per call.
 
-The kind of each sample's Darboux axis is stored once, as the boolean mask
-`DualApparatus.timelike_axis` (1 byte a sample). Its labels, TIMELIKE_AXIS
-and SPACELIKE_AXIS, are 52 bytes a sample as a '<U13' array, so they are
-spelled from the mask only when `darboux_branch` is read (`axis_labels`);
-the offset's `OffsetModel.branch1` works the same way.
+A `DualApparatus` is the curvature-element record of any surface, the base
+or its Mannheim offset: `_curvature_elements` makes it from (gamma, delta,
+Delta), and `dual_apparatus(m)` is that one call on a model's invariants.
+The dual arc length is the model's own (`RuledSurfaceModel.s_bar`). The
+kind of each sample's Darboux axis is stored once, as the boolean mask
+`timelike_axis` (1 byte a sample). Its labels, TIMELIKE_AXIS and
+SPACELIKE_AXIS, are 52 bytes a sample as a '<U13' array, so they are
+spelled from the mask only when `darboux_branch` is read.
 """
 
 from __future__ import annotations
@@ -100,19 +103,18 @@ class RuledSurfaceModel:
     def __len__(self):
         return len(self.s_grid)
 
-
-def axis_labels(timelike: np.ndarray) -> np.ndarray:
-    """TIMELIKE_AXIS where the mask is set, SPACELIKE_AXIS elsewhere."""
-    return np.where(timelike, TIMELIKE_AXIS, SPACELIKE_AXIS)
+    @property
+    def s_bar(self) -> DualScalar:
+        """Dual arc length s_bar = s - eps int(Delta ds), anchored at the grid origin."""
+        return DualScalar(self.s_grid, -cumulative_simpson(self.Delta, self.h))
 
 
 @dataclass(frozen=True)
 class DualApparatus:
-    """Dual-number layer over a model: dual arc length, dual conical curvature,
+    """Curvature elements of one surface, base or offset: dual conical curvature,
     curvature radius, the (cosh, sinh) pair of the dual spherical radius, and
     where the Darboux axis is timelike (|gamma_bar| > 1)."""
 
-    s_bar: DualScalar
     gamma_bar: DualScalar
     R_bar: DualScalar
     rho_cosh: DualScalar
@@ -122,7 +124,7 @@ class DualApparatus:
     @property
     def darboux_branch(self) -> np.ndarray:
         """The axis kind of each sample as a label, spelled from timelike_axis."""
-        return axis_labels(self.timelike_axis)
+        return np.where(self.timelike_axis, TIMELIKE_AXIS, SPACELIKE_AXIS)
 
 
 def _renormalize_director(e: np.ndarray) -> np.ndarray:
@@ -269,12 +271,12 @@ def _gamma_bar(gamma, delta, Delta) -> DualScalar:
     return DualScalar(gamma, delta + gamma * Delta)
 
 
-def _curvature_elements(gamma, delta, Delta):
-    """gamma_bar, curvature radius and (cosh, sinh) spherical-radius pair.
+def _curvature_elements(gamma, delta, Delta) -> DualApparatus:
+    """The DualApparatus of invariants (gamma, delta, Delta): gamma_bar, curvature
+    radius and (cosh, sinh) spherical-radius pair.
 
     Branch splits on |gamma| vs 1: the Darboux axis is timelike outside the
-    unit band, spacelike inside. Returns (gamma_bar, R, C, S, timelike), the
-    last a boolean mask of the samples whose axis is timelike.
+    unit band, spacelike inside.
     """
     gamma_bar = _gamma_bar(gamma, delta, Delta)
     gre = gamma_bar.re
@@ -289,7 +291,7 @@ def _curvature_elements(gamma, delta, Delta):
     timelike = np.abs(gre) > 1.0
     C = DualScalar(np.where(timelike, mgR.re, mR.re), np.where(timelike, mgR.du, mR.du))
     S = DualScalar(np.where(timelike, mR.re, mgR.re), np.where(timelike, mR.du, mgR.du))
-    return gamma_bar, R, C, S, timelike
+    return DualApparatus(gamma_bar, R, C, S, timelike)
 
 
 def _frame_line(c: np.ndarray, x: np.ndarray) -> DualVec3:
@@ -303,13 +305,8 @@ def dual_frame(m: RuledSurfaceModel):
 
 
 def dual_apparatus(m: RuledSurfaceModel) -> DualApparatus:
-    """Dual arc length, dual conical curvature, and curvature elements."""
-    s_bar = DualScalar(m.s_grid, -cumulative_simpson(m.Delta, m.h))
-    gamma_bar, R, C, S, timelike = _curvature_elements(m.gamma, m.delta, m.Delta)
-    return DualApparatus(
-        s_bar=s_bar, gamma_bar=gamma_bar, R_bar=R,
-        rho_cosh=C, rho_sinh=S, timelike_axis=timelike,
-    )
+    """Curvature elements of the model's surface."""
+    return _curvature_elements(m.gamma, m.delta, m.Delta)
 
 
 def classify(m: RuledSurfaceModel) -> dict:

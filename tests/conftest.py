@@ -98,6 +98,49 @@ def disguise():
     return Disguise()
 
 
+class Varying:
+    """A surface whose invariants vary: gamma = 0.5 + 0.15 sin 1.3s, delta = 0.3 +
+    0.1 cos 0.9s and Delta = 0.2 + 0.1 sin(0.7s + 0.4) on s in [0, 2]. The frame
+    equations de/ds = t, dt/ds = e + gamma g, dg/ds = -gamma t and dc/ds = -delta e +
+    Delta g are integrated by classical RK4, SUBSTEPS steps per sample, from e = (1, 0, 0),
+    t = (0, 1, 0), g = (0, 0, 1) and c = 0; the samples are e and c at n arc lengths."""
+
+    s_end, SUBSTEPS = 2.0, 4
+
+    @staticmethod
+    def invariants(s):
+        return (0.5 + 0.15 * np.sin(1.3 * s), 0.3 + 0.1 * np.cos(0.9 * s),
+                0.2 + 0.1 * np.sin(0.7 * s + 0.4))
+
+    def rate(self, s, y):
+        gamma, delta, Delta = self.invariants(s)
+        e, t, g, _ = y
+        return np.array([t, e + gamma * g, -gamma * t, -delta * e + Delta * g])
+
+    def sample(self, n):
+        """Grid s (n,), director e (n, 3) and striction curve c (n, 3)."""
+        s = np.linspace(0.0, self.s_end, n)
+        h = (s[1] - s[0]) / self.SUBSTEPS
+        y = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+        out = [y]
+        for s0 in s[:-1]:
+            for k in range(self.SUBSTEPS):
+                x = s0 + k * h
+                k1 = self.rate(x, y)
+                k2 = self.rate(x + h / 2, y + (h / 2) * k1)
+                k3 = self.rate(x + h / 2, y + (h / 2) * k2)
+                k4 = self.rate(x + h, y + h * k3)
+                y = y + (h / 6) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            out.append(y)
+        out = np.array(out)
+        return s, out[:, 0], out[:, 3]
+
+
+@pytest.fixture(scope="session")
+def varying():
+    return Varying()
+
+
 @pytest.fixture(scope="session")
 def all_surfaces(planar_surface, constant_surface, cone_surface):
     return {

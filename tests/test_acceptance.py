@@ -154,8 +154,8 @@ def test_criterion_06_study_roundtrip(rng):
     one = encode_line(np.array([1.0, 0.0, 0.0]), np.zeros(3))
     other = encode_line(np.array([np.cosh(1.0), np.sinh(1.0), 0.0]), np.array([0.0, 0.0, 2.0]))
     ang = dual_angle(one, other)
-    assert abs(ang.theta - 1.0) < 1e-9
-    assert abs(abs(ang.theta_star) - 2.0) < 1e-9
+    assert abs(ang.re - 1.0) < 1e-9
+    assert abs(abs(ang.du) - 2.0) < 1e-9
     print("\n[acceptance] criterion 6: PASS")
 
 
@@ -178,7 +178,7 @@ def test_criterion_08_confirmed_offset_laws(offset_pieces):
     rate = np.abs(m.gamma[sl] * np.sinh(theta))
     assert np.max(np.abs(np.abs(offset.ds1_ds) - rate)) < 1e-3
     assert abs(offset.ds1_ds[-1]) == pytest.approx(0.587601, abs=1e-6)
-    assert np.max(np.abs(offset.rho1_cosh.re - np.cosh(theta))) < 1e-3
+    assert np.max(np.abs(offset.apparatus1.rho_cosh.re - np.cosh(theta))) < 1e-3
     print("\n[acceptance] criterion 8: PASS")
 
 

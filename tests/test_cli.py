@@ -323,6 +323,19 @@ def test_lost_digits_in_a_built_line_exit_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_offset_null_axis_names_the_offset(tmp_path, capsys):
+    # theta = 8 - s on the default config: the offset's axis nears the null cone,
+    # |1 - coth^2 theta| = 1/sinh^2 theta, while the base's stays far from it
+    cfg = {"name": "x", "kind": "constant_invariant", "params": dict(CONSTANT_PARAMS)}
+    out = tmp_path / "offset.json"
+    assert main(["offset", "--input", write_cfg(tmp_path, "c.json", cfg), "--c", "8", "--cstar", "0.3",
+                 "--output", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "NullDarbouxAxis: offset: |1 - gamma_bar^2| = 3.236e-07 at sample 0 (guard 1e-06); "
+        "Darboux axis is null\n")
+    assert not out.exists()
+
+
 def test_window_past_the_s_range_exit_2(tmp_path, capsys):
     out = tmp_path / "offset.json"
     assert main(["offset", "--input", write_cfg(tmp_path, "c.json", constant_cfg(256)), "--c", "3",

@@ -148,8 +148,8 @@ def test_dual_angle_parallel_lines_error():
 def test_dual_angle_skew_example():
     a, b = skew_pair()
     got = dual_angle(a, b)
-    assert abs(got.theta - 1.0) < 1e-9
-    assert abs(got.theta_star - (-2.0)) < 1e-9
+    assert abs(got.re - 1.0) < 1e-9
+    assert abs(got.du - (-2.0)) < 1e-9
 
 
 def test_dual_angle_rejects_non_timelike():
@@ -170,5 +170,5 @@ def test_dual_angle_frame_transfer_roundtrip(constant_surface):
         t = DualVec3(td.re[idx], td.du[idx])
         b = ch * a + sh * t
         got = dual_angle(a, b)
-        assert abs(got.theta - 0.7) < 1e-9
-        assert abs(got.theta_star - 0.25) < 1e-9
+        assert abs(got.re - 0.7) < 1e-9
+        assert abs(got.du - 0.25) < 1e-9

@@ -80,8 +80,10 @@ def pipeline(u, director, base):
     off = construct_offset(m, spec)
     rep = consistency_report(m, spec, off)
     out = {k: getattr(m, k) for k in ("s_grid", *FIELDS, "gamma", "delta", "Delta")}
-    for k in ("s_bar", "gamma_bar", "R_bar", "rho_cosh", "rho_sinh"):
-        out[f"app.{k}.re"], out[f"app.{k}.du"] = getattr(app, k).re, getattr(app, k).du
+    duals = {"s_bar": m.s_bar}
+    duals.update({k: getattr(app, k) for k in ("gamma_bar", "R_bar", "rho_cosh", "rho_sinh")})
+    for k, v in duals.items():
+        out[f"app.{k}.re"], out[f"app.{k}.du"] = v.re, v.du
     out.update({f"frame.{k}": v for k, v in frame_residuals(m).items()})
     out.update({f"dual.{k}": v for k, v in dual_frame_residuals(m).items()})
     out["study"] = study_residual(m)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dualruled import (
+    DualScalar,
     SampledCurve,
     build_surface,
     construct_offset,
@@ -29,6 +30,7 @@ from dualruled.errors import (
 )
 from dualruled import numerics
 from dualruled.mannheim_offset import VERDICT_TOL
+from dualruled.surface_kernel import DualApparatus
 
 CONFIRMED_KEYS = {
     "arc_rate",
@@ -62,6 +64,30 @@ def test_angle_profile_reference(offset_pieces):
     # window [1, 2] on the 1024-sample grid starts at the first sample >= 1
     assert len(spec.s) == 512
     assert 1.0 - 1e-12 <= spec.s[0] < 1.0 + 0.002
+
+
+@pytest.mark.parametrize("surface", ["constant", "disguise"])
+def test_angle_law_is_c_bar_minus_s_bar(constant_surface, disguise, surface):
+    # theta_bar = c_bar - s_bar has the bits of theta = -s + c and theta* = int(Delta) + c*
+    if surface == "constant":
+        m = constant_surface
+    else:
+        u, director, base = disguise.sample(1025)
+        m = build_surface(SampledCurve(u, director), SampledCurve(u, base))
+    integral = numerics.cumulative_simpson(m.Delta, m.h)
+    assert m.s_bar == DualScalar(m.s_grid, -integral)  # exact on both parts
+    spec = offset_angle_profile(m, 2.5, 0.3, (m.s_grid[0], m.s_grid[-1]))
+    w = spec.window
+    assert spec.theta.tobytes() == (-m.s_grid + 2.5)[w].tobytes()
+    assert spec.theta_star.tobytes() == (integral + 0.3)[w].tobytes()
+
+
+def test_offset_keeps_one_apparatus_record(offset_pieces):
+    offset = offset_pieces[2]
+    removed = {"gamma1_bar", "R1_bar", "rho1_cosh", "rho1_sinh", "timelike_axis1", "branch1"}
+    assert not removed & set(dir(offset))
+    assert isinstance(offset.apparatus1, DualApparatus)
+    assert "s_bar" not in {f.name for f in dataclasses.fields(DualApparatus)}
 
 
 def test_angle_profile_zero_distribution():
@@ -125,12 +151,13 @@ def test_offset_invariant_laws(offset_pieces):
     want_rate = np.abs(m.gamma[sl] * np.sinh(theta))
     assert np.max(np.abs(np.abs(offset.ds1_ds) - want_rate)) < 1e-3
     assert abs(offset.ds1_ds[-1]) == pytest.approx(0.587601, abs=1e-6)
-    assert np.max(np.abs(offset.rho1_cosh.re - np.cosh(theta))) < 1e-3
-    assert offset.rho1_cosh.re[-1] == pytest.approx(np.cosh(1.0), abs=1e-5)
-    assert np.max(np.abs(offset.rho1_cosh.du - np.sinh(theta) * spec.theta_star)) < 1e-3
+    rho1_cosh = offset.apparatus1.rho_cosh
+    assert np.max(np.abs(rho1_cosh.re - np.cosh(theta))) < 1e-3
+    assert rho1_cosh.re[-1] == pytest.approx(np.cosh(1.0), abs=1e-5)
+    assert np.max(np.abs(rho1_cosh.du - np.sinh(theta) * spec.theta_star)) < 1e-3
     assert np.max(np.abs(offset.rho1_star + spec.theta_star)) < 1e-3
     assert offset.rho1_star[-1] == pytest.approx(-0.7, abs=1e-5)
-    assert np.all(offset.branch1 == "TimelikeAxis")
+    assert np.all(offset.apparatus1.darboux_branch == "TimelikeAxis")
 
 
 def test_offset_causal_character(offset_pieces):
