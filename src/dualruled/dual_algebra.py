@@ -106,7 +106,8 @@ EPS = DualScalar(0.0, 1.0)
 
 
 def _domain_check(name: str, x: DualScalar, ok) -> None:
-    guard(~ok, lambda i: DomainError(name, float(x.re.flat[i])))
+    guard(~ok, lambda i: DomainError(
+        f"{name}: argument {float(x.re.flat[i])!r} outside the real domain"))
 
 
 def _pair(x: DualScalar, value, deriv) -> DualScalar:

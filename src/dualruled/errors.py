@@ -9,6 +9,8 @@ should pick the family deliberately.
 Per-sample checks raise through guard(excess, error), which names one
 sample: a boolean mask names its first violating sample, a float excess
 (measured value minus its limit) names its worst one.
+Every class is built from its message alone, so a caller can re-raise an
+error as its own class, its message prefixed with what collapsed.
 """
 
 from __future__ import annotations
@@ -42,11 +44,6 @@ class DivisionByPureDual(DegeneracyError, ZeroDivisionError):
 
 class DomainError(DegeneracyError, ValueError):
     """Argument outside the real domain of an analytic function."""
-
-    def __init__(self, func: str, value: float):
-        self.func = func
-        self.value = value
-        super().__init__(f"{func}: argument {value!r} outside the real domain")
 
 
 class NullDirection(DegeneracyError):

@@ -14,7 +14,9 @@ adjudicated against the oracle in a consistency report. Agreement and
 disagreement are both findings; the report never reconciles them. The
 paper's developability conditions are evaluated at every window sample from
 the same inputs as the closed forms. Every function here works on the whole
-window; none evaluates a single sample.
+window; none evaluates a single sample. An OffsetSpec checks its window once,
+when it is made: theta may not reach 0 on it. A degeneracy inside the rebuild
+is raised as its own class, prefixed "offset: ", and counts window samples.
 
 Orientation gauge: the offset indicatrix is traversed so that its arc
 length runs against gamma*sinh(theta) (ds1/ds = -gamma*sinh(theta)). In
@@ -33,13 +35,13 @@ import numpy as np
 from .dual_algebra import DualScalar, apply_function
 from .dual_lorentz import DualVec3, decode_line_point
 from .errors import (
+    DegeneracyError,
     DegenerateLine,
     DegenerateOffsetIndicatrix,
     DegeneratePoint,
     DegenerateWindow,
     GridTooCoarse,
     MismatchedInputs,
-    NullDarbouxAxis,
     ValidationError,
     guard,
 )
@@ -61,23 +63,32 @@ VERDICT_TOL = 1e-3  # max residual at or below this: CONFIRMED
 GAMMA_GUARD = 1e-6
 
 
-@dataclass
+@dataclass(frozen=True)
 class OffsetSpec:
-    """Offset angle law for one base model, restricted to a working window."""
+    """Offset angle law for one base model on a working window, the slice
+    `window` of the model's grid; checked once, when the spec is made."""
 
     c_const: float
     cstar_const: float
     s: np.ndarray
     theta: np.ndarray
     theta_star: np.ndarray
-    lo_index: int
-    hi_index: int
+    window: slice
     source_model: RuledSurfaceModel
 
-    @property
-    def window(self) -> slice:
-        """The window's samples within the source model's grid."""
-        return slice(self.lo_index, self.hi_index)
+    def __post_init__(self):
+        # theta = 0 at a sample or between two kills the offset: the window's theta
+        # range must miss the band |sinh(theta)| <= SINH_GUARD. No sinh is taken, so
+        # a huge |theta| cannot overflow; transfer_dual_director refuses its director
+        theta, band = self.theta, np.arcsinh(SINH_GUARD)
+
+        def crossing(_):
+            i = np.argmin(np.abs(theta))
+            return DegenerateWindow(
+                f"theta = 0 crossing: sinh(theta) = {np.sinh(theta[i]):.3e} near s = "
+                f"{self.s[i]:.6g}; shrink the window or change the angle constant")
+
+        guard(min(band - theta.min(), theta.max() + band), crossing)
 
 
 @dataclass
@@ -126,7 +137,7 @@ def offset_angle_profile(m: RuledSurfaceModel, c_const: float, cstar_const: floa
     The distance integral is anchored at the model's grid origin, as `m.s_bar`
     is. `window` is the working range [lo, hi] in s, which may overhang the
     model's s range by less than one grid step; (m.s_grid[0], m.s_grid[-1])
-    is the whole model. The profile must keep sinh(theta) away from zero on it.
+    is the whole model. A window where theta reaches 0 raises DegenerateWindow.
     """
     s_full = m.s_grid
     theta_bar = DualScalar(c_const, cstar_const) - m.s_bar
@@ -147,23 +158,9 @@ def offset_angle_profile(m: RuledSurfaceModel, c_const: float, cstar_const: floa
             f"window [{lo}, {hi}] holds {hi_i - lo_i} samples; need {MIN_SAMPLES}"
         )
     w = slice(lo_i, hi_i)
-    s, theta = s_full[w], theta_bar.re[w]
-    # theta = 0 anywhere in the window kills the offset: catch samples inside
-    # the guard band and sign changes that straddle the zero between samples.
-    # A sinh that overflows is far from the band; transfer_dual_director
-    # refuses the director it would tilt to
-    with np.errstate(over="ignore"):
-        small = np.abs(np.sinh(theta)) <= SINH_GUARD
-    crosses = (theta.min() < -SINH_GUARD) and (theta.max() > SINH_GUARD)
-    if np.any(small) or crosses:
-        idx = int(np.argmin(np.abs(theta)))
-        raise DegenerateWindow(
-            f"theta = 0 crossing: sinh(theta) = {np.sinh(theta[idx]):.3e} near "
-            f"s = {s[idx]:.6g}; shrink the window or change the angle constant"
-        )
     return OffsetSpec(
-        c_const=float(c_const), cstar_const=float(cstar_const), s=s, theta=theta,
-        theta_star=theta_bar.du[w], lo_index=lo_i, hi_index=hi_i, source_model=m,
+        c_const=float(c_const), cstar_const=float(cstar_const), s=s_full[w],
+        theta=theta_bar.re[w], theta_star=theta_bar.du[w], window=w, source_model=m,
     )
 
 
@@ -204,8 +201,6 @@ def construct_offset(m: RuledSurfaceModel, spec: OffsetSpec) -> OffsetModel:
     s = m.s_grid[w]
     e, t, g, c = m.e[w], m.t[w], m.g[w], m.c[w]
     e1_dual = transfer_dual_director(spec)
-    pts = decode_line_point(e1_dual, DegenerateLine)
-
     h = grid_step(s)
     de1 = stencil_rows(e1_dual.re, h)
     guard(linner(de1, de1) <= STALL_FLOOR, lambda i: DegenerateOffsetIndicatrix(
@@ -217,17 +212,19 @@ def construct_offset(m: RuledSurfaceModel, spec: OffsetSpec) -> OffsetModel:
     drive = m.gamma[w] * np.sinh(spec.theta)
     orient = -1 if drive[mid] > 0 else 1
     back = slice(None, None, orient)
-    # the reflected grid -s[::-1] has the bits of the step of s
-    fields = _darboux_fields(orient * s[back], e1_dual.re[back], pts[back], h)
+    try:
+        pts = decode_line_point(e1_dual, DegenerateLine)
+        # the reflected grid -s[::-1] has the bits of the step of s
+        fields = _darboux_fields(orient * s[back], e1_dual.re[back], pts[back], h,
+                                 range(len(s))[back])
+        gamma1, delta1, Delta1, s1_grid, sigma1 = (
+            fields[k][back] for k in ("gamma", "delta", "Delta", "s", "sigma"))
+        apparatus1 = _curvature_elements(gamma1, delta1, Delta1)
+    except DegeneracyError as exc:
+        raise type(exc)(f"offset: {exc}") from exc
 
     # back to the window's order; a reversed N x 3 field is copied column-major again
     t1, g1, c1 = (np.asfortranarray(fields[k][back]) for k in ("t", "g", "c"))
-    gamma1, delta1, Delta1, s1_grid, sigma1 = (
-        fields[k][back] for k in ("gamma", "delta", "Delta", "s", "sigma"))
-    try:
-        apparatus1 = _curvature_elements(gamma1, delta1, Delta1)
-    except NullDarbouxAxis as exc:
-        raise NullDarbouxAxis(f"offset: {exc}") from exc
 
     v = c1 - c
     return OffsetModel(
@@ -280,13 +277,12 @@ def _formula_fields(gamma, delta, Delta, theta, theta_star) -> dict:
 def _closed_form_inputs(spec: OffsetSpec) -> tuple:
     """Base (gamma, delta, Delta, theta, theta_star) on the spec's window.
 
-    Raises DegeneratePoint where the closed forms divide by zero:
-    |sinh(theta)| <= SINH_GUARD or |gamma| <= GAMMA_GUARD.
+    Raises DegeneratePoint where the closed forms divide by zero at
+    |gamma| <= GAMMA_GUARD; the spec itself keeps sinh(theta) off zero.
     """
     m, w = spec.source_model, spec.window
     gamma, theta = m.gamma[w], spec.theta
-    small = (np.abs(np.sinh(theta)) <= SINH_GUARD) | (np.abs(gamma) <= GAMMA_GUARD)
-    guard(small, lambda i: DegeneratePoint(
+    guard(np.abs(gamma) <= GAMMA_GUARD, lambda i: DegeneratePoint(
         f"closed forms degenerate at window sample {i}: "
         f"gamma = {gamma[i]:.3e}, theta = {theta[i]:.6g}"))
     return gamma, m.delta[w], m.Delta[w], theta, spec.theta_star

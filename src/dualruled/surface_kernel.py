@@ -127,14 +127,15 @@ class DualApparatus:
         return np.where(self.timelike_axis, TIMELIKE_AXIS, SPACELIKE_AXIS)
 
 
-def _renormalize_director(e: np.ndarray) -> np.ndarray:
+def _renormalize_director(e: np.ndarray, at) -> np.ndarray:
     q = linner(e, e)
     guard(q >= -1e-12, lambda i: NotTimelikeDirector(
-        f"director sample {i} is not timelike: <e,e> = {q[i]:.3e} (need < 0)"))
+        f"director sample {at[i]} is not timelike: <e,e> = {q[i]:.3e} (need < 0)"))
     return e / np.sqrt(-q)[:, None]
 
 
-def _darboux_fields(u: np.ndarray, e_raw: np.ndarray, p_raw: np.ndarray, h: float) -> dict:
+def _darboux_fields(u: np.ndarray, e_raw: np.ndarray, p_raw: np.ndarray, h: float,
+                    samples=None) -> dict:
     """Frame and invariants per input sample, derivatives via chain rule.
 
     u is a uniform grid and h its step (`grid_step(u)`), returned as 'h'.
@@ -142,24 +143,26 @@ def _darboux_fields(u: np.ndarray, e_raw: np.ndarray, p_raw: np.ndarray, h: floa
     speed |de/du| and 's' the running arc length (origin u[0]). The two
     input curves are copied column-major here unless they already are, so
     every N x 3 field downstream is too (numpy's elementwise operations
-    keep their operands' layout).
+    keep their operands' layout). An error names a sample by its entry in
+    `samples`, the caller's numbering (by default the input's own order).
     """
-    e = _renormalize_director(np.asfortranarray(e_raw, dtype=float))
+    at = range(len(u)) if samples is None else samples
+    e = _renormalize_director(np.asfortranarray(e_raw, dtype=float), at)
     de = stencil_rows(e, h)
     sig2 = linner(de, de)
 
     def stalled(i):
         value = f"(<e',e'> = {sig2[i]:.3e})"
         if sig2[i] < -1e-12:
-            return FrameDriftExceeded(f"indicatrix tangent is not spacelike at sample {i} {value}")
-        return DegenerateIndicatrix(f"indicatrix speed vanishes at sample {i} {value}")
+            return FrameDriftExceeded(f"indicatrix tangent is not spacelike at sample {at[i]} {value}")
+        return DegenerateIndicatrix(f"indicatrix speed vanishes at sample {at[i]} {value}")
 
     guard(sig2 <= STALL_FLOOR, stalled)
     sigma = np.sqrt(sig2)
     t = de / sigma[:, None]
     et = linner(e, t)
     guard(np.abs(et) - DRIFT_TOL, lambda i: FrameDriftExceeded(
-        f"<e,t> = {et[i]:.3e} at sample {i} exceeds {DRIFT_TOL:.0e}"))
+        f"<e,t> = {et[i]:.3e} at sample {at[i]} exceeds {DRIFT_TOL:.0e}"))
     g = -lcross(e, t)
     p = np.asfortranarray(p_raw, dtype=float)
     dp = stencil_rows(p, h)

@@ -172,7 +172,7 @@ def test_criterion_08_confirmed_offset_laws(offset_pieces):
     m, spec, offset = offset_pieces
     theta = spec.theta
     coth = np.cosh(theta) / np.sinh(theta)
-    sl = slice(spec.lo_index, spec.hi_index)
+    sl = spec.window
     assert np.max(np.abs(offset.gamma1 + coth)) < 1e-3
     assert offset.gamma1[-1] == pytest.approx(-1.313035, abs=1e-4)
     rate = np.abs(m.gamma[sl] * np.sinh(theta))

@@ -319,7 +319,7 @@ def test_lost_digits_in_a_built_line_exit_3(tmp_path, capsys):
     assert main(["offset", "--input", write_cfg(tmp_path, "n.json", cfg), "--c", "3", "--cstar", "0.3",
                  "--output", str(out)]) == 3
     err = capsys.readouterr().err
-    assert re.fullmatch(r"DegenerateLine: direction not unit timelike \(deviation \S+ at sample \d+\)\n", err)
+    assert re.fullmatch(r"DegenerateLine: offset: direction not unit timelike \(deviation \S+ at sample \d+\)\n", err)
     assert not out.exists()
 
 
@@ -334,6 +334,21 @@ def test_offset_null_axis_names_the_offset(tmp_path, capsys):
         "NullDarbouxAxis: offset: |1 - gamma_bar^2| = 3.236e-07 at sample 0 (guard 1e-06); "
         "Darboux axis is null\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("c, line", [
+    ("8", "FrameDriftExceeded: offset: <e,t> = 1.197e-04 at sample 0 exceeds 1e-04"),
+    ("9", "FrameDriftExceeded: offset: <e,t> = 3.248e-04 at sample 0 exceeds 1e-04"),
+    ("14", "DegenerateLine: offset: direction not unit timelike (deviation 2.441e-04 at sample 4)"),
+], ids=["c8", "c9", "c14"])
+def test_offset_rebuild_failure_names_the_offset(tmp_path, capsys, c, line):
+    # whole window at 128 samples: the rebuild runs the window backwards, yet its
+    # errors count window samples (sample 0 has the largest theta = c - s)
+    out = tmp_path / "offset.json"
+    assert main(["offset", "--input", write_cfg(tmp_path, "c.json", constant_cfg(128)), "--c", c,
+                 "--cstar", "0.3", "--output", str(out)]) == 3
+    assert capsys.readouterr().err == line + "\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
 def test_window_past_the_s_range_exit_2(tmp_path, capsys):
@@ -480,10 +495,13 @@ def test_build_model_nonuniform_recovers_invariants(constant_family, grid):
     assert np.max(np.abs(m.Delta - 0.2)) < 1e-5
 
 
-def test_import_leaves_scipy_out():
-    code = "import sys, dualruled, dualruled.cli; print('scipy' in sys.modules)"
+def test_import_adds_only_numpy():
+    # counted against the interpreter's own start-up modules, which its site may extend
+    code = ("import sys; top = lambda: {name.split('.')[0] for name in sys.modules}; "
+            "start = top(); import dualruled, dualruled.cli; "
+            "print(' '.join(sorted(top() - start - set(sys.stdlib_module_names))))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert set(out.stdout.split()) <= {"dualruled", "numpy"}
 
 
 def test_analyze_deterministic(tmp_path):

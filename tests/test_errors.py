@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dualruled import errors
 from dualruled.errors import guard
 
 
@@ -28,3 +29,11 @@ def test_guard_names_one_sample(excess, sample):
 ])
 def test_guard_passes_without_a_positive_excess(excess):
     guard(excess, Tripped)
+
+
+def test_every_error_is_built_from_its_message():
+    # construct_offset re-raises a rebuild failure as its own class, prefixed "offset: "
+    classes = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.KernelError)]
+    assert errors.DomainError in classes
+    for cls in classes:
+        assert str(cls("offset: x")) == "offset: x"
