@@ -203,10 +203,10 @@ def build_model(cfg: SurfaceConfig) -> RuledSurfaceModel:
     # sampled
     u, director, base = p["u"], p["director"], p["base"]
     if not (len(u) == cfg.samples and is_uniform(u)):
-        # one Hermite pass over both curves: the Lagrange slope weights depend only on u
-        curves = np.hstack([director, base])
+        curves = np.hstack([director, base])  # one Hermite pass over both curves
+        dy = slopes(u, curves)  # before hermite: slopes refuses fewer than 5 samples
         grid = np.linspace(u[0], u[-1], cfg.samples)
-        director, base = np.hsplit(hermite(u, grid)(curves, slopes(u, curves)), 2)
+        director, base = np.hsplit(hermite(u, grid)(curves, dy), 2)
         u = grid
     return build_surface(SampledCurve(u, director), SampledCurve(u, base))
 

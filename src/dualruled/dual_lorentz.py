@@ -3,15 +3,15 @@
 A DualVec3 is a pair (direction, moment). When the direction is unit
 timelike and the moment is Lorentz-orthogonal to it, the pair is the
 Plucker encoding of a directed timelike line: moment = point x direction
-for any point on the line. The dual angle between two such lines packs the
-hyperbolic angle between directions (real part) and the signed distance
-along the common perpendicular (dual part).
+for any point on the line, built only by `_frame_line`. The dual angle between
+two such lines packs the hyperbolic angle between directions (real part) and
+the signed distance along the common perpendicular (dual part). A line and a
+batch of lines take one code path: row i of a batch has the bits of row i alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -27,6 +27,9 @@ class DualVec3:
     re: np.ndarray
     du: np.ndarray
 
+    # an ndarray factor on the left defers to __rmul__, as with DualScalar
+    __array_ufunc__ = None
+
     def __post_init__(self):
         object.__setattr__(self, "re", np.asarray(self.re, dtype=float))
         object.__setattr__(self, "du", np.asarray(self.du, dtype=float))
@@ -37,13 +40,14 @@ class DualVec3:
     def __sub__(self, other: "DualVec3") -> "DualVec3":
         return DualVec3(self.re - other.re, self.du - other.du)
 
-    def __mul__(self, k: Union[DualScalar, float, int]) -> "DualVec3":
-        # (a + eps b)(v + eps w) = a v + eps (a w + b v)
-        if isinstance(k, DualScalar):
-            # a trailing axis lets per-sample scalars broadcast against (..., 3)
-            a, b = k.re[..., None], k.du[..., None]
-            return DualVec3(a * self.re, a * self.du + b * self.re)
-        return DualVec3(k * self.re, k * self.du)
+    def __mul__(self, k) -> "DualVec3":
+        # (a + eps b)(v + eps w) = a v + eps (a w + b v); a real factor is b = 0
+        k = DualScalar._coerce(k)
+        if k is None:
+            return NotImplemented
+        # a trailing axis lets per-sample scalars broadcast against (..., 3)
+        a, b = k.re[..., None], k.du[..., None]
+        return DualVec3(a * self.re, a * self.du + b * self.re)
 
     __rmul__ = __mul__
 
@@ -67,23 +71,26 @@ def dnorm(a: DualVec3, start: int = 0) -> DualScalar:
     return DualScalar(n, d.du / (2.0 * n))
 
 
+def _frame_line(point: np.ndarray, x: np.ndarray) -> DualVec3:
+    """Line coordinates of the direction x through point: (x, point x x)."""
+    return DualVec3(x, lcross(point, x))
+
+
 def encode_line(direction: np.ndarray, point: np.ndarray) -> DualVec3:
     """Plucker-encode the directed line through `point` with timelike `direction`.
 
-    The direction must satisfy <d, d> = -1 within 1e-9; if it is within
-    1e-6 it is silently renormalized, beyond that NotUnit is raised.
+    The direction must satisfy <d, d> = -1 within 1e-9; each line within
+    1e-6 is silently renormalized on its own, and beyond that NotUnit is raised.
     """
     direction = np.asarray(direction, dtype=float)
-    point = np.asarray(point, dtype=float)
     q = linner(direction, direction)
     guard(q >= 0, lambda i: NotTimelike(
         f"line direction sample {i} is not timelike: <d,d> = {q.flat[i]:.3e} (need < 0)"))
     dev = np.abs(q + 1.0)
     guard(dev - 1e-6, lambda i: NotUnit(
         f"direction norm deviates by {dev.flat[i]:.3e} at sample {i} (limit 1e-6)"))
-    if np.any(dev > 1e-9):
-        direction = direction / np.sqrt(-q)[..., None]
-    return DualVec3(direction, lcross(point, direction))
+    direction = np.where((dev > 1e-9)[..., None], direction / np.sqrt(-q)[..., None], direction)
+    return _frame_line(point, direction)
 
 
 def decode_line_point(a: DualVec3, error: type[KernelError] = InvalidLine) -> np.ndarray:
@@ -100,26 +107,23 @@ def decode_line_point(a: DualVec3, error: type[KernelError] = InvalidLine) -> np
     guard(unit_dev - LINE_TOL, lambda i: error(
         f"direction not unit timelike (deviation {unit_dev.flat[i]:.3e} at sample {i})"))
     ortho_dev = np.abs(d.du) / 2.0
-    moment_scale = np.maximum(1.0, enorm(a.du))
-    guard(ortho_dev - LINE_TOL * moment_scale, lambda i: error(
+    guard(ortho_dev - LINE_TOL * np.maximum(1.0, enorm(a.du)), lambda i: error(
         f"moment not orthogonal to direction (deviation {ortho_dev.flat[i]:.3e} at sample {i})"))
     return lcross(a.re, a.du)
 
 
 def dual_angle(a: DualVec3, b: DualVec3) -> DualScalar:
-    """Dual hyperbolic angle (theta, theta_star) between two unit timelike lines.
+    """Dual hyperbolic angle (theta, theta_star) between unit timelike lines, one pair or a batch.
 
     theta >= 0 comes from arccosh(-<a, b>); theta_star = -dual/sinh(theta)
     carries the line distance with an orientation sign.
     """
-    for v in (a, b):
-        dev = abs(float(dinner(v, v).re) + 1.0)
-        if dev > 1e-9:
-            raise NotTimelike(f"dual_angle needs unit timelike directions (deviation {dev:.3e})")
-    d = dinner(a, b)
-    v = -float(d.re)
-    if v < 1.0 - 1e-9:
-        raise NotTimelike("directions are not both future-oriented timelike")
-    if v <= 1.0 + 1e-12:
-        raise ParallelLines("sinh(theta) = 0; distance part undefined by the angle formula")
-    return apply_function("arccosh", DualScalar(v, -float(d.du)))
+    dev = np.maximum(np.abs(dinner(a, a).re + 1.0), np.abs(dinner(b, b).re + 1.0))
+    guard(dev - 1e-9, lambda i: NotTimelike(
+        f"dual_angle needs unit timelike directions (deviation {dev.flat[i]:.3e} at sample {i})"))
+    v = -dinner(a, b)
+    guard(v.re < 1.0 - 1e-9, lambda i: NotTimelike(
+        f"directions are not both future-oriented timelike at sample {i}"))
+    guard(v.re <= 1.0 + 1e-12, lambda i: ParallelLines(
+        f"sinh(theta) = 0 at sample {i}; distance part undefined by the angle formula"))
+    return apply_function("arccosh", v)

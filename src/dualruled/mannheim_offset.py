@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual_algebra import DualScalar, apply_function
-from .dual_lorentz import DualVec3, decode_line_point
+from .dual_lorentz import DualVec3, _frame_line, decode_line_point
 from .errors import (
     DegeneracyError,
     DegenerateLine,
@@ -55,7 +55,6 @@ from .surface_kernel import (
     _curvature_elements,
     _darboux_fields,
     _gamma_bar,
-    _frame_line,
 )
 
 SINH_GUARD = 1e-6
@@ -220,6 +219,8 @@ def construct_offset(m: RuledSurfaceModel, spec: OffsetSpec) -> OffsetModel:
         gamma1, delta1, Delta1, s1_grid, sigma1 = (
             fields[k][back] for k in ("gamma", "delta", "Delta", "s", "sigma"))
         apparatus1 = _curvature_elements(gamma1, delta1, Delta1)
+        guard(apparatus1.rho_sinh.re == 0.0, lambda i: DegenerateOffsetIndicatrix(
+            f"gamma = 0 at sample {i}: sinh(rho) = 0 leaves rho* undefined"))
     except DegeneracyError as exc:
         raise type(exc)(f"offset: {exc}") from exc
 

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dual_algebra import DualScalar, apply_function
-from .dual_lorentz import DualVec3, decode_line_point, dnorm
+from .dual_lorentz import DualVec3, _frame_line, decode_line_point, dnorm
 from .errors import (
     DegenerateIndicatrix,
     DegenerateLine,
@@ -297,11 +297,6 @@ def _curvature_elements(gamma, delta, Delta) -> DualApparatus:
     return DualApparatus(gamma_bar, R, C, S, timelike)
 
 
-def _frame_line(c: np.ndarray, x: np.ndarray) -> DualVec3:
-    """Line coordinates of the frame axis x through the striction point c: (x, c x x)."""
-    return DualVec3(x, lcross(c, x))
-
-
 def dual_frame(m: RuledSurfaceModel):
     """Line coordinates of the moving frame: x -> (x, c x x)."""
     return tuple(_frame_line(m.c, x) for x in (m.e, m.t, m.g))
@@ -386,15 +381,13 @@ def _dual_frame_block(m: RuledSurfaceModel, a: int, b: int) -> dict:
     # that its stencils read; `rows` is the block within them
     lo, hi = max(a - 2, 0), min(b + 2, len(m))
     rows = slice(a - lo, b - lo)
-    c = m.c[lo:hi]
-    e_l, t_l, g_l = (_frame_line(c, x[lo:hi]) for x in (m.e, m.t, m.g))
+    e_l, t_l, g_l = (_frame_line(m.c[lo:hi], x[lo:hi]) for x in (m.e, m.t, m.g))
     e_d, t_d, g_d = (DualVec3(x.re[rows], x.du[rows]) for x in (e_l, t_l, g_l))
     Delta = m.Delta[a:b]
     gamma_bar = _gamma_bar(m.gamma[a:b], m.delta[a:b], Delta)
     raw = _dual_fd(e_l, m.h, rows)
     de = _d_ds_bar(raw, Delta)
-    dt = _d_ds_bar(_dual_fd(t_l, m.h, rows), Delta)
-    dg = _d_ds_bar(_dual_fd(g_l, m.h, rows), Delta)
+    dt, dg = (_d_ds_bar(_dual_fd(x, m.h, rows), Delta) for x in (t_l, g_l))
     speed = dnorm(raw, start=a)
     return {
         "director_ode": _dual_vec_norms(de - t_d),

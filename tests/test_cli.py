@@ -181,9 +181,14 @@ def test_build_model_param_errors():
     ({"name": "x", "kind": "sampled", "params": dict(hyperbola_params(U16), u=[str(x) for x in U16])},
      "ConfigError"),
     ({**planar_cfg(), "s_range": [False, True]}, "ConfigError"),
+    ({"name": "x", "kind": "sampled", "params": dict(hyperbola_params(U16), director=np.ones((16, 2)).tolist())},
+     "ConfigError"),
+    # the slopes that resample one sample check for their 5 before the Hermite map divides 0 by 0
+    ({"name": "x", "kind": "sampled", "samples": 16,
+      "params": {"u": [0.0], "director": [[1, 0, 0]], "base": [[0, 0, 0]]}}, "GridTooCoarse"),
 ], ids=["gamma", "samples", "fractional_samples", "apex", "s_range", "director", "empty_u", "overflow",
         "s_range_string", "samples_string", "gamma_string", "delta_false", "apex_strings",
-        "u_strings", "s_range_booleans"])
+        "u_strings", "s_range_booleans", "director_two_columns", "one_sample_resampled"])
 def test_malformed_config_values_exit_2(tmp_path, capsys, data, error):
     out = tmp_path / "r.json"
     assert main(["analyze", "--input", write_cfg(tmp_path, "bad.json", data), "--output", str(out)]) == 2
@@ -349,6 +354,21 @@ def test_offset_rebuild_failure_names_the_offset(tmp_path, capsys, c, line):
                  "--cstar", "0.3", "--output", str(out)]) == 3
     assert capsys.readouterr().err == line + "\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+def test_offset_with_a_flat_axis_exit_3(tmp_path, capsys):
+    # a planar director (gamma = 0) on a steep grid of 29 samples: the stencil error of
+    # the tilted director passes the stall check, and the rebuilt offset has gamma = 0
+    # exactly, where sinh(rho) = 0 leaves rho* = cosh(rho).du / sinh(rho).re undefined
+    x = np.linspace(0.0, 1.0, 29)
+    data = {"name": "flat", "kind": "sampled",
+            "params": dict(hyperbola_params(2.0 * np.expm1(x) / np.expm1(1.0)), u=x.tolist())}
+    out = tmp_path / "offset.json"
+    assert main(["offset", "--input", write_cfg(tmp_path, "f.json", data), "--c", "-1", "--cstar", "0",
+                 "--output", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "DegenerateOffsetIndicatrix: offset: gamma = 0 at sample 0: sinh(rho) = 0 leaves rho* undefined\n")
+    assert not out.exists()
 
 
 def test_window_past_the_s_range_exit_2(tmp_path, capsys):

@@ -159,16 +159,79 @@ def test_dual_angle_rejects_non_timelike():
 
 
 def test_dual_angle_frame_transfer_roundtrip(constant_surface):
-    # tilting a ruling by a prescribed dual angle must be recoverable exactly
-    m = constant_surface
-    ed, td, _ = dual_frame(m)
+    # tilting every ruling by a prescribed dual angle must be recoverable, in one call
+    ed, td, _ = dual_frame(constant_surface)
     theta = DualScalar(0.7, 0.25)
-    ch = apply_function("cosh", theta)
-    sh = apply_function("sinh", theta)
-    for idx in (0, 200, 700):
-        a = DualVec3(ed.re[idx], ed.du[idx])
-        t = DualVec3(td.re[idx], td.du[idx])
-        b = ch * a + sh * t
-        got = dual_angle(a, b)
-        assert abs(got.re - 0.7) < 1e-9
-        assert abs(got.du - 0.25) < 1e-9
+    got = dual_angle(ed, apply_function("cosh", theta) * ed + apply_function("sinh", theta) * td)
+    assert got.re.shape == got.du.shape == (1024,)
+    assert np.max(np.abs(got.re - 0.7)) < 1e-12
+    assert np.max(np.abs(got.du - 0.25)) < 1e-12
+
+
+N = 48
+
+
+def line_batch(seed):
+    """N lines through points of size up to 3. Their unit future timelike directions
+    are scaled to norm deviations 0, 5e-10 and 5e-7 in turn, so encode_line
+    renormalizes every third line only."""
+    rng = np.random.default_rng(seed)
+    rap, ang = rng.uniform(0.0, 2.0, N), rng.uniform(0.0, 2 * np.pi, N)
+    unit = np.stack([np.cosh(rap), np.sinh(rap) * np.cos(ang), np.sinh(rap) * np.sin(ang)], axis=-1)
+    return unit * np.sqrt(1.0 + np.resize([0.0, 5e-10, 5e-7], N))[:, None], rng.uniform(-3.0, 3.0, (N, 3))
+
+
+def per_sample_cases():
+    a_args = line_batch(1)
+    a, b = encode_line(*a_args), encode_line(*line_batch(2))
+    k = DualScalar(*np.random.default_rng(3).uniform(-2.0, 2.0, (2, N)))
+    return {
+        "encode_line": (encode_line, a_args),
+        "decode_line_point": (decode_line_point, (a,)),
+        "dinner": (dinner, (a, b)),
+        "dnorm": (dnorm, (a,)),
+        "dual_angle": (dual_angle, (a, b)),
+        "line_times_dual": (lambda v, x: v * x, (a, k)),
+        "dual_times_line": (lambda x, v: x * v, (k, a)),
+        "line_times_array": (lambda v, x: v * x, (a, k.re)),
+        "array_times_line": (lambda x, v: x * v, (k.re, a)),
+    }
+
+
+CASES = per_sample_cases()
+
+
+def row(x, i):
+    if isinstance(x, (DualVec3, DualScalar)):
+        return type(x)(x.re[i], x.du[i])
+    return x[i]
+
+
+def bits(x):
+    """Shapes and bytes of a DualVec3, DualScalar or array: signed zeros count."""
+    return [(p.shape, p.tobytes()) for p in ((x.re, x.du) if hasattr(x, "du") else (np.asarray(x),))]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_a_batch_gives_the_bits_of_single_calls(name):
+    fn, args = CASES[name]
+    batch = fn(*args)
+    for i in range(N):
+        assert bits(row(batch, i)) == bits(fn(*(row(x, i) for x in args))), i
+
+
+def test_encode_renormalizes_each_line_on_its_own():
+    dirs, pts = line_batch(1)
+    got = encode_line(dirs, pts)
+    assert np.array_equal(got.re[0::3], dirs[0::3]) and np.array_equal(got.re[1::3], dirs[1::3])
+    assert np.max(np.abs(linner(got.re[2::3], got.re[2::3]) + 1.0)) < 1e-13
+
+
+def test_a_real_factor_is_a_dual_number_with_zero_dual_part():
+    v = DualVec3(np.array([1.0, -2.0, 0.5]), np.array([0.0, 3.0, -0.0]))
+    for k in (-2.0, 3, np.float64(0.5), np.array(-1.5)):
+        assert bits(k * v) == bits(v * k) == bits(DualScalar(k, 0.0) * v)
+    # (a + eps 0)(v + eps w) = a v + eps (a w + 0 v): a zero moment entry is +0.0
+    assert bits((-2.0 * v).du) == bits(np.array([0.0, -6.0, 0.0]))
+    with pytest.raises(TypeError):
+        v * "2"

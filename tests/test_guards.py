@@ -17,6 +17,7 @@ from dualruled import (
     build_surface,
     decode_line_point,
     dnorm,
+    dual_angle,
     encode_line,
     synth_constant_invariant,
 )
@@ -34,6 +35,7 @@ from dualruled.errors import (
     NotUnit,
     NullDarbouxAxis,
     NullDirection,
+    ParallelLines,
 )
 from dualruled.mannheim_offset import _closed_form_inputs, construct_offset, offset_angle_profile
 from dualruled.numerics import grid_step
@@ -47,6 +49,14 @@ def warped_surface(k, n, a):
                          a * np.sin(3 * k * u)], -1)
     base = np.stack([0 * u, np.sin(3 * u), u], -1)
     return build_surface(SampledCurve(u, director), SampledCurve(u, base))
+
+
+BOOST = [np.cosh(1.0), np.sinh(1.0), 0.0]
+
+
+def lines(directions):
+    """Lines through the origin with these directions, unchecked."""
+    return DualVec3(np.array(directions, dtype=float), np.zeros((len(directions), 3)))
 
 
 def director_frozen_from_16():
@@ -127,6 +137,16 @@ GUARDS = {
                                            np.array([[0.0, 0, 0], [1e-3, 0, 0], [2e-3, 0, 0]])),
                                   DegenerateLine),
         DegenerateLine, "moment not orthogonal to direction (deviation 2.000e-03 at sample 2)"),
+    "dual_angle_unit": (  # b deviates at sample 1, a more at sample 2: the worse line counts
+        lambda: dual_angle(lines([[1.0, 0, 0], [1, 0, 0], [2, 0, 0]]),
+                           lines([BOOST, [1.5, 0, 0], [1, 0, 0]])),
+        NotTimelike, "dual_angle needs unit timelike directions (deviation 3.000e+00 at sample 2)"),
+    "dual_angle_past_oriented": (
+        lambda: dual_angle(lines([[1.0, 0, 0]] * 3), lines([BOOST, BOOST, [-1, 0, 0]])),
+        NotTimelike, "directions are not both future-oriented timelike at sample 2"),
+    "dual_angle_parallel": (
+        lambda: dual_angle(lines([[1.0, 0, 0]] * 3), lines([BOOST, [1, 0, 0], [1, 0, 0]])),
+        ParallelLines, "sinh(theta) = 0 at sample 1; distance part undefined by the angle formula"),
     "encode_not_timelike": (
         lambda: encode_line(np.array([[1.0, 0, 0], [0.5, 1, 0], [0, 1, 0]]), np.zeros((3, 3))),
         NotTimelike, "line direction sample 1 is not timelike: <d,d> = 7.500e-01 (need < 0)"),

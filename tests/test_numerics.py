@@ -25,6 +25,8 @@ def test_sampled_curve_validation():
         SampledCurve(u[:8], vals[:8])
     with pytest.raises(ValidationError):
         SampledCurve(u, vals[:5])
+    with pytest.raises(ValidationError, match=r"^SampledCurve needs params \(N,\) and values \(N, 3\)$"):
+        SampledCurve(u, vals[:, :2])
     bad = u.copy()
     bad[3] = bad[2]
     with pytest.raises(ValidationError):
