@@ -8,7 +8,8 @@ should pick the family deliberately.
 
 Per-sample checks raise through guard(excess, error), which names one
 sample: a boolean mask names its first violating sample, a float excess
-(measured value minus its limit) names its worst one.
+(measured value minus its limit) names its worst one, and a NaN excess
+names no sample.
 Every class is built from its message alone, so a caller can re-raise an
 error as its own class, its message prefixed with what collapsed.
 """
@@ -20,7 +21,8 @@ import numpy as np
 
 def guard(excess, error) -> None:
     """Raise error(i) at the flat index i where excess is largest, if that value is positive."""
-    excess = np.asarray(excess)
+    # argmax would pick the first NaN, which hides a violation: rank NaN below every number
+    excess = np.where(np.isnan(excess), -np.inf, excess)
     i = int(np.argmax(excess))
     if excess.flat[i] > 0:
         raise error(i)

@@ -18,12 +18,15 @@ window; none evaluates a single sample. An OffsetSpec checks its window once,
 when it is made: theta may not reach 0 on it. A degeneracy inside the rebuild
 is raised as its own class, prefixed "offset: ", and counts window samples.
 
-Orientation gauge: the offset indicatrix is traversed so that its arc
-length runs against gamma*sinh(theta) (ds1/ds = -gamma*sinh(theta)). In
-this gauge the recovered tangent satisfies t1 = -g exactly and the oracle
-conical curvature comes out as -coth(theta), matching the confirmed
-closed forms sign for sign. Sign-sensitive comparisons elsewhere use
-orientation-insensitive residuals.
+Orientation gauge: the oracle reads its traversal from the tilted lines
+alone. It walks the offset indicatrix so that e1' points against the base
+central normal g at the window's middle sample. For e1 = cosh(theta) e +
+sinh(theta) t with theta' = -1 the frame equations give e1' = gamma
+sinh(theta) g, so the arc length runs against gamma*sinh(theta)
+(ds1/ds = -gamma*sinh(theta)) and the recovered tangent is t1 = -g. Every
+residual is taken in this one gauge, with no sign search: the Mannheim
+residuals measure t1 + g and its line, and a formula whose sign disagrees
+with the oracle reads DISCREPANT.
 """
 
 from __future__ import annotations
@@ -182,11 +185,6 @@ def transfer_dual_director(spec: OffsetSpec) -> DualVec3:
     return e1
 
 
-def _distance_up_to_sign(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-sample Euclidean distance from a to whichever of +b, -b is nearer."""
-    return np.minimum(enorm(a - b), enorm(a + b))
-
-
 def construct_offset(m: RuledSurfaceModel, spec: OffsetSpec) -> OffsetModel:
     """Reconstruct the offset surface from its ruling lines alone.
 
@@ -206,10 +204,9 @@ def construct_offset(m: RuledSurfaceModel, spec: OffsetSpec) -> OffsetModel:
         f"gamma = {m.gamma[w][i]:.3e}, sinh(theta) = {np.sinh(spec.theta[i]):.3e} "
         f"at s = {s[i]:.6g}: offset indicatrix speed |gamma*sinh(theta)| vanishes"))
 
-    # traverse against gamma*sinh(theta) so the Mannheim frame lands on t1 = -g
+    # traverse so that e1' runs against g: the Mannheim frame lands on t1 = -g
     mid = len(s) // 2
-    drive = m.gamma[w] * np.sinh(spec.theta)
-    orient = -1 if drive[mid] > 0 else 1
+    orient = -1 if linner(de1[mid], g[mid]) > 0 else 1
     back = slice(None, None, orient)
     try:
         pts = decode_line_point(e1_dual, DegenerateLine)
@@ -233,8 +230,8 @@ def construct_offset(m: RuledSurfaceModel, spec: OffsetSpec) -> OffsetModel:
         s1_grid=s1_grid, ds1_ds=orient * sigma1, orientation=orient,
         t1=t1, g1=g1, c1=c1, gamma1=gamma1, delta1=delta1, Delta1=Delta1,
         apparatus1=apparatus1, rho1_star=apparatus1.rho_cosh.du / apparatus1.rho_sinh.re,
-        mannheim_real_residual=_distance_up_to_sign(t1, g),
-        mannheim_dual_residual=_distance_up_to_sign(lcross(c1, t1), lcross(c, g)),
+        mannheim_real_residual=enorm(t1 + g),
+        mannheim_dual_residual=enorm(lcross(c1, t1) + lcross(c, g)),
         striction_shift={"along_director": -linner(v, e), "along_tangent": linner(v, t),
                          "along_normal": linner(v, g)},
         spec=spec,
@@ -292,9 +289,10 @@ def _closed_form_inputs(spec: OffsetSpec) -> tuple:
 def consistency_report(m: RuledSurfaceModel, spec: OffsetSpec, offset: OffsetModel) -> OffsetReport:
     """Adjudicate every closed-form offset identity against the oracle.
 
-    Residuals are absolute; `arc_rate` compares magnitudes and
-    `arc_rate_dual` is compared up to one global orientation sign. A key is
-    CONFIRMED when its max residual stays within VERDICT_TOL, else DISCREPANT.
+    Residuals are absolute and taken in the oracle's gauge; `arc_rate`
+    compares magnitudes, and `arc_rate_dual` holds the formula against minus
+    the oracle, as ds1/ds = -gamma*sinh(theta) there. A key is CONFIRMED when
+    its max residual stays within VERDICT_TOL, else DISCREPANT.
     """
     if offset.spec is not spec or spec.source_model is not m:
         raise MismatchedInputs("report inputs must be the model/spec pair the offset was built from")
@@ -322,16 +320,11 @@ def consistency_report(m: RuledSurfaceModel, spec: OffsetSpec, offset: OffsetMod
         "offset_distance_constraint": spec.theta_star,
     }
 
-    residuals = {}
-    for key, f in F.items():
-        if key == "arc_rate_dual":
-            o = oracle[key]
-            plus = np.maximum(np.abs(f.re - o.re), np.abs(f.du - o.du))
-            minus = np.maximum(np.abs(f.re + o.re), np.abs(f.du + o.du))
-            # one orientation sign for the whole window, whichever fits
-            residuals[key] = plus if np.max(plus) <= np.max(minus) else minus
-        else:
-            residuals[key] = np.abs(f - oracle[key])
+    arc_f, arc_o = F["arc_rate_dual"], oracle["arc_rate_dual"]
+    # in the gauge ds1/ds = -gamma*sinh(theta), the formula is minus the oracle
+    arc_dual = np.maximum(np.abs(arc_f.re + arc_o.re), np.abs(arc_f.du + arc_o.du))
+    residuals = {k: arc_dual if k == "arc_rate_dual" else np.abs(f - oracle[k])
+                 for k, f in F.items()}
 
     max_residual = {k: float(np.max(v)) for k, v in residuals.items()}
     mean_residual = {k: float(np.mean(v)) for k, v in residuals.items()}

@@ -16,6 +16,7 @@ class Tripped(Exception):
     (np.array([-1.0, 0.5, -0.2, 2.0, 1.0]), 3),            # an excess names its worst one
     (np.array([[0.0, 0.0], [0.0, 3.0]]), 3),               # flat index on a batch
     (np.bool_(True), 0),
+    (np.array([np.nan, 0.5, -1.0]), 1),                    # a NaN hides no violation
 ])
 def test_guard_names_one_sample(excess, sample):
     with pytest.raises(Tripped) as info:
@@ -25,7 +26,7 @@ def test_guard_names_one_sample(excess, sample):
 
 @pytest.mark.parametrize("excess", [
     np.array([False, False]), np.array([-1.0, 0.0, -3.0]), np.array([np.nan, -1.0]),
-    np.float64(0.0),
+    np.array([np.nan, np.nan]), np.float64(0.0),
 ])
 def test_guard_passes_without_a_positive_excess(excess):
     guard(excess, Tripped)

@@ -153,6 +153,9 @@ GUARDS = {
     "encode_not_unit": (
         lambda: encode_line(np.array([[1.0, 0, 0], [1.1, 0, 0], [1.2, 0, 0]]), np.zeros((3, 3))),
         NotUnit, "direction norm deviates by 4.400e-01 at sample 2 (limit 1e-6)"),
+    "encode_not_unit_past_a_nan": (  # a NaN sample does not hide a violating one
+        lambda: encode_line(np.array([[1.0, np.nan, 0], [1.1, 0, 0]]), np.zeros((2, 3))),
+        NotUnit, "direction norm deviates by 2.100e-01 at sample 1 (limit 1e-6)"),
     "division_by_pure_dual": (
         lambda: DualScalar(1.0, 0.0) / DualScalar(np.array([1.0, 0.0, 0.0]), np.zeros(3)),
         DivisionByPureDual, "division by a dual number with zero real part at sample 1"),

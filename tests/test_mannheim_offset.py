@@ -166,15 +166,61 @@ def test_transfer_director_is_unit_timelike(offset_pieces):
     assert np.max(np.abs(e1.re[-1] - want)) < 1e-12
 
 
-def test_offset_orientation_and_gauge(offset_pieces):
-    m, spec, offset = offset_pieces
-    assert offset.orientation == -1
-    sl = spec.window
-    # traversal gauge puts the offset tangent on the base central normal
-    assert np.max(np.abs(offset.t1 + m.g[sl])) < 1e-4
+@pytest.mark.parametrize("gamma, c, orientation", [
+    pytest.param(0.5, 3.0, -1, id="gamma+theta+"),
+    pytest.param(0.5, 0.5, 1, id="gamma+theta-"),
+    pytest.param(-0.5, 3.0, 1, id="gamma-theta+"),
+    pytest.param(-0.5, 0.5, -1, id="gamma-theta-"),
+])
+def test_offset_orientation_and_gauge(gamma, c, orientation):
+    # every sign quadrant of gamma*sinh(theta): the traversal read from the lines
+    # lands the offset tangent on minus the base central normal
+    m = synth_constant_invariant(gamma, 0.3, 0.2, (0.0, 2.0), 1024)
+    spec = offset_angle_profile(m, c, 0.3, (1.0, 2.0))
+    offset = construct_offset(m, spec)
+    assert offset.orientation == orientation
+    assert np.max(np.abs(offset.t1 + m.g[spec.window])) < 1e-4
     assert np.max(offset.mannheim_real_residual) < 1e-4
     assert np.max(offset.mannheim_dual_residual) < 1e-4
     assert offset.mannheim_real_residual[-1] < 1e-5
+    verdicts = consistency_report(m, spec, offset).verdicts
+    assert verdicts["arc_rate_dual"] == verdicts["conical_curvature"] == "CONFIRMED"
+
+
+def offset_arrays(offset) -> list:
+    """Every array an offset stores: its array fields, the parts of its dual fields
+    and the values of its dict fields, its apparatus record's included."""
+    out = []
+    for obj in (offset, offset.apparatus1):
+        for f in dataclasses.fields(obj):
+            value = getattr(obj, f.name)
+            for part in value.values() if isinstance(value, dict) else [value]:
+                out += [part] if isinstance(part, np.ndarray) else [
+                    getattr(part, k) for k in ("re", "du") if hasattr(part, k)]
+    return out
+
+
+def test_oracle_ignores_the_stored_invariants(constant_surface, offset_pieces):
+    # the oracle reads its traversal from the tilted lines: negated stored gamma and
+    # delta leave the lines, and so every array of the rebuild, as they were
+    offset = offset_pieces[2]
+    m = dataclasses.replace(constant_surface, gamma=-constant_surface.gamma,
+                            delta=-constant_surface.delta)
+    negated = construct_offset(m, offset_angle_profile(m, 3.0, 0.3, (1.0, 2.0)))
+    assert negated.orientation == offset.orientation == -1
+    pairs = list(zip(offset_arrays(offset), offset_arrays(negated), strict=True))
+    assert len(pairs) == 25
+    for a, b in pairs:
+        assert a.tobytes() == b.tobytes()
+
+
+def test_a_sign_disagreement_reads_discrepant(offset_pieces, offset_report):
+    # no sign search: an arc rate of the wrong sign is a finding, not a gauge choice
+    m, spec, offset = offset_pieces
+    flipped = consistency_report(m, spec, dataclasses.replace(offset, ds1_ds=-offset.ds1_ds))
+    assert offset_report.verdicts["arc_rate_dual"] == "CONFIRMED"
+    assert flipped.verdicts["arc_rate_dual"] == "DISCREPANT"
+    assert flipped.max_residual["arc_rate_dual"] > 1.0
 
 
 def test_offset_invariant_laws(offset_pieces):
