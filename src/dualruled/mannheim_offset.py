@@ -16,7 +16,8 @@ paper's developability conditions are evaluated at every window sample from
 the same inputs as the closed forms. Every function here works on the whole
 window; none evaluates a single sample. An OffsetSpec checks its window once,
 when it is made: theta may not reach 0 on it. A degeneracy inside the rebuild
-is raised as its own class, prefixed "offset: ", and counts window samples.
+is raised as its own class, prefixed "offset: ", and counts window samples;
+a stall, caught by the kernel's one guard, as DegenerateOffsetIndicatrix.
 
 Orientation gauge: the oracle reads its traversal from the tilted lines
 alone. It walks the offset indicatrix so that e1' points against the base
@@ -39,6 +40,7 @@ from .dual_algebra import DualScalar, apply_function
 from .dual_lorentz import DualVec3, _frame_line, decode_line_point
 from .errors import (
     DegeneracyError,
+    DegenerateIndicatrix,
     DegenerateLine,
     DegenerateOffsetIndicatrix,
     DegeneratePoint,
@@ -52,7 +54,6 @@ from .minkowski3 import enorm, lcross, linner
 from .numerics import MIN_SAMPLES, grid_step, require_squarable, stencil_rows
 from .surface_kernel import (
     DEVELOPABLE_TOL,
-    STALL_FLOOR,
     DualApparatus,
     RuledSurfaceModel,
     _curvature_elements,
@@ -190,7 +191,7 @@ def construct_offset(m: RuledSurfaceModel, spec: OffsetSpec) -> OffsetModel:
 
     The tilted dual director is decoded to a point curve, and the full
     Darboux apparatus of the offset is rebuilt numerically. No closed-form
-    offset identity enters this function; its outputs are the oracle.
+    offset identity or stored invariant enters; its outputs are the oracle.
     """
     if spec.source_model is not m:
         raise MismatchedInputs("spec was built for a different model")
@@ -199,14 +200,9 @@ def construct_offset(m: RuledSurfaceModel, spec: OffsetSpec) -> OffsetModel:
     e, t, g, c = m.e[w], m.t[w], m.g[w], m.c[w]
     e1_dual = transfer_dual_director(spec)
     h = grid_step(s)
-    de1 = stencil_rows(e1_dual.re, h)
-    guard(linner(de1, de1) <= STALL_FLOOR, lambda i: DegenerateOffsetIndicatrix(
-        f"gamma = {m.gamma[w][i]:.3e}, sinh(theta) = {np.sinh(spec.theta[i]):.3e} "
-        f"at s = {s[i]:.6g}: offset indicatrix speed |gamma*sinh(theta)| vanishes"))
-
     # traverse so that e1' runs against g: the Mannheim frame lands on t1 = -g
     mid = len(s) // 2
-    orient = -1 if linner(de1[mid], g[mid]) > 0 else 1
+    orient = -1 if linner(stencil_rows(e1_dual.re, h, mid, mid + 1)[0], g[mid]) > 0 else 1
     back = slice(None, None, orient)
     try:
         pts = decode_line_point(e1_dual, DegenerateLine)
@@ -219,7 +215,8 @@ def construct_offset(m: RuledSurfaceModel, spec: OffsetSpec) -> OffsetModel:
         guard(apparatus1.rho_sinh.re == 0.0, lambda i: DegenerateOffsetIndicatrix(
             f"gamma = 0 at sample {i}: sinh(rho) = 0 leaves rho* undefined"))
     except DegeneracyError as exc:
-        raise type(exc)(f"offset: {exc}") from exc
+        cls = DegenerateOffsetIndicatrix if isinstance(exc, DegenerateIndicatrix) else type(exc)
+        raise cls(f"offset: {exc}") from exc
 
     # back to the window's order; a reversed N x 3 field is copied column-major again
     t1, g1, c1 = (np.asfortranarray(fields[k][back]) for k in ("t", "g", "c"))

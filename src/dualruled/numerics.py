@@ -2,14 +2,13 @@
 cubic Hermite resampling.
 
 Differentiation and quadrature need grids that pass `is_uniform`, the one
-uniformity rule of the package. Differentiation is 4th order: classic
-five-point central stencils inside, one-sided stencils of matching order on
-the two samples at each end, so the derivative lives on the same grid as the
-data.
+uniformity rule of the package. Differentiation is 4th order: five-point
+stencils on samples k apart, central inside and one-sided on the 2k samples
+at each end, so the derivative lives on the same grid as the data.
 
 Each grid is checked once: `grid_step(x)` runs the uniformity rule and
 returns the step, and the two kernels take that step, `stencil_rows(y, h,
-a, b)` for rows a:b of the derivative and `cumulative_simpson(f, h)` for
+a, b, k)` for rows a:b of the derivative and `cumulative_simpson(f, h)` for
 the quadrature. The surface model runs `grid_step` on its arc-length grid
 when it is made and carries the step as `h`, so its readers never check
 the grid again. `stencil_rows` is the one stencil implementation: a caller
@@ -118,38 +117,37 @@ def grid_step(x: np.ndarray) -> float:
     return (x[-1] - x[0]) / (len(x) - 1)
 
 
-def stencil_rows(y: np.ndarray, h: float, a: int = 0, b: int | None = None) -> np.ndarray:
-    """Rows a:b of the derivative of samples y (along axis 0) at grid step h.
+def stencil_rows(y: np.ndarray, h: float, a: int = 0, b: int | None = None, k: int = 1) -> np.ndarray:
+    """Rows a:b of the derivative of samples y (along axis 0) at grid step h, stride k.
 
-    Interior rows read y[a-2:b+2]; the one-sided stencils go to rows 0, 1,
-    n-2 and n-1 of y only, and read the five samples at their end. So y may
-    be a window of a longer grid: rows a:b are then window rows, and the
-    window must hold the two samples on each side of them that the grid
-    has, and the five samples at an end of the grid that they reach. Every
+    Interior rows read y[a-2k:b+2k]; the one-sided stencils go to rows [0, 2k)
+    and [n-2k, n) of y only, and read the 5k samples at their end (4k past
+    their row). So y may be a window of a longer grid: rows a:b are then window
+    rows, and the window must hold the 2k samples on each side of them that the
+    grid has, and the 5k samples at an end of the grid that they reach. Every
     row gets the bits it gets in the whole-grid derivative.
     """
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
     b = n if b is None else b
     out = np.empty_like(y[a:b])
-    lo, hi = max(a, 2), min(b, n - 2)
-    if lo < hi:
-        # (y0 - 8 y1 + 8 y3 - y4) / 12h, evaluated left to right in place
-        mid = out[lo - a:hi - a]
-        np.multiply(y[lo - 1:hi - 1], 8, out=mid)
-        np.subtract(y[lo - 2:hi - 2], mid, out=mid)
-        mid += 8 * y[lo + 1:hi + 1]
-        mid -= y[lo + 2:hi + 2]
-        mid /= 12 * h
-    ends = {
-        0: lambda: (-25 * y[0] + 48 * y[1] - 36 * y[2] + 16 * y[3] - 3 * y[4]) / (12 * h),
-        1: lambda: (-3 * y[0] - 10 * y[1] + 18 * y[2] - 6 * y[3] + y[4]) / (12 * h),
-        n - 2: lambda: (3 * y[-1] + 10 * y[-2] - 18 * y[-3] + 6 * y[-4] - y[-5]) / (12 * h),
-        n - 1: lambda: (25 * y[-1] - 48 * y[-2] + 36 * y[-3] - 16 * y[-4] + 3 * y[-5]) / (12 * h),
-    }
-    for i, row in ends.items():
-        if a <= i < b:
-            out[i - a] = row()
+    # a rule's rows i:j get sum(w * y[row + m k]) / 12kh over its terms (w, m), in order, in place
+    rules = (
+        (2 * k, n - 2 * k, ((-8, -1), (1, -2), (8, 1), (-1, 2))),
+        (0, k, ((-25, 0), (48, 1), (-36, 2), (16, 3), (-3, 4))),
+        (k, 2 * k, ((-3, -1), (-10, 0), (18, 1), (-6, 2), (1, 3))),
+        (n - 2 * k, n - k, ((3, 1), (10, 0), (-18, -1), (6, -2), (-1, -3))),
+        (n - k, n, ((25, 0), (-48, -1), (36, -2), (-16, -3), (3, -4))),
+    )
+    for i, j, ((w, m), *terms) in rules:
+        i, j = max(i, a), min(j, b)
+        if i < j:
+            rows = out[i - a:j - a]
+            np.multiply(y[i + m * k:j + m * k], w, out=rows)
+            for w, m in terms:  # r - |w| y is r + w y, and a unit w needs no product
+                y_m = y[i + m * k:j + m * k]
+                (np.subtract if w < 0 else np.add)(rows, y_m if abs(w) == 1 else abs(w) * y_m, out=rows)
+            rows /= 12 * k * h
     return out
 
 

@@ -8,11 +8,12 @@ delta (drift: striction motion along the ruling), Delta (distribution
 parameter; zero exactly on developables).
 
 Numerically, every derivative is taken on the caller's pristine uniform
-grid in the original parameter and converted to arc-length derivatives by
-the chain rule. Only after all invariants exist are the fields resampled
-onto the uniform arc-length grid the model promises. Interpolating first
-and differentiating the interpolant would amplify the interpolation error
-by 1/h per derivative order, which is fatal for reconstructed curves with
+grid in the original parameter, at the stride `_darboux_fields` sets from
+its length, and converted to arc-length derivatives by the chain rule.
+Only after all invariants exist are the fields resampled onto the uniform
+arc-length grid the model promises. Interpolating first and
+differentiating the interpolant would amplify the interpolation error by
+1/h per derivative order, which is fatal for reconstructed curves with
 large moments; values, by contrast, survive resampling at full accuracy.
 The resampler is cubic Hermite whose slopes are the frame equations
 themselves, so a resampled model obeys its own ODEs to 4th order:
@@ -138,17 +139,20 @@ def _darboux_fields(u: np.ndarray, e_raw: np.ndarray, p_raw: np.ndarray, h: floa
                     samples=None) -> dict:
     """Frame and invariants per input sample, derivatives via chain rule.
 
-    u is a uniform grid and h its step (`grid_step(u)`), returned as 'h'.
-    All fields are indexed by the input grid; 'sigma' is the indicatrix
-    speed |de/du| and 's' the running arc length (origin u[0]). The two
-    input curves are copied column-major here unless they already are, so
-    every N x 3 field downstream is too (numpy's elementwise operations
-    keep their operands' layout). An error names a sample by its entry in
-    `samples`, the caller's numbering (by default the input's own order).
+    u is a uniform grid, h its step (`grid_step(u)`) and k the stencil stride (1
+    up to 1500 samples), returned as 'h' and 'k'. All fields are indexed by the
+    input grid; 'sigma' is the indicatrix speed |de/du| and 's' the running arc
+    length (origin u[0]). The two input curves are copied column-major here unless
+    they already are, so every N x 3 field downstream is too (numpy's elementwise
+    operations keep their operands' layout). An error names a sample by its entry
+    in `samples`, the caller's numbering (by default the input's own order).
     """
     at = range(len(u)) if samples is None else samples
     e = _renormalize_director(np.asfortranarray(e_raw, dtype=float), at)
-    de = stencil_rows(e, h)
+    # kh ~ 1e-3 of the range: rounding grows like eps/(kh)^d in a d-th derivative. Divisor 4000 left
+    # gamma1 misses of 1.2e-3, 2.8e-3 (benchmark seeds 1, 2, n = 16384); 500 moves N = 1024 (k = 2)
+    k = max(1, round((len(u) - 1) / 1000))
+    de = stencil_rows(e, h, k=k)
     sig2 = linner(de, de)
 
     def stalled(i):
@@ -165,17 +169,17 @@ def _darboux_fields(u: np.ndarray, e_raw: np.ndarray, p_raw: np.ndarray, h: floa
         f"<e,t> = {et[i]:.3e} at sample {at[i]} exceeds {DRIFT_TOL:.0e}"))
     g = -lcross(e, t)
     p = np.asfortranarray(p_raw, dtype=float)
-    dp = stencil_rows(p, h)
+    dp = stencil_rows(p, h, k=k)
     lam = -linner(dp, de) / sig2
     c = p + lam[:, None] * e
-    dt_ds = stencil_rows(t, h) / sigma[:, None]
+    dt_ds = stencil_rows(t, h, k=k) / sigma[:, None]
     gamma = linner(dt_ds, g)
-    dc_ds = stencil_rows(c, h) / sigma[:, None]
+    dc_ds = stencil_rows(c, h, k=k) / sigma[:, None]
     delta = linner(dc_ds, e)
     Delta = det3(dc_ds, e, t)
     s = u[0] + cumulative_simpson(sigma, h)
     return {
-        "u": np.asarray(u, dtype=float), "h": h, "s": s, "sigma": sigma,
+        "u": np.asarray(u, dtype=float), "h": h, "k": k, "s": s, "sigma": sigma,
         "e": e, "t": t, "g": g, "c": c,
         "gamma": gamma, "delta": delta, "Delta": Delta,
     }
@@ -186,7 +190,7 @@ def _model_from_fields(fields: dict) -> RuledSurfaceModel:
 
     Cubic Hermite in u. Frame slopes come from the frame equations times
     sigma = ds/du (de/ds = t, dt/ds = e + gamma g, dc/ds = -delta e + Delta g),
-    scalar slopes from the grid, so the resampled frame obeys its own ODEs.
+    scalar slopes from the grid at its stride, so the resampled frame obeys its own ODEs.
     The map u(s) onto the uniform s grid is cubic Hermite too, with the exact
     slopes du/ds = 1/sigma, clipped to the input range.
     """
@@ -198,8 +202,8 @@ def _model_from_fields(fields: dict) -> RuledSurfaceModel:
     gamma, delta, Delta = (fields[k][:, None] for k in ("gamma", "delta", "Delta"))
 
     def resample(name, df_ds=None):
-        f = fields[name]
-        df = stencil_rows(f, fields["h"]) if df_ds is None else fields["sigma"][:, None] * df_ds
+        f, sigma = fields[name], fields["sigma"][:, None]
+        df = stencil_rows(f, fields["h"], k=fields["k"]) if df_ds is None else sigma * df_ds
         return at(f, df)
 
     e1 = resample("e", t)

@@ -664,8 +664,8 @@ def test_error_exit_codes(tmp_path, capsys):
                  "--s-lo", "1", "--s-hi", "2", "--output", out])
     assert code == 3
     assert capsys.readouterr().err == (
-        "DegenerateOffsetIndicatrix: gamma = 0.000e+00, sinh(theta) = 3.539e+00 at s = 1.02362: "
-        "offset indicatrix speed |gamma*sinh(theta)| vanishes\n")
+        "DegenerateOffsetIndicatrix: offset: indicatrix speed vanishes at sample 1 "
+        "(<e',e'> = 1.329e-17)\n")
 
     code = main(["offset", "--input", constant, "--c", "0.75", "--cstar", "0.1",
                  "--s-lo", "0.5", "--s-hi", "1.0", "--output", out])

@@ -80,7 +80,8 @@ def director_kinked_at_20():
 
 
 def flat_offset():
-    # gamma = 0: the offset indicatrix speed |gamma sinh(theta)| vanishes everywhere
+    # gamma = 0: the offset indicatrix speed |gamma sinh(theta)| vanishes everywhere, and
+    # the kernel's stall guard stops the rebuild
     m = synth_constant_invariant(0.0, 0.3, 0.2, (0.0, 2.0), 64)
     return construct_offset(m, offset_angle_profile(m, 3.0, 0.3, (1.0, 2.0)))
 
@@ -116,8 +117,7 @@ GUARDS = {
         "|1 - gamma_bar^2| = 0.000e+00 at sample 1 (guard 1e-06); Darboux axis is null"),
     "offset_indicatrix_stall": (
         flat_offset, DegenerateOffsetIndicatrix,
-        "gamma = 0.000e+00, sinh(theta) = 3.568e+00 at s = 1.01587: "
-        "offset indicatrix speed |gamma*sinh(theta)| vanishes"),
+        "offset: indicatrix speed vanishes at sample 0 (<e',e'> = -9.567e-28)"),
     "closed_forms_window": (
         closed_forms_on_gamma_step, DegeneratePoint,
         "closed forms degenerate at window sample 16: gamma = 0.000e+00, theta = 1.47619"),

@@ -7,14 +7,18 @@ import pytest
 
 from dualruled import (
     DualScalar,
+    DualVec3,
     SampledCurve,
     build_surface,
     construct_offset,
     consistency_report,
     developability_predicates,
+    dinner,
+    dnorm,
     dual_apparatus,
     dual_frame_residuals,
     frame_residuals,
+    lcross,
     linner,
     offset_angle_profile,
     study_residual,
@@ -30,7 +34,7 @@ from dualruled.errors import (
 )
 from dualruled import mannheim_offset, numerics
 from dualruled.mannheim_offset import SINH_GUARD, VERDICT_TOL
-from dualruled.surface_kernel import DualApparatus, _darboux_fields, _model_from_fields
+from dualruled.surface_kernel import DualApparatus, _darboux_fields, _dual_fd, _model_from_fields
 
 CONFIRMED_KEYS = {
     "arc_rate",
@@ -360,14 +364,58 @@ def test_wrong_slope_breaks_parallelism(offset_pieces):
     assert np.min(offset.mannheim_real_residual) > 1e-3
 
 
-def test_oracle_on_resampled_surface_at_large_n():
+@pytest.mark.parametrize("n", [16384, 131072])
+def test_oracle_on_resampled_surface_at_large_n(n):
     # the family passed through build_surface: the oracle takes second
-    # derivatives of the resampled frame, so it sees every resampling error
-    m0 = synth_constant_invariant(0.5, 0.3, 0.2, (0.0, 3.0), 16384)
+    # derivatives of the resampled frame, so it sees every resampling error;
+    # the stride of each grid keeps rounding below it
+    m0 = synth_constant_invariant(0.5, 0.3, 0.2, (0.0, 3.0), n)
     m = build_surface(SampledCurve(m0.s_grid, m0.e), SampledCurve(m0.s_grid, m0.c))
     spec = offset_angle_profile(m, 3.0, 0.3, (1.0, 2.0))
     offset = construct_offset(m, spec)
-    assert np.max(np.abs(offset.gamma1 + 1.0 / np.tanh(spec.theta))) < 1e-4
+    assert np.max(np.abs(offset.gamma1 + 1.0 / np.tanh(spec.theta))) < 1e-5
+
+
+@pytest.mark.parametrize("n", [16385, 131073])
+def test_constant_verdicts_hold_at_large_n(n):
+    # exact model data: without a stride the rebuild's third derivatives lose to
+    # rounding, and conical_curvature grows with n (2.6e-3 at 131073 samples)
+    m = synth_constant_invariant(0.5, 0.3, 0.2, (0.0, 2.0), n)
+    spec = offset_angle_profile(m, 3.0, 0.3, (0.0, 2.0))
+    report = consistency_report(m, spec, construct_offset(m, spec))
+    assert report.max_residual["conical_curvature"] <= 1e-6
+    assert {k for k, v in report.verdicts.items() if v == "CONFIRMED"} == CONFIRMED_KEYS
+
+
+def _dual_cross(a, b):
+    # (a + eps a*) x (b + eps b*) = a x b + eps (a x b* + a* x b)
+    return DualVec3(lcross(a.re, b.re), lcross(a.re, b.du) + lcross(a.du, b.re))
+
+
+@pytest.mark.parametrize("c", [3.0, 2.5])
+@pytest.mark.parametrize("surface", ["constant", "varying"])
+def test_e_study_route_agrees_with_the_oracle(varying, surface, c):
+    # the tilted director E read as a curve on the dual unit sphere, with no point
+    # decoded: dual speed P = |E'|, T = E'/P, G = -E x T, gamma_bar1 = <T', G>/P and
+    # Delta1 = -P*/P, against the oracle's rebuild from decoded points
+    if surface == "constant":
+        m = synth_constant_invariant(0.5, 0.3, 0.2, (0.0, 2.0), 1025)
+    else:
+        s, e, striction = varying.sample(1025)
+        m = build_surface(SampledCurve(s, e), SampledCurve(s, striction))
+    spec = offset_angle_profile(m, c, 0.3, (1.0, 2.0))
+    offset = construct_offset(m, spec)
+    E = mannheim_offset.transfer_dual_director(spec)
+    rows = slice(0, len(spec.s))
+    dE = _dual_fd(E, m.h, rows)
+    P = dnorm(dE)
+    T = dE * (1 / P)
+    G = -1.0 * _dual_cross(E, T)
+    # the route runs along the window; the oracle in its own traversal
+    gamma_bar1 = offset.orientation * (dinner(_dual_fd(T, m.h, rows), G) / P)
+    assert np.max(np.abs(gamma_bar1.re - offset.gamma1)) <= 1e-5
+    assert np.max(np.abs(gamma_bar1.du - offset.apparatus1.gamma_bar.du)) <= 1e-5
+    assert np.max(np.abs(-P.du / P.re - offset.Delta1)) <= 1e-8
 
 
 @pytest.mark.parametrize("surface", ["constant", "varying"])

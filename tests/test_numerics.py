@@ -228,3 +228,37 @@ def test_stencil_row_blocks_join_to_the_whole_derivative(rng, shape, order):
             lo = min(lo, n - 5) if hi == n else lo
             windowed.append(stencil_rows(y[lo:hi], h, a - lo, b - lo))
         assert np.array_equal(np.concatenate(windowed), whole)
+
+
+@pytest.mark.parametrize("k", [2, 7])
+def test_strided_stencil_is_exact_on_a_quartic(k):
+    # the same five-point rules on samples k apart, at step kh: every row, the 2k
+    # one-sided rows at each end included, is exact on a quartic
+    x = np.linspace(-1.0, 2.0, 61)
+    coef = np.array([0.4, -1.0, 0.5, 2.0, -0.3])
+    want = np.polyval(np.polyder(coef), x)
+    got = stencil_rows(np.stack([np.polyval(coef, x), np.polyval(-2.0 * coef, x)], axis=-1),
+                       grid_step(x), k=k)
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(got[:, 0] - want)) <= 1e-9 * scale
+    assert np.max(np.abs(got[:, 1] + 2.0 * want)) <= 2e-9 * scale
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_strided_row_blocks_join_to_the_whole_derivative(rng, k):
+    # the window contract at stride k: a halo of 2k rows, and the 5k samples at an end
+    n = 41
+    x = np.linspace(-1.0, 2.5, n)
+    y = np.asfortranarray(rng.normal(size=(n, 3)))
+    h = grid_step(x)
+    whole = stencil_rows(y, h, k=k)
+    for size in (1, 2, 5, 9, n):
+        bounds = [(a, min(a + size, n)) for a in range(0, n, size)]
+        assert np.array_equal(np.concatenate([stencil_rows(y, h, a, b, k) for a, b in bounds]), whole)
+        windowed = []
+        for a, b in bounds:
+            lo, hi = max(a - 2 * k, 0), min(b + 2 * k, n)
+            hi = max(hi, 5 * k) if lo == 0 else hi
+            lo = min(lo, n - 5 * k) if hi == n else lo
+            windowed.append(stencil_rows(y[lo:hi], h, a - lo, b - lo, k))
+        assert np.array_equal(np.concatenate(windowed), whole)

@@ -36,8 +36,8 @@ from dualruled.errors import (
     NullDirection,
 )
 from dualruled.minkowski3 import enorm
-from dualruled.numerics import is_uniform, stencil_rows
-from dualruled.surface_kernel import ROW_BLOCK, RuledSurfaceModel
+from dualruled.numerics import grid_step, is_uniform, stencil_rows
+from dualruled.surface_kernel import ROW_BLOCK, RuledSurfaceModel, _darboux_fields
 
 
 def assert_dual_close(x, re, du, atol):
@@ -442,3 +442,19 @@ def test_axis_kind_is_a_mask_spelled_on_read(constant_surface, offset_pieces):
         tracemalloc.stop()
     # eight float arrays and the mask: 8.1 MiB; with the labels stored it was 14.5 MiB
     assert retained < 9 * 2**20
+
+
+@pytest.mark.parametrize("n,k", [(1024, 1), (1500, 1), (1502, 2), (16385, 16), (131073, 131)])
+def test_frame_recovery_takes_its_stride_from_its_grid(n, k):
+    # kh is about 1e-3 of the range; k = 1 up to 1500 samples, so N = 1024 keeps its bytes
+    director, base = hyperbola_curves((0.0, 2.0), n)
+    u = director.params
+    assert _darboux_fields(u, director.values, base.values, grid_step(u))["k"] == k
+
+
+def test_disguised_gamma_at_large_n(disguise):
+    # gamma is a second derivative of the director: at stride 1 its rounding error,
+    # about eps/h^2, reads 6e-5 at this size
+    u, director, base = disguise.sample(131073)
+    m = build_surface(SampledCurve(u, director), SampledCurve(u, base))
+    assert np.max(np.abs(m.gamma - disguise.gamma0)) <= 1e-6
