@@ -199,18 +199,19 @@ def construct_offset(m: RuledSurfaceModel, spec: OffsetSpec) -> OffsetModel:
     s = m.s_grid[w]
     e, t, g, c = m.e[w], m.t[w], m.g[w], m.c[w]
     e1_dual = transfer_dual_director(spec)
-    h = grid_step(s)
+    # the surface's stride, capped at the widest whose one-sided rows (5k samples) fit
+    h, k = grid_step(s), min(m.k, len(s) // 5)
     # traverse so that e1' runs against g: the Mannheim frame lands on t1 = -g
     mid = len(s) // 2
-    orient = -1 if linner(stencil_rows(e1_dual.re, h, mid, mid + 1)[0], g[mid]) > 0 else 1
+    orient = -1 if linner(stencil_rows(e1_dual.re, h, mid, mid + 1, k)[0], g[mid]) > 0 else 1
     back = slice(None, None, orient)
     try:
         pts = decode_line_point(e1_dual, DegenerateLine)
         # the reflected grid -s[::-1] has the bits of the step of s
-        fields = _darboux_fields(orient * s[back], e1_dual.re[back], pts[back], h,
+        fields = _darboux_fields(orient * s[back], e1_dual.re[back], pts[back], h, k,
                                  range(len(s))[back])
         gamma1, delta1, Delta1, s1_grid, sigma1 = (
-            fields[k][back] for k in ("gamma", "delta", "Delta", "s", "sigma"))
+            fields[name][back] for name in ("gamma", "delta", "Delta", "s", "sigma"))
         apparatus1 = _curvature_elements(gamma1, delta1, Delta1)
         guard(apparatus1.rho_sinh.re == 0.0, lambda i: DegenerateOffsetIndicatrix(
             f"gamma = 0 at sample {i}: sinh(rho) = 0 leaves rho* undefined"))
@@ -219,7 +220,7 @@ def construct_offset(m: RuledSurfaceModel, spec: OffsetSpec) -> OffsetModel:
         raise cls(f"offset: {exc}") from exc
 
     # back to the window's order; a reversed N x 3 field is copied column-major again
-    t1, g1, c1 = (np.asfortranarray(fields[k][back]) for k in ("t", "g", "c"))
+    t1, g1, c1 = (np.asfortranarray(fields[name][back]) for name in ("t", "g", "c"))
 
     v = c1 - c
     return OffsetModel(
@@ -346,7 +347,7 @@ def developability_predicates(spec: OffsetSpec) -> dict:
     """
     gamma, delta, Delta, theta, theta_star = _closed_form_inputs(spec)
     m, w = spec.source_model, spec.window
-    ddelta = stencil_rows(m.delta, m.h, w.start, w.stop)
+    ddelta = stencil_rows(m.delta, m.h, w.start, w.stop, m.k)
     target = -(delta / gamma) * np.tanh(theta)
     tol = DEVELOPABLE_TOL
     return {

@@ -8,8 +8,8 @@ delta (drift: striction motion along the ruling), Delta (distribution
 parameter; zero exactly on developables).
 
 Numerically, every derivative is taken on the caller's pristine uniform
-grid in the original parameter, at the stride `_darboux_fields` sets from
-its length, and converted to arc-length derivatives by the chain rule.
+grid in the original parameter, at the surface's stride `stride(N)`, and
+converted to arc-length derivatives by the chain rule.
 Only after all invariants exist are the fields resampled onto the uniform
 arc-length grid the model promises. Interpolating first and
 differentiating the interpolant would amplify the interpolation error by
@@ -23,13 +23,14 @@ about 16x per 4x samples until rounding takes over.
 Each grid is checked once: the step comes from `numerics.grid_step`, and
 every derivative from the one stencil kernel, `numerics.stencil_rows`. A
 model checks its arc-length grid when it is made and carries the step as
-`h`, so a model whose grid is not uniform, or shorter than MIN_SAMPLES,
-never exists, and every reader of the model grid takes `m.h`. The
+`h` and its stride as `k`, so a model whose grid is not uniform, or
+shorter than MIN_SAMPLES, never exists, and every reader takes `m.h` and
+differentiates at `m.k`, the stride its invariants were taken at. The
 residual checks (`frame_residuals`, `dual_frame_residuals`) run in row
 blocks of at most ROW_BLOCK samples, split evenly, so a model of up to
 ROW_BLOCK samples is one block. A block asks the kernel for its own rows,
 and the dual check builds its frame lines (x, c x x) only on the block and
-the two rows on each side that its stencils read. Every per-sample value
+the 2k rows on each side that its stencils read. Every per-sample value
 is the one the whole-array expression gives, and the per-block maxima
 combine exactly, so each returned value is the whole-array maximum bit for
 bit. The blocks keep every temporary small enough for the allocator to
@@ -71,6 +72,7 @@ from .numerics import (
     hermite,
     require_squarable,
     stencil_rows,
+    stride,
 )
 
 TIMELIKE_AXIS = "TimelikeAxis"
@@ -86,7 +88,7 @@ ROW_BLOCK = 16384  # most rows per block of the residual checks
 @dataclass(frozen=True)
 class RuledSurfaceModel:
     """Sampled Darboux data of one timelike ruled surface on a uniform arc-length
-    grid; h is the grid's step, checked once when the model is made."""
+    grid; h is its step and k its stencil stride, both set once when it is made."""
 
     s_grid: np.ndarray
     e: np.ndarray
@@ -97,9 +99,11 @@ class RuledSurfaceModel:
     delta: np.ndarray
     Delta: np.ndarray
     h: float = field(init=False)
+    k: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "h", grid_step(self.s_grid))
+        object.__setattr__(self, "k", stride(len(self.s_grid)))
 
     def __len__(self):
         return len(self.s_grid)
@@ -135,12 +139,12 @@ def _renormalize_director(e: np.ndarray, at) -> np.ndarray:
     return e / np.sqrt(-q)[:, None]
 
 
-def _darboux_fields(u: np.ndarray, e_raw: np.ndarray, p_raw: np.ndarray, h: float,
+def _darboux_fields(u: np.ndarray, e_raw: np.ndarray, p_raw: np.ndarray, h: float, k: int,
                     samples=None) -> dict:
     """Frame and invariants per input sample, derivatives via chain rule.
 
-    u is a uniform grid, h its step (`grid_step(u)`) and k the stencil stride (1
-    up to 1500 samples), returned as 'h' and 'k'. All fields are indexed by the
+    u is a uniform grid, h its step (`grid_step(u)`) and k the stencil stride the
+    caller chose, returned as 'h' and 'k'. All fields are indexed by the
     input grid; 'sigma' is the indicatrix speed |de/du| and 's' the running arc
     length (origin u[0]). The two input curves are copied column-major here unless
     they already are, so every N x 3 field downstream is too (numpy's elementwise
@@ -149,9 +153,6 @@ def _darboux_fields(u: np.ndarray, e_raw: np.ndarray, p_raw: np.ndarray, h: floa
     """
     at = range(len(u)) if samples is None else samples
     e = _renormalize_director(np.asfortranarray(e_raw, dtype=float), at)
-    # kh ~ 1e-3 of the range: rounding grows like eps/(kh)^d in a d-th derivative. Divisor 4000 left
-    # gamma1 misses of 1.2e-3, 2.8e-3 (benchmark seeds 1, 2, n = 16384); 500 moves N = 1024 (k = 2)
-    k = max(1, round((len(u) - 1) / 1000))
     de = stencil_rows(e, h, k=k)
     sig2 = linner(de, de)
 
@@ -235,7 +236,7 @@ def build_surface(director: SampledCurve, base: SampledCurve) -> RuledSurfaceMod
         raise MismatchedInputs("director and base curve must share one parameter grid")
     require_squarable("sampled", director=director.values, base=base.values)
     u = director.params
-    fields = _darboux_fields(u, director.values, base.values, grid_step(u))
+    fields = _darboux_fields(u, director.values, base.values, grid_step(u), stride(len(u)))
     return _model_from_fields(fields)
 
 
@@ -342,7 +343,7 @@ def frame_residuals(m: RuledSurfaceModel) -> dict:
 def _frame_block(m: RuledSurfaceModel, a: int, b: int) -> dict:
     e, t, g = m.e[a:b], m.t[a:b], m.g[a:b]
     gamma, delta, Delta = (x[a:b, None] for x in (m.gamma, m.delta, m.Delta))
-    de, dt, dg, dc = (stencil_rows(x, m.h, a, b) for x in (m.e, m.t, m.g, m.c))
+    de, dt, dg, dc = (stencil_rows(x, m.h, a, b, m.k) for x in (m.e, m.t, m.g, m.c))
 
     def mx(v):
         return np.max(enorm(v))
@@ -360,9 +361,9 @@ def _frame_block(m: RuledSurfaceModel, a: int, b: int) -> dict:
     }
 
 
-def _dual_fd(x: DualVec3, h: float, rows: slice) -> DualVec3:
-    return DualVec3(stencil_rows(x.re, h, rows.start, rows.stop),
-                    stencil_rows(x.du, h, rows.start, rows.stop))
+def _dual_fd(x: DualVec3, h: float, rows: slice, k: int) -> DualVec3:
+    return DualVec3(stencil_rows(x.re, h, rows.start, rows.stop, k),
+                    stencil_rows(x.du, h, rows.start, rows.stop, k))
 
 
 def _d_ds_bar(dx_ds: DualVec3, Delta: np.ndarray) -> DualVec3:
@@ -381,17 +382,17 @@ def dual_frame_residuals(m: RuledSurfaceModel) -> dict:
 
 
 def _dual_frame_block(m: RuledSurfaceModel, a: int, b: int) -> dict:
-    # the frame lines are built on the block and the two rows on each side
+    # the frame lines are built on the block and the 2k rows on each side
     # that its stencils read; `rows` is the block within them
-    lo, hi = max(a - 2, 0), min(b + 2, len(m))
+    lo, hi = max(a - 2 * m.k, 0), min(b + 2 * m.k, len(m))
     rows = slice(a - lo, b - lo)
     e_l, t_l, g_l = (_frame_line(m.c[lo:hi], x[lo:hi]) for x in (m.e, m.t, m.g))
     e_d, t_d, g_d = (DualVec3(x.re[rows], x.du[rows]) for x in (e_l, t_l, g_l))
     Delta = m.Delta[a:b]
     gamma_bar = _gamma_bar(m.gamma[a:b], m.delta[a:b], Delta)
-    raw = _dual_fd(e_l, m.h, rows)
+    raw = _dual_fd(e_l, m.h, rows, m.k)
     de = _d_ds_bar(raw, Delta)
-    dt, dg = (_d_ds_bar(_dual_fd(x, m.h, rows), Delta) for x in (t_l, g_l))
+    dt, dg = (_d_ds_bar(_dual_fd(x, m.h, rows, m.k), Delta) for x in (t_l, g_l))
     speed = dnorm(raw, start=a)
     return {
         "director_ode": _dual_vec_norms(de - t_d),

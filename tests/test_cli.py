@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import family
 
 from dualruled.cli import (
     DEFAULT_SAMPLES,
@@ -369,6 +370,33 @@ def test_offset_with_a_flat_axis_exit_3(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "DegenerateOffsetIndicatrix: offset: gamma = 0 at sample 0: sinh(rho) = 0 leaves rho* undefined\n")
     assert not out.exists()
+
+
+def steep_cfg(samples):
+    """The constant family sampled at a steep parameter x: s = 2 (e^{4x} - 1) / (e^4 - 1)."""
+    x = np.linspace(0.0, 1.0, samples)
+    e, c = family(0.5, 0.3, 0.2)(2.0 * np.expm1(4.0 * x) / np.expm1(4.0))
+    return {"name": "steep", "kind": "sampled",
+            "params": {"u": x.tolist(), "director": (2.0 * e).tolist(), "base": c.tolist()}}
+
+
+@pytest.mark.parametrize("cfg", [constant_cfg(16385), constant_cfg(131073), steep_cfg(4001)],
+                         ids=["constant_16385", "constant_131073", "steep_4001"])
+def test_a_short_window_on_a_long_surface_never_ends_in_a_traceback(tmp_path, capsys, cfg):
+    # the rebuild takes the surface's stride (up to 131), capped at what the window
+    # holds: a window of 9 samples is differentiated 1 sample apart
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    s = build_model(parse_config(cfg)).s_grid
+    for lo in (0, len(s) // 2):
+        for n in (9, 12, 20, 40):
+            out = tmp_path / "offset.json"
+            code = main(["offset", "--input", path, "--c", "3", "--cstar", "0.3",
+                         f"--s-lo={float(s[lo])!r}", f"--s-hi={float(s[lo + n - 1])!r}",
+                         "--output", str(out)])
+            err = capsys.readouterr().err
+            assert code in (0, 3), err
+            assert err.count("\n") == (code == 3) and out.exists() == (code == 0)
+            out.unlink(missing_ok=True)
 
 
 def test_window_past_the_s_range_exit_2(tmp_path, capsys):

@@ -73,7 +73,7 @@ def director_kinked_at_20():
     """Chain-rule fields whose director sample 20 is 1 % too long."""
     u = np.linspace(0.0, 1.0, 32)
     fields = _darboux_fields(u, np.stack([np.cosh(u), np.sinh(u), 0 * u], -1),
-                             np.stack([0 * u, 0 * u, u], -1), grid_step(u))
+                             np.stack([0 * u, 0 * u, u], -1), grid_step(u), 1)
     fields["e"] = fields["e"].copy()
     fields["e"][20] *= 1.01
     return _model_from_fields(fields)

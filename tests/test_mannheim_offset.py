@@ -387,6 +387,35 @@ def test_constant_verdicts_hold_at_large_n(n):
     assert {k for k, v in report.verdicts.items() if v == "CONFIRMED"} == CONFIRMED_KEYS
 
 
+def test_disguised_offset_at_the_surface_stride(disguise):
+    # the rebuild differentiates the window at the surface's stride (4 here), not at
+    # the stride of the window's own length (2): gamma1 read 1.6e-3 that way, and two
+    # verdicts differed from those of the undisguised twin
+    u, director, base = disguise.sample(4097)
+    m = build_surface(SampledCurve(u, director), SampledCurve(u, base))
+    twin = synth_constant_invariant(disguise.gamma0, disguise.delta0, disguise.Delta0,
+                                    (m.s_grid[0], m.s_grid[-1]), 4097)
+    verdicts = []
+    for surface in (m, twin):
+        spec = offset_angle_profile(surface, 2.5, 0.3, (1.0, 2.0))
+        offset = construct_offset(surface, spec)
+        verdicts.append(consistency_report(surface, spec, offset).verdicts)
+        assert np.max(np.abs(offset.gamma1 + 1.0 / np.tanh(spec.theta))) <= 1e-4
+    assert verdicts[0] == verdicts[1]
+
+
+def test_a_short_window_on_a_long_surface_takes_the_surface_stride():
+    # 700 window samples of a 131073-sample surface: stride 131, the same as the base;
+    # at the window's own stride (1) gamma1 read 4.7e-4 and three verdicts flipped
+    m = synth_constant_invariant(0.5, 0.3, 0.2, (0.0, 2.0), 131073)
+    spec = offset_angle_profile(m, 3.0, 0.3, (1.0, 1.0 + 699 * m.h))
+    offset = construct_offset(m, spec)
+    report = consistency_report(m, spec, offset)
+    assert len(spec.s) == 700
+    assert np.max(np.abs(offset.gamma1 + 1.0 / np.tanh(spec.theta))) <= 1e-5
+    assert {k for k, v in report.verdicts.items() if v == "CONFIRMED"} == CONFIRMED_KEYS
+
+
 def _dual_cross(a, b):
     # (a + eps a*) x (b + eps b*) = a x b + eps (a x b* + a* x b)
     return DualVec3(lcross(a.re, b.re), lcross(a.re, b.du) + lcross(a.du, b.re))
@@ -407,12 +436,12 @@ def test_e_study_route_agrees_with_the_oracle(varying, surface, c):
     offset = construct_offset(m, spec)
     E = mannheim_offset.transfer_dual_director(spec)
     rows = slice(0, len(spec.s))
-    dE = _dual_fd(E, m.h, rows)
+    dE = _dual_fd(E, m.h, rows, m.k)
     P = dnorm(dE)
     T = dE * (1 / P)
     G = -1.0 * _dual_cross(E, T)
     # the route runs along the window; the oracle in its own traversal
-    gamma_bar1 = offset.orientation * (dinner(_dual_fd(T, m.h, rows), G) / P)
+    gamma_bar1 = offset.orientation * (dinner(_dual_fd(T, m.h, rows, m.k), G) / P)
     assert np.max(np.abs(gamma_bar1.re - offset.gamma1)) <= 1e-5
     assert np.max(np.abs(gamma_bar1.du - offset.apparatus1.gamma_bar.du)) <= 1e-5
     assert np.max(np.abs(-P.du / P.re - offset.Delta1)) <= 1e-8

@@ -36,8 +36,8 @@ from dualruled.errors import (
     NullDirection,
 )
 from dualruled.minkowski3 import enorm
-from dualruled.numerics import grid_step, is_uniform, stencil_rows
-from dualruled.surface_kernel import ROW_BLOCK, RuledSurfaceModel, _darboux_fields
+from dualruled.numerics import is_uniform, stencil_rows
+from dualruled.surface_kernel import ROW_BLOCK, RuledSurfaceModel
 
 
 def assert_dual_close(x, re, du, atol):
@@ -282,8 +282,9 @@ def test_model_carries_the_step_of_its_grid(constant_surface, planar_surface):
     for m in (constant_surface, planar_surface):
         s = m.s_grid
         assert m.h == (s[-1] - s[0]) / (len(s) - 1)
-        # replace builds a new model, and the new model takes its step again
-        assert dataclasses.replace(m, gamma=np.full_like(m.gamma, 0.1)).h == m.h
+        # replace builds a new model, and the new model takes its step and stride again
+        moved = dataclasses.replace(m, gamma=np.full_like(m.gamma, 0.1))
+        assert (moved.h, moved.k) == (m.h, m.k)
 
 
 def test_cone_accepts_custom_director():
@@ -313,7 +314,7 @@ def test_reparameterized_input_keeps_frame_orthonormal(constant_family):
 
 def _whole_frame_residuals(m):
     """frame_residuals written out over whole arrays, in one pass."""
-    de, dt, dg, dc = (stencil_rows(x, m.h) for x in (m.e, m.t, m.g, m.c))
+    de, dt, dg, dc = (stencil_rows(x, m.h, k=m.k) for x in (m.e, m.t, m.g, m.c))
     gamma, delta, Delta = (x[:, None] for x in (m.gamma, m.delta, m.Delta))
 
     def mx(v):
@@ -334,7 +335,7 @@ def _whole_frame_residuals(m):
 
 def _whole_dual_derivative(m, line):
     """d/ds of a whole dual frame line, and its d/ds_bar form."""
-    raw = DualVec3(stencil_rows(line.re, m.h), stencil_rows(line.du, m.h))
+    raw = DualVec3(stencil_rows(line.re, m.h, k=m.k), stencil_rows(line.du, m.h, k=m.k))
     return raw, DualVec3(raw.re, raw.du + m.Delta[:, None] * raw.re)
 
 
@@ -358,30 +359,33 @@ def _whole_dual_frame_residuals(m):
 
 
 def test_row_blocked_residuals_equal_the_whole_array_maxima(disguise):
-    # three row blocks; every value is the whole-array maximum bit for bit
+    # three row blocks; every value is the whole-array maximum bit for bit. The
+    # stride is 33, so each dual block builds its lines on 66 rows past each end
     u, director, base = disguise.sample(2 * ROW_BLOCK + 101)
     m = build_surface(SampledCurve(u, director), SampledCurve(u, base))
+    assert m.k == 33
     assert frame_residuals(m) == _whole_frame_residuals(m)
     assert dual_frame_residuals(m) == _whole_dual_frame_residuals(m)
 
 
 def test_director_stall_in_a_later_block_names_the_global_sample():
-    # the director stands still on rows 16000:16100, inside the second of three
+    # the director stands still on rows 16000:16300, inside the second of three
     # blocks: the dual norm of its derivative is undefined from the first row
-    # whose stencil sees only the stall
+    # whose stencil, at the model's stride 33, sees only the stall (16000 + 2 * 33)
     n = 2 * ROW_BLOCK + 50
     s = np.linspace(0.0, 1.0, n)
     phi = s.copy()
-    phi[16000:16100] = phi[16000]
+    phi[16000:16300] = phi[16000]
     zeros = np.zeros_like(s)
     e = np.stack([np.cosh(phi), np.sinh(phi), zeros], axis=-1)
     t = np.stack([np.sinh(phi), np.cosh(phi), zeros], axis=-1)
     g = np.stack([zeros, zeros, zeros + 1.0], axis=-1)
     c = np.stack([zeros, zeros, s], axis=-1)
     m = RuledSurfaceModel(s_grid=s, e=e, t=t, g=g, c=c, gamma=zeros, delta=zeros, Delta=zeros)
+    assert m.k == 33
     with pytest.raises(NullDirection) as whole:
         _whole_dual_frame_residuals(m)
-    assert str(whole.value) == "null direction at sample 16002; dual norm undefined"
+    assert str(whole.value) == "null direction at sample 16066; dual norm undefined"
     with pytest.raises(NullDirection) as blocked:
         dual_frame_residuals(m)
     assert str(blocked.value) == str(whole.value)
@@ -447,9 +451,7 @@ def test_axis_kind_is_a_mask_spelled_on_read(constant_surface, offset_pieces):
 @pytest.mark.parametrize("n,k", [(1024, 1), (1500, 1), (1502, 2), (16385, 16), (131073, 131)])
 def test_frame_recovery_takes_its_stride_from_its_grid(n, k):
     # kh is about 1e-3 of the range; k = 1 up to 1500 samples, so N = 1024 keeps its bytes
-    director, base = hyperbola_curves((0.0, 2.0), n)
-    u = director.params
-    assert _darboux_fields(u, director.values, base.values, grid_step(u))["k"] == k
+    assert build_surface(*hyperbola_curves((0.0, 2.0), n)).k == k
 
 
 def test_disguised_gamma_at_large_n(disguise):
@@ -458,3 +460,12 @@ def test_disguised_gamma_at_large_n(disguise):
     u, director, base = disguise.sample(131073)
     m = build_surface(SampledCurve(u, director), SampledCurve(u, base))
     assert np.max(np.abs(m.gamma - disguise.gamma0)) <= 1e-6
+
+
+def test_disguised_frame_residuals_at_the_model_stride(disguise):
+    # the frame check differentiates at the stride the invariants were measured with
+    # (66 here); at stride 1 rounding read 1.3e-6 and 3.9e-6
+    u, director, base = disguise.sample(65537)
+    residuals = frame_residuals(build_surface(SampledCurve(u, director), SampledCurve(u, base)))
+    assert residuals["tangent_ode"] <= 1e-6
+    assert residuals["striction_decomposition"] <= 1e-6
