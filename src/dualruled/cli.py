@@ -152,17 +152,12 @@ def parse_config(data: dict) -> SurfaceConfig:
     if kind == "constant_invariant":
         params = {key: _number_param(params, key) for key in ("gamma", "delta", "Delta")}
     elif kind == "cone":
+        if "director" in params:
+            raise ConfigError("a cone takes no params.director; give such a surface as kind sampled")
         apex = _coerce(params.get("apex", (1.0, 2.0, 3.0)), _floats, "cone apex must be a 3-vector")
         if apex.shape != (3,):
             raise ConfigError("cone apex must be a 3-vector")
-        director = params.get("director")
-        if director is not None:
-            director = _coerce(director, _floats, "cone director must be an array of numbers")
-            if director.shape != (samples, 3):
-                raise ConfigError(
-                    f"cone director must be samples x 3 = {samples} x 3, got {list(director.shape)}"
-                )
-        params = {"apex": apex, "director": director}
+        params = {"apex": apex}
     elif kind == "sampled":
         director, base = (_coerce(params[k], _floats, f"params.{k} must be an array of numbers")
                           for k in ("director", "base"))
@@ -199,7 +194,7 @@ def build_model(cfg: SurfaceConfig) -> RuledSurfaceModel:
     if cfg.kind == "planar_hyperbola":
         return build_surface(*hyperbola_curves(cfg.s_range, cfg.samples))
     if cfg.kind == "cone":
-        return build_surface(*cone_curves(p["apex"], cfg.s_range, cfg.samples, p["director"]))
+        return build_surface(*cone_curves(p["apex"], cfg.s_range, cfg.samples))
     # sampled
     u, director, base = p["u"], p["director"], p["base"]
     if not (len(u) == cfg.samples and is_uniform(u)):

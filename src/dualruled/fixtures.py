@@ -27,13 +27,13 @@ def hyperbola_curves(s_range=(0.0, 2.0), samples: int = 1024):
     return SampledCurve(u, director), SampledCurve(u, base)
 
 
-def cone_curves(apex=(1.0, 2.0, 3.0), s_range=(0.0, 2.0), samples: int = 1024,
-                director_values=None):
-    """All rulings through one fixed apex point (delta = Delta = 0)."""
+def cone_curves(apex=(1.0, 2.0, 3.0), s_range=(0.0, 2.0), samples: int = 1024):
+    """All rulings through one fixed apex point (delta = Delta = 0), along the
+    hyperbolic director; another director goes in as `SampledCurve`s, the
+    apex on every base row."""
     u = np.linspace(float(s_range[0]), float(s_range[1]), samples)
-    if director_values is None:
-        with np.errstate(over="ignore"):  # require_squarable names the sample
-            director_values = np.stack([np.cosh(u), np.sinh(u), np.zeros_like(u)]).T
+    with np.errstate(over="ignore"):  # require_squarable names the sample
+        director = np.stack([np.cosh(u), np.sinh(u), np.zeros_like(u)]).T
     base = np.tile(np.asarray(apex, dtype=float)[:, None], samples).T
-    require_squarable("cone", director=director_values, base=base)
-    return SampledCurve(u, director_values), SampledCurve(u, base)
+    require_squarable("cone", director=director, base=base)
+    return SampledCurve(u, director), SampledCurve(u, base)

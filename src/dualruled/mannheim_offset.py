@@ -96,14 +96,13 @@ class OffsetSpec:
 
 @dataclass
 class OffsetModel:
-    """Oracle reconstruction of a Mannheim offset, sampled at the base grid."""
+    """Oracle reconstruction of a Mannheim offset, sampled at the base grid; the
+    rebuilt frame t1, g1 enters the Mannheim residuals and is not kept."""
 
     e1_dual: DualVec3
     s1_grid: np.ndarray
     ds1_ds: np.ndarray
     orientation: int
-    t1: np.ndarray
-    g1: np.ndarray
     c1: np.ndarray
     gamma1: np.ndarray
     delta1: np.ndarray
@@ -118,7 +117,8 @@ class OffsetModel:
 
 @dataclass
 class OffsetReport:
-    """Per-sample adjudication of the closed-form offset identities."""
+    """Per-sample adjudication of the closed-form offset identities, and the
+    largest real Mannheim residual (the dual ones stay on the offset)."""
 
     s: np.ndarray
     theta_star: np.ndarray
@@ -129,7 +129,6 @@ class OffsetReport:
     mean_residual: dict
     verdicts: dict
     mannheim_real_max: float
-    mannheim_dual_max: float
 
 
 def offset_angle_profile(m: RuledSurfaceModel, c_const: float, cstar_const: float,
@@ -219,14 +218,14 @@ def construct_offset(m: RuledSurfaceModel, spec: OffsetSpec) -> OffsetModel:
         cls = DegenerateOffsetIndicatrix if isinstance(exc, DegenerateIndicatrix) else type(exc)
         raise cls(f"offset: {exc}") from exc
 
-    # back to the window's order; a reversed N x 3 field is copied column-major again
-    t1, g1, c1 = (np.asfortranarray(fields[name][back]) for name in ("t", "g", "c"))
+    # back to the window's order; only the kept c1 is copied column-major again
+    t1, c1 = fields["t"][back], np.asfortranarray(fields["c"][back])
 
     v = c1 - c
     return OffsetModel(
         e1_dual=e1_dual,
         s1_grid=s1_grid, ds1_ds=orient * sigma1, orientation=orient,
-        t1=t1, g1=g1, c1=c1, gamma1=gamma1, delta1=delta1, Delta1=Delta1,
+        c1=c1, gamma1=gamma1, delta1=delta1, Delta1=Delta1,
         apparatus1=apparatus1, rho1_star=apparatus1.rho_cosh.du / apparatus1.rho_sinh.re,
         mannheim_real_residual=enorm(t1 + g),
         mannheim_dual_residual=enorm(lcross(c1, t1) + lcross(c, g)),
@@ -333,7 +332,6 @@ def consistency_report(m: RuledSurfaceModel, spec: OffsetSpec, offset: OffsetMod
         oracle=oracle, formulas=F, residuals=residuals,
         max_residual=max_residual, mean_residual=mean_residual, verdicts=verdicts,
         mannheim_real_max=float(np.max(offset.mannheim_real_residual)),
-        mannheim_dual_max=float(np.max(offset.mannheim_dual_residual)),
     )
 
 

@@ -156,7 +156,8 @@ def test_build_model_param_errors():
     with pytest.raises(ConfigError, match="apex"):
         build_model(parse_config({"name": "x", "kind": "cone",
                                   "params": {"apex": [1, 2]}, "samples": 16}))
-    with pytest.raises(ConfigError, match="director must be"):
+    with pytest.raises(ConfigError, match="^a cone takes no params.director; give such a "
+                                          "surface as kind sampled$"):
         build_model(parse_config({"name": "x", "kind": "cone",
                                   "params": {"director": [[1, 0, 0]] * 5}, "samples": 16}))
 
@@ -187,9 +188,12 @@ def test_build_model_param_errors():
     # the slopes that resample one sample check for their 5 before the Hermite map divides 0 by 0
     ({"name": "x", "kind": "sampled", "samples": 16,
       "params": {"u": [0.0], "director": [[1, 0, 0]], "base": [[0, 0, 0]]}}, "GridTooCoarse"),
+    # a cone's director is refused, not dropped: a sampled config gives such a surface
+    ({"name": "x", "kind": "cone", "params": {"director": [[1, 0, 0]]}}, "ConfigError"),
 ], ids=["gamma", "samples", "fractional_samples", "apex", "s_range", "director", "empty_u", "overflow",
         "s_range_string", "samples_string", "gamma_string", "delta_false", "apex_strings",
-        "u_strings", "s_range_booleans", "director_two_columns", "one_sample_resampled"])
+        "u_strings", "s_range_booleans", "director_two_columns", "one_sample_resampled",
+        "cone_director"])
 def test_malformed_config_values_exit_2(tmp_path, capsys, data, error):
     out = tmp_path / "r.json"
     assert main(["analyze", "--input", write_cfg(tmp_path, "bad.json", data), "--output", str(out)]) == 2

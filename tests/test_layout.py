@@ -69,7 +69,7 @@ def test_fixture_curves_are_column_major():
 def test_offset_fields_are_column_major(offset_pieces):
     _, _, offset = offset_pieces
     assert offset.orientation == -1  # the rebuild ran on the reversed window
-    assert column_major(offset.c1, offset.t1, offset.g1, offset.e1_dual.re, offset.e1_dual.du)
+    assert column_major(offset.c1, offset.e1_dual.re, offset.e1_dual.du)
 
 
 def pipeline(u, director, base):
@@ -90,7 +90,7 @@ def pipeline(u, director, base):
     out.update({"theta": spec.theta, "theta_star": spec.theta_star, "e1.re": off.e1_dual.re,
                 "e1.du": off.e1_dual.du})
     out.update({f"offset.{k}": getattr(off, k) for k in (
-        "s1_grid", "ds1_ds", "t1", "g1", "c1", "gamma1", "delta1", "Delta1", "rho1_star",
+        "s1_grid", "ds1_ds", "c1", "gamma1", "delta1", "Delta1", "rho1_star",
         "mannheim_real_residual", "mannheim_dual_residual")})
     for group in ("oracle", "formulas", "residuals"):
         for k, v in getattr(rep, group).items():

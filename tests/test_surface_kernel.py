@@ -12,7 +12,6 @@ from dualruled import (
     SampledCurve,
     build_surface,
     classify,
-    cone_curves,
     dinner,
     dual_apparatus,
     dual_frame,
@@ -289,9 +288,10 @@ def test_model_carries_the_step_of_its_grid(constant_surface, planar_surface):
 
 def test_cone_accepts_custom_director():
     u = np.linspace(0.0, 2.0, 128)
+    # a cone with its own director is a sampled surface with the apex on every base row
     vals = np.stack([np.cosh(u) * 1.5, np.sinh(u) * 1.5, np.zeros_like(u)], axis=-1)
-    director, base = cone_curves(apex=(0.0, 0.0, 1.0), samples=128, director_values=vals)
-    m = build_surface(director, base)
+    apex = np.tile([0.0, 0.0, 1.0], (128, 1))
+    m = build_surface(SampledCurve(u, vals), SampledCurve(u, apex))
     # renormalization erases the 1.5 magnitude before anything downstream
     norms = -m.e[:, 0] ** 2 + m.e[:, 1] ** 2 + m.e[:, 2] ** 2
     assert np.max(np.abs(norms + 1.0)) < 1e-12
