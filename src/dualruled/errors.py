@@ -21,9 +21,11 @@ import numpy as np
 
 def guard(excess, error) -> None:
     """Raise error(i) at the flat index i where excess is largest, if that value is positive."""
-    # argmax would pick the first NaN, which hides a violation: rank NaN below every number
-    excess = np.where(np.isnan(excess), -np.inf, excess)
-    i = int(np.argmax(excess))
+    excess = np.asarray(excess)
+    if excess.dtype != bool:
+        # argmax would pick the first NaN, which hides a violation: rank NaN below every number
+        excess = np.where(np.isnan(excess), -np.inf, excess)
+    i = int(np.argmax(excess))  # on a mask: its first True, in one pass with no copy
     if excess.flat[i] > 0:
         raise error(i)
 

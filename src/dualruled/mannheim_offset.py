@@ -97,9 +97,9 @@ class OffsetSpec:
 @dataclass
 class OffsetModel:
     """Oracle reconstruction of a Mannheim offset, sampled at the base grid; the
-    rebuilt frame t1, g1 enters the Mannheim residuals and is not kept."""
+    rebuilt frame t1, g1 enters the Mannheim residuals and is not kept, and the
+    tilted dual director e1_dual is taken again from the spec when read."""
 
-    e1_dual: DualVec3
     s1_grid: np.ndarray
     ds1_ds: np.ndarray
     orientation: int
@@ -113,6 +113,11 @@ class OffsetModel:
     mannheim_dual_residual: np.ndarray
     striction_shift: dict  # offset minus base striction point, by frame direction
     spec: OffsetSpec
+
+    @property
+    def e1_dual(self) -> DualVec3:
+        """The tilted dual director the offset was rebuilt from."""
+        return transfer_dual_director(self.spec)
 
 
 @dataclass
@@ -137,9 +142,11 @@ def offset_angle_profile(m: RuledSurfaceModel, c_const: float, cstar_const: floa
     theta_star = c* + int(Delta ds).
 
     The distance integral is anchored at the model's grid origin, as `m.s_bar`
-    is. `window` is the working range [lo, hi] in s, which may overhang the
-    model's s range by less than one grid step; (m.s_grid[0], m.s_grid[-1])
-    is the whole model. A window where theta reaches 0 raises DegenerateWindow.
+    is, so theta_bar is taken on the whole grid; the spec keeps copies of its
+    window, not views that would hold the whole grid's arrays. `window` is the
+    working range [lo, hi] in s, which may overhang the model's s range by less
+    than one grid step; (m.s_grid[0], m.s_grid[-1]) is the whole model. A window
+    where theta reaches 0 raises DegenerateWindow.
     """
     s_full = m.s_grid
     theta_bar = DualScalar(c_const, cstar_const) - m.s_bar
@@ -162,7 +169,7 @@ def offset_angle_profile(m: RuledSurfaceModel, c_const: float, cstar_const: floa
     w = slice(lo_i, hi_i)
     return OffsetSpec(
         c_const=float(c_const), cstar_const=float(cstar_const), s=s_full[w],
-        theta=theta_bar.re[w], theta_star=theta_bar.du[w], window=w, source_model=m,
+        theta=theta_bar.re[w].copy(), theta_star=theta_bar.du[w].copy(), window=w, source_model=m,
     )
 
 
@@ -212,7 +219,8 @@ def construct_offset(m: RuledSurfaceModel, spec: OffsetSpec) -> OffsetModel:
         gamma1, delta1, Delta1, s1_grid, sigma1 = (
             fields[name][back] for name in ("gamma", "delta", "Delta", "s", "sigma"))
         apparatus1 = _curvature_elements(gamma1, delta1, Delta1)
-        guard(apparatus1.rho_sinh.re == 0.0, lambda i: DegenerateOffsetIndicatrix(
+        rho1_sinh = apparatus1.rho_sinh.re
+        guard(rho1_sinh == 0.0, lambda i: DegenerateOffsetIndicatrix(
             f"gamma = 0 at sample {i}: sinh(rho) = 0 leaves rho* undefined"))
     except DegeneracyError as exc:
         cls = DegenerateOffsetIndicatrix if isinstance(exc, DegenerateIndicatrix) else type(exc)
@@ -223,10 +231,9 @@ def construct_offset(m: RuledSurfaceModel, spec: OffsetSpec) -> OffsetModel:
 
     v = c1 - c
     return OffsetModel(
-        e1_dual=e1_dual,
         s1_grid=s1_grid, ds1_ds=orient * sigma1, orientation=orient,
         c1=c1, gamma1=gamma1, delta1=delta1, Delta1=Delta1,
-        apparatus1=apparatus1, rho1_star=apparatus1.rho_cosh.du / apparatus1.rho_sinh.re,
+        apparatus1=apparatus1, rho1_star=apparatus1.rho_cosh.du / rho1_sinh,
         mannheim_real_residual=enorm(t1 + g),
         mannheim_dual_residual=enorm(lcross(c1, t1) + lcross(c, g)),
         striction_shift={"along_director": -linner(v, e), "along_tangent": linner(v, t),
@@ -297,6 +304,7 @@ def consistency_report(m: RuledSurfaceModel, spec: OffsetSpec, offset: OffsetMod
     F = _formula_fields(gamma, delta, Delta, theta, theta_star)
 
     ds1, a1 = offset.ds1_ds, offset.apparatus1
+    rho1_cosh, rho1_sinh = a1.rho_cosh, a1.rho_sinh
     arc_dual_oracle = DualScalar(ds1, ds1 * (Delta - offset.Delta1))
     oracle = {
         "arc_rate": np.abs(ds1),
@@ -309,10 +317,10 @@ def consistency_report(m: RuledSurfaceModel, spec: OffsetSpec, offset: OffsetMod
         "dist_param_det_route": offset.Delta1,
         "curvature_radius_re": a1.R_bar.re,
         "curvature_radius_du": a1.R_bar.du,
-        "sph_radius_cosh_re": a1.rho_cosh.re,
-        "sph_radius_cosh_du": a1.rho_cosh.du,
-        "sph_radius_sinh": a1.rho_sinh.re,
-        "sph_radius_sinh_du": a1.rho_sinh.du,
+        "sph_radius_cosh_re": rho1_cosh.re,
+        "sph_radius_cosh_du": rho1_cosh.du,
+        "sph_radius_sinh": rho1_sinh.re,
+        "sph_radius_sinh_du": rho1_sinh.du,
         "sph_radius_shift": offset.rho1_star,
         "offset_distance_constraint": spec.theta_star,
     }

@@ -51,7 +51,7 @@ import numpy as np
 from .errors import GridTooCoarse, NonUniformGrid, ValidationError, guard
 
 MIN_SAMPLES = 9
-MAX_SAMPLES = 2**20  # analyze peaks at 715 MB RSS at this size (measured; see README)
+MAX_SAMPLES = 2**20  # analyze peaks at 309 MB RSS at this size (measured; see README)
 ENTRY_LIMIT = float(np.sqrt(np.finfo(float).max))  # the largest entry whose square is finite
 
 
@@ -201,8 +201,7 @@ def hermite(x: np.ndarray, xq: np.ndarray) -> Callable[[np.ndarray, np.ndarray],
     weights depend on x and xq only, so they are found once per map.
     """
     i = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, len(x) - 2)
-    j = i + 1
-    h = x[j] - x[i]
+    h = x[1:][i] - x[i]  # x[i + 1] is x[1:] at i: no second index array is kept
     t = (xq - x[i]) / h
     weights = ((1 + 2 * t) * (1 - t) ** 2, t * (1 - t) ** 2 * h,
                t * t * (3 - 2 * t), t * t * (t - 1) * h)
@@ -210,19 +209,20 @@ def hermite(x: np.ndarray, xq: np.ndarray) -> Callable[[np.ndarray, np.ndarray],
     def at(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         dy = np.asarray(dy, dtype=float)
-        shape = (-1,) + (1,) * (y.ndim - 1)
-        # ((w00 y_i + w10 dy_i) + w01 y_j) + w11 dy_j, one term at a time. Each
-        # gather runs along the last axis of the transposed views, one component
-        # into one contiguous column; i and j are in range, and mode="clip" lets
-        # take write into the column-major buffers unbuffered
         out = np.empty(i.shape + y.shape[1:], order="F")
-        np.take(y.T, i, axis=-1, out=out.T, mode="clip")
-        out *= weights[0].reshape(shape)
-        term = np.empty_like(out)
-        for v, k, w in zip((dy, y, dy), (i, j, j), weights[1:]):
-            np.take(v.T, k, axis=-1, out=term.T, mode="clip")
-            term *= w.reshape(shape)
-            out += term
+        term = np.empty(i.shape)
+        # ((w00 y_i + w10 dy_i) + w01 y_{i+1}) + w11 dy_{i+1}, one component and one
+        # term at a time. A component of a column-major array is one contiguous
+        # vector, and so is its tail [1:], whose entry i is y_{i+1}; i is in range,
+        # and mode="clip" lets take write into the contiguous columns unbuffered
+        columns = (a.reshape(len(a), -1).T for a in (out, y, dy))
+        for col, y_c, dy_c in zip(*columns):
+            np.take(y_c, i, out=col, mode="clip")
+            col *= weights[0]
+            for v, w in zip((dy_c, y_c[1:], dy_c[1:]), weights[1:]):
+                np.take(v, i, out=term, mode="clip")
+                term *= w
+                col += term
         return out
 
     return at

@@ -43,7 +43,11 @@ The dual arc length is the model's own (`RuledSurfaceModel.s_bar`). The
 kind of each sample's Darboux axis is stored once, as the boolean mask
 `timelike_axis` (1 byte a sample). Its labels, TIMELIKE_AXIS and
 SPACELIKE_AXIS, are 52 bytes a sample as a '<U13' array, so they are
-spelled from the mask only when `darboux_branch` is read.
+spelled from the mask only when `darboux_branch` is read. The (cosh, sinh)
+pair of the dual spherical radius is -gamma_bar R_bar or -R_bar by axis
+kind, so it too is computed when read (`rho_cosh`, `rho_sinh`): the record
+stores gamma_bar, R_bar and the mask, and a reader that takes both parts
+of one binds it once.
 """
 
 from __future__ import annotations
@@ -117,19 +121,35 @@ class RuledSurfaceModel:
 @dataclass(frozen=True)
 class DualApparatus:
     """Curvature elements of one surface, base or offset: dual conical curvature,
-    curvature radius, the (cosh, sinh) pair of the dual spherical radius, and
-    where the Darboux axis is timelike (|gamma_bar| > 1)."""
+    curvature radius and where the Darboux axis is timelike (|gamma_bar| > 1).
+    The (cosh, sinh) pair of the dual spherical radius is computed on read."""
 
     gamma_bar: DualScalar
     R_bar: DualScalar
-    rho_cosh: DualScalar
-    rho_sinh: DualScalar
     timelike_axis: np.ndarray
 
     @property
     def darboux_branch(self) -> np.ndarray:
         """The axis kind of each sample as a label, spelled from timelike_axis."""
         return np.where(self.timelike_axis, TIMELIKE_AXIS, SPACELIKE_AXIS)
+
+    @property
+    def rho_cosh(self) -> DualScalar:
+        """cosh of the dual spherical radius: -gamma_bar R_bar where the axis is
+        timelike, -R_bar where it is spacelike."""
+        return self._radius_part(self.timelike_axis)
+
+    @property
+    def rho_sinh(self) -> DualScalar:
+        """sinh of the dual spherical radius: -R_bar where the axis is timelike,
+        -gamma_bar R_bar where it is spacelike."""
+        return self._radius_part(~self.timelike_axis)
+
+    def _radius_part(self, gamma_side: np.ndarray) -> DualScalar:
+        """-gamma_bar R_bar where gamma_side holds, -R_bar elsewhere."""
+        mgR = -self.gamma_bar * self.R_bar
+        mR = -self.R_bar
+        return DualScalar(np.where(gamma_side, mgR.re, mR.re), np.where(gamma_side, mgR.du, mR.du))
 
 
 def _renormalize_director(e: np.ndarray, at) -> np.ndarray:
@@ -194,35 +214,49 @@ def _model_from_fields(fields: dict) -> RuledSurfaceModel:
     scalar slopes from the grid at its stride, so the resampled frame obeys its own ODEs.
     The map u(s) onto the uniform s grid is cubic Hermite too, with the exact
     slopes du/ds = 1/sigma, clipped to the input range.
+
+    `fields` is consumed: e1, t1 and c1 are resampled in this order, each field
+    leaves the dict after its last use, and g1 is taken last, so the chain-rule
+    fields are let go while the model's are made. The three frame slopes share
+    one buffer, filled in place.
     """
-    u, s = fields["u"], fields["s"]
+    u, s = fields.pop("u"), fields.pop("s")
     s_uniform = np.linspace(s[0], s[-1], len(u))
     u_at_s = np.clip(hermite(s, s_uniform)(u, 1.0 / fields["sigma"]), u[0], u[-1])
     at = hermite(u, u_at_s)  # one basis for all six fields
-    e, t, g = fields["e"], fields["t"], fields["g"]
-    gamma, delta, Delta = (fields[k][:, None] for k in ("gamma", "delta", "Delta"))
-
-    def resample(name, df_ds=None):
-        f, sigma = fields[name], fields["sigma"][:, None]
-        df = stencil_rows(f, fields["h"], k=fields["k"]) if df_ds is None else sigma * df_ds
-        return at(f, df)
-
-    e1 = resample("e", t)
-    drift = np.abs(linner(e1, e1) + 1.0)
+    del u, s, u_at_s
+    sigma = fields.pop("sigma")[:, None]
+    slope = sigma * fields["t"]  # de/ds = t
+    e1 = at(fields["e"], slope)
+    q = linner(e1, e1)
+    drift = np.abs(q + 1.0)
     guard(drift - DRIFT_TOL, lambda i: FrameDriftExceeded(
         f"director norm drifted by {drift[i]:.3e} after resampling at sample {i}"))
-    e1 = e1 / np.sqrt(-linner(e1, e1))[:, None]
-    t1 = resample("t", e + gamma * g)
-    guard(np.maximum(np.abs(linner(t1, t1) - 1.0), np.abs(linner(e1, t1))) - DRIFT_TOL,
+    e1 /= np.sqrt(-q)[:, None]
+    np.multiply(fields["gamma"][:, None], fields["g"], out=slope)  # dt/ds = e + gamma g
+    slope += fields["e"]
+    slope *= sigma
+    t1 = at(fields.pop("t"), slope)
+    et = linner(e1, t1)
+    guard(np.maximum(np.abs(linner(t1, t1) - 1.0), np.abs(et)) - DRIFT_TOL,
           lambda i: FrameDriftExceeded(
               f"frame orthonormality drift at sample {i} exceeds {DRIFT_TOL:.0e}"))
-    t1 = t1 + linner(e1, t1)[:, None] * e1  # drop the e component (<e,e> = -1)
-    t1 = t1 / np.sqrt(linner(t1, t1))[:, None]
-    return RuledSurfaceModel(
-        s_grid=s_uniform, e=e1, t=t1, g=-lcross(e1, t1),  # closure kept exact
-        c=resample("c", -delta * e + Delta * g),
-        gamma=resample("gamma"), delta=resample("delta"), Delta=resample("Delta"),
-    )
+    t1 += et[:, None] * e1  # drop the e component (<e,e> = -1)
+    t1 /= np.sqrt(linner(t1, t1))[:, None]
+    np.multiply(-fields["delta"][:, None], fields.pop("e"), out=slope)  # dc/ds = -delta e + Delta g
+    slope += fields["Delta"][:, None] * fields.pop("g")
+    slope *= sigma
+    c1 = at(fields.pop("c"), slope)
+
+    def resample(name):
+        f = fields.pop(name)
+        return at(f, stencil_rows(f, fields["h"], k=fields["k"]))
+
+    gamma1, delta1, Delta1 = resample("gamma"), resample("delta"), resample("Delta")
+    g1 = lcross(e1, t1)
+    np.negative(g1, out=g1)  # g = -e x t: closure kept exact
+    return RuledSurfaceModel(s_grid=s_uniform, e=e1, t=t1, g=g1, c=c1,
+                             gamma=gamma1, delta=delta1, Delta=Delta1)
 
 
 def build_surface(director: SampledCurve, base: SampledCurve) -> RuledSurfaceModel:
@@ -281,7 +315,8 @@ def _gamma_bar(gamma, delta, Delta) -> DualScalar:
 
 def _curvature_elements(gamma, delta, Delta) -> DualApparatus:
     """The DualApparatus of invariants (gamma, delta, Delta): gamma_bar, curvature
-    radius and (cosh, sinh) spherical-radius pair.
+    radius and axis kind, from which the record computes the (cosh, sinh)
+    spherical-radius pair when it is read.
 
     Branch splits on |gamma| vs 1: the Darboux axis is timelike outside the
     unit band, spacelike inside.
@@ -294,12 +329,7 @@ def _curvature_elements(gamma, delta, Delta) -> DualApparatus:
         f"(guard {NULL_AXIS_GUARD:.0e}); Darboux axis is null"))
     one_minus = 1.0 - gamma_bar * gamma_bar
     R = 1.0 / apply_function("sqrt", abs(one_minus))
-    mgR = -gamma_bar * R
-    mR = -R
-    timelike = np.abs(gre) > 1.0
-    C = DualScalar(np.where(timelike, mgR.re, mR.re), np.where(timelike, mgR.du, mR.du))
-    S = DualScalar(np.where(timelike, mR.re, mgR.re), np.where(timelike, mR.du, mgR.du))
-    return DualApparatus(gamma_bar, R, C, S, timelike)
+    return DualApparatus(gamma_bar, R, np.abs(gre) > 1.0)
 
 
 def dual_frame(m: RuledSurfaceModel):

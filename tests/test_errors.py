@@ -17,6 +17,8 @@ class Tripped(Exception):
     (np.array([[0.0, 0.0], [0.0, 3.0]]), 3),               # flat index on a batch
     (np.bool_(True), 0),
     (np.array([np.nan, 0.5, -1.0]), 1),                    # a NaN hides no violation
+    (np.array(True), 0),                                   # a 0-d mask
+    (np.array([[False, False], [True, True]]), 2),         # flat index on a batch mask
 ])
 def test_guard_names_one_sample(excess, sample):
     with pytest.raises(Tripped) as info:
@@ -27,6 +29,7 @@ def test_guard_names_one_sample(excess, sample):
 @pytest.mark.parametrize("excess", [
     np.array([False, False]), np.array([-1.0, 0.0, -3.0]), np.array([np.nan, -1.0]),
     np.array([np.nan, np.nan]), np.float64(0.0),
+    np.array(False), np.zeros((2, 3), dtype=bool),         # 0-d and batch masks, all False
 ])
 def test_guard_passes_without_a_positive_excess(excess):
     guard(excess, Tripped)

@@ -191,8 +191,9 @@ def test_offset_orientation_and_gauge(gamma, c, orientation):
 
 
 def offset_arrays(offset) -> list:
-    """Every array an offset stores: its array fields, the parts of its dual fields
-    and the values of its dict fields, its apparatus record's included."""
+    """Every array an offset exposes: the 17 it stores (its array fields, the parts
+    of its dual fields and the values of its dict fields, its apparatus record's
+    included), then the parts of the 3 dual arrays derived when read."""
     out = []
     for obj in (offset, offset.apparatus1):
         for f in dataclasses.fields(obj):
@@ -200,6 +201,9 @@ def offset_arrays(offset) -> list:
             for part in value.values() if isinstance(value, dict) else [value]:
                 out += [part] if isinstance(part, np.ndarray) else [
                     getattr(part, k) for k in ("re", "du") if hasattr(part, k)]
+    assert len(out) == 17
+    for derived in (offset.e1_dual, offset.apparatus1.rho_cosh, offset.apparatus1.rho_sinh):
+        out += [derived.re, derived.du]
     return out
 
 
@@ -212,9 +216,20 @@ def test_oracle_ignores_the_stored_invariants(constant_surface, offset_pieces):
     negated = construct_offset(m, offset_angle_profile(m, 3.0, 0.3, (1.0, 2.0)))
     assert negated.orientation == offset.orientation == -1
     pairs = list(zip(offset_arrays(offset), offset_arrays(negated), strict=True))
-    assert len(pairs) == 23
+    assert len(pairs) == 23  # 17 stored, 6 derived
     for a, b in pairs:
         assert a.tobytes() == b.tobytes()
+
+
+def test_offset_records_keep_nothing_derivable(offset_pieces):
+    # the tilted director is taken again from the spec when read, and the spec keeps
+    # copies of theta and theta_star on its window, not views into whole-grid arrays
+    _, spec, offset = offset_pieces
+    assert "e1_dual" not in {f.name for f in dataclasses.fields(offset)}
+    e1 = mannheim_offset.transfer_dual_director(spec)
+    assert offset.e1_dual.re.tobytes() == e1.re.tobytes()
+    assert offset.e1_dual.du.tobytes() == e1.du.tobytes()
+    assert spec.theta.base is None and spec.theta_star.base is None
 
 
 def test_a_sign_disagreement_reads_discrepant(offset_pieces, offset_report):

@@ -391,17 +391,24 @@ def test_director_stall_in_a_later_block_names_the_global_sample():
     assert str(blocked.value) == str(whole.value)
 
 
+def traced(call):
+    """call() under tracemalloc: its result, then the bytes it leaves allocated and
+    its peak, both counted over what was allocated before the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held - base, peak - base
+
+
 def test_dual_frame_residuals_memory_peak():
     # on 2^17 samples the whole-array evaluation peaked at 51.0 MB of traced
     # temporaries; row blocks of ROW_BLOCK samples peak at 6.4 MB
     m = synth_constant_invariant(0.5, 0.3, 0.2, (0.0, 2.0), 2**17)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        dual_frame_residuals(m)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    _, _, peak = traced(lambda: dual_frame_residuals(m))
     assert peak < 12 * 2**20
 
 
@@ -437,15 +444,25 @@ def test_axis_kind_is_a_mask_spelled_on_read(constant_surface, offset_pieces):
     assert ap1.darboux_branch.dtype == np.dtype("<U13")
     assert np.array_equal(ap1.darboux_branch, labels)
     m = synth_constant_invariant(0.5, 0.3, 0.2, (0.0, 2.0), 2**17)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        ap = dual_apparatus(m)
-        retained = tracemalloc.get_traced_memory()[0] - base
-    finally:
-        tracemalloc.stop()
-    # eight float arrays and the mask: 8.1 MiB; with the labels stored it was 14.5 MiB
-    assert retained < 9 * 2**20
+    ap, retained, _ = traced(lambda: dual_apparatus(m))
+    # gamma_bar's dual part, R_bar and the mask: 3.1 MiB (gamma_bar's real part is
+    # m.gamma); with the radius pair stored it was 7.1 MiB, with the labels 14.5 MiB
+    assert retained < 4 * 2**20
+
+
+def test_build_surface_and_apparatus_memory(disguise):
+    # the resampler lets each chain-rule field go after its last use: build_surface
+    # peaked at 2.94x its model's array bytes while all of them were held, 2.3x now;
+    # the apparatus keeps gamma_bar's dual part, R_bar and the mask, and computes the
+    # radius pair on read (7.15 float N-vectors with the pair stored, 3.15 now)
+    u, director, base = disguise.sample(16385)
+    curves = SampledCurve(u, director), SampledCurve(u, base)
+    m, _, peak = traced(lambda: build_surface(*curves))
+    model_bytes = sum(getattr(m, f.name).nbytes for f in dataclasses.fields(m) if f.init)
+    assert peak <= 2.6 * model_bytes
+    ap, held, _ = traced(lambda: dual_apparatus(m))
+    assert held <= 3.5 * 8 * len(m)
+    assert {f.name for f in dataclasses.fields(ap)} == {"gamma_bar", "R_bar", "timelike_axis"}
 
 
 @pytest.mark.parametrize("n,k", [(1024, 1), (1500, 1), (1502, 2), (16385, 16), (131073, 131)])
