@@ -8,7 +8,7 @@ correspondence, and builds Mannheim offsets whose closed-form invariants
 are adjudicated against an independently reconstructed offset surface.
 """
 
-from .dual_algebra import EPS, FUNCTION_NAMES, DualScalar, apply_function
+from .dual_algebra import EPS, DualScalar
 from .dual_lorentz import (
     DualVec3,
     decode_line_point,
@@ -46,11 +46,9 @@ __all__ = [
     "DualScalar",
     "DualVec3",
     "EPS",
-    "FUNCTION_NAMES",
     "KernelError",
     "SampledCurve",
     "ValidationError",
-    "apply_function",
     "build_surface",
     "classify",
     "cone_curves",

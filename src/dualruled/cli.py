@@ -364,8 +364,13 @@ def cmd_export(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a flag error is one line, as every other ConfigError
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dualruled",
         description="Darboux apparatus and Mannheim offsets of timelike ruled surfaces",
     )
@@ -402,9 +407,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         # every check on the flags alone, before the config is read
         for flag in ("c", "cstar", "s_lo", "s_hi", "v_min", "v_max"):
             if (value := getattr(args, flag, None)) is not None:
@@ -412,6 +416,9 @@ def main(argv=None) -> int:
         export = args.command == "export"
         if export and args.offset and (args.c is None or args.cstar is None):
             raise ConfigError("--offset export needs --c and --cstar")
+        if export and not args.offset and any(
+                getattr(args, flag) is not None for flag in ("c", "cstar", "s_lo", "s_hi")):
+            raise ConfigError("--c, --cstar, --s-lo and --s-hi need --offset")
         if args.command != "analyze" and (args.s_lo is None) != (args.s_hi is None):
             raise ConfigError("--s-lo and --s-hi must be given together")
         verify = getattr(args, "verify", None)
@@ -429,7 +436,3 @@ def main(argv=None) -> int:
     except DegeneracyError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

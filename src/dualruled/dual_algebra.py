@@ -148,23 +148,3 @@ def dual_artanh(x: DualScalar) -> DualScalar:
     _domain_check("artanh", x, np.abs(x.re) < 1.0)
     return _pair(x, np.arctanh(x.re), 1.0 / (1.0 - x.re * x.re))
 
-
-_FUNCTIONS = {
-    "arccosh": dual_arccosh,
-    "artanh": dual_artanh,
-    "cosh": dual_cosh,
-    "coth": dual_coth,
-    "sinh": dual_sinh,
-    "sqrt": dual_sqrt,
-    "tanh": dual_tanh,
-}
-FUNCTION_NAMES = tuple(sorted(_FUNCTIONS))
-
-
-def apply_function(name: str, x: DualScalar) -> DualScalar:
-    """Evaluate a named analytic function on a DualScalar: (f(a), b*f'(a))."""
-    try:
-        fn = _FUNCTIONS[name]
-    except KeyError:
-        raise KeyError(f"no dual function named {name!r}; have {FUNCTION_NAMES}") from None
-    return fn(x)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual_algebra import DualScalar, apply_function
+from .dual_algebra import DualScalar, dual_arccosh
 from .errors import InvalidLine, KernelError, NotTimelike, NotUnit, NullDirection, ParallelLines, guard
 from .minkowski3 import enorm, lcross, linner
 
@@ -126,4 +126,4 @@ def dual_angle(a: DualVec3, b: DualVec3) -> DualScalar:
         f"directions are not both future-oriented timelike at sample {i}"))
     guard(v.re <= 1.0 + 1e-12, lambda i: ParallelLines(
         f"sinh(theta) = 0 at sample {i}; distance part undefined by the angle formula"))
-    return apply_function("arccosh", v)
+    return dual_arccosh(v)

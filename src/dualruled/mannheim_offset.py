@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual_algebra import DualScalar, apply_function
+from .dual_algebra import DualScalar, dual_cosh, dual_sinh
 from .dual_lorentz import DualVec3, _frame_line, decode_line_point
 from .errors import (
     DegeneracyError,
@@ -185,9 +185,7 @@ def transfer_dual_director(spec: OffsetSpec) -> DualVec3:
     theta_bar = DualScalar(spec.theta, spec.theta_star)
     # an overflowing cosh or sinh leaves inf or nan entries, which require_squarable names
     with np.errstate(over="ignore", invalid="ignore"):
-        ch = apply_function("cosh", theta_bar)
-        sh = apply_function("sinh", theta_bar)
-        e1 = ch * e_d + sh * t_d
+        e1 = dual_cosh(theta_bar) * e_d + dual_sinh(theta_bar) * t_d
     require_squarable("offset", director=e1.re, moment=e1.du)
     return e1
 

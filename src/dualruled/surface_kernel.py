@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dual_algebra import DualScalar, apply_function
+from .dual_algebra import DualScalar, dual_sqrt
 from .dual_lorentz import DualVec3, _frame_line, decode_line_point, dnorm
 from .errors import (
     DegenerateIndicatrix,
@@ -328,7 +328,7 @@ def _curvature_elements(gamma, delta, Delta) -> DualApparatus:
         f"|1 - gamma_bar^2| = {margin.flat[i]:.3e} at sample {i} "
         f"(guard {NULL_AXIS_GUARD:.0e}); Darboux axis is null"))
     one_minus = 1.0 - gamma_bar * gamma_bar
-    R = 1.0 / apply_function("sqrt", abs(one_minus))
+    R = 1.0 / dual_sqrt(abs(one_minus))
     return DualApparatus(gamma_bar, R, np.abs(gre) > 1.0)
 
 

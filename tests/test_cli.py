@@ -502,7 +502,9 @@ def test_non_finite_float_flag_exit_2(tmp_path, capsys, flag, command, value):
      "need at least 2 ruling samples, got 1"),
     (["export", "--offset", "--c", "3", "--v-min", "0", "--v-max", "1", "--v-samples", "3"],
      "--offset export needs --c and --cstar"),
-], ids=["s_lo_alone", "v_range", "v_samples", "offset_without_cstar"])
+    (["export", "--cstar", "0.3", "--v-min", "0", "--v-max", "1", "--v-samples", "3"],
+     "--c, --cstar, --s-lo and --s-hi need --offset"),
+], ids=["s_lo_alone", "v_range", "v_samples", "offset_without_cstar", "offset_flag_without_offset"])
 def test_flag_errors_come_before_the_config(tmp_path, capsys, argv, message):
     # the config does not exist: a bad flag is reported before it is read
     out = tmp_path / "out"
@@ -554,6 +556,21 @@ def test_import_adds_only_numpy():
             "print(' '.join(sorted(top() - start - set(sys.stdlib_module_names))))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert set(out.stdout.split()) <= {"dualruled", "numpy"}
+
+
+def test_module_entry_point(tmp_path):
+    # dualbench starts every command as `python -m dualruled`
+    cfg = write_cfg(tmp_path, "p.json", planar_cfg(64))
+    report, summary = tmp_path / "report.json", tmp_path / "offset.json"
+    for argv, code, err in (
+        (["analyze", "--input", cfg, "--output", str(report)], 0, ""),
+        (["offset", "--input", cfg, "--output", str(summary)], 2,
+         "ConfigError: the following arguments are required: --c, --cstar\n"),
+    ):
+        run = subprocess.run([sys.executable, "-m", "dualruled", *argv], capture_output=True, text=True)
+        assert (run.returncode, run.stderr) == (code, err)
+    assert json.loads(report.read_text())["name"] == "planar"
+    assert not summary.exists()
 
 
 def test_analyze_deterministic(tmp_path):
@@ -727,11 +744,21 @@ def test_error_exit_codes(tmp_path, capsys):
         (["analyze"], ["--samples", "64"]),
         (["offset", "--c", "3", "--cstar", "0.3"], ["--tol", "1e-3"]),
     ):
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, "--input", planar, *extra, "--output", out])
-        assert exc.value.code == 2
-        assert capsys.readouterr().err.splitlines()[-1] == (
-            f"dualruled: error: unrecognized arguments: {' '.join(extra)}")
+        assert main([*argv, "--input", planar, *extra, "--output", out]) == 2
+        assert capsys.readouterr().err == (
+            f"ConfigError: unrecognized arguments: {' '.join(extra)}\n")
+
+    assert main(["offset", "--input", constant, "--output", out]) == 2
+    assert capsys.readouterr().err == (
+        "ConfigError: the following arguments are required: --c, --cstar\n")
+
+    # without --offset the offset's flags would be ignored, the inverted window included
+    mesh = tmp_path / "m.obj"
+    code = main(["export", "--input", planar, "--v-min", "-1", "--v-max", "1", "--v-samples", "2",
+                 "--c", "3", "--s-lo", "5", "--s-hi", "1", "--output", str(mesh)])
+    assert code == 2
+    assert capsys.readouterr().err == "ConfigError: --c, --cstar, --s-lo and --s-hi need --offset\n"
+    assert not mesh.exists()
 
     code = main(["export", "--input", constant, "--offset", "--v-min", "0",
                  "--v-max", "1", "--v-samples", "3", "--output", out])

@@ -6,7 +6,6 @@ import pytest
 from dualruled import (
     DualScalar,
     DualVec3,
-    apply_function,
     decode_line_point,
     dinner,
     dnorm,
@@ -14,6 +13,7 @@ from dualruled import (
     encode_line,
     linner,
 )
+from dualruled.dual_algebra import dual_cosh, dual_sinh
 from dualruled.errors import InvalidLine, NotTimelike, NotUnit, NullDirection, ParallelLines
 from dualruled.surface_kernel import dual_frame
 
@@ -162,7 +162,7 @@ def test_dual_angle_frame_transfer_roundtrip(constant_surface):
     # tilting every ruling by a prescribed dual angle must be recoverable, in one call
     ed, td, _ = dual_frame(constant_surface)
     theta = DualScalar(0.7, 0.25)
-    got = dual_angle(ed, apply_function("cosh", theta) * ed + apply_function("sinh", theta) * td)
+    got = dual_angle(ed, dual_cosh(theta) * ed + dual_sinh(theta) * td)
     assert got.re.shape == got.du.shape == (1024,)
     assert np.max(np.abs(got.re - 0.7)) < 1e-12
     assert np.max(np.abs(got.du - 0.25)) < 1e-12

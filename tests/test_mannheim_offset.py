@@ -491,6 +491,21 @@ def test_rebuilt_offset_obeys_its_frame_odes(constant_surface, varying, surface,
     # first resampled rows, the window-end effect of the resampled base frame
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 14: a model of the rebuild's fields "
+                   "takes the stride of the window's length, 2 here")
+def test_a_model_of_the_rebuild_keeps_its_stride(disguise, monkeypatch):
+    # the rebuild differentiates the window of n = 4097 samples at stride 4; a model made
+    # from its fields checks itself at stride(len(window)) = 2, and its tangent_ode then
+    # reads 7.2e-4
+    u, director, base = disguise.sample(4097)
+    m = build_surface(SampledCurve(u, director), SampledCurve(u, base))
+    rebuilt = []
+    monkeypatch.setattr(mannheim_offset, "_darboux_fields",
+                        lambda *args: rebuilt.append(_darboux_fields(*args)) or rebuilt[-1])
+    construct_offset(m, offset_angle_profile(m, 2.5, 0.3, (1.0, 2.0)))
+    assert _model_from_fields(rebuilt[0]).k == 4
+
+
 def test_one_pipeline_checks_three_grids(disguise, monkeypatch):
     # the input grid, the model's arc-length grid and the offset window: every other
     # reader takes the step the model carries
