@@ -39,6 +39,7 @@ from .mannheim_offset import (
     VERDICT_TOL,
     construct_offset,
     consistency_report,
+    formula_residuals,
     offset_angle_profile,
 )
 from .numerics import MAX_SAMPLES, MIN_SAMPLES, SampledCurve, hermite, is_uniform, slopes
@@ -279,6 +280,7 @@ def _offset_pieces(args):
 
 def cmd_offset(args) -> int:
     cfg, spec, offset = _offset_pieces(args)
+    shift = offset.striction_shift  # derived on read: bound once for both files
     mannheim = {
         "dual_max": float(np.max(offset.mannheim_dual_residual)),
         "real_max": float(np.max(offset.mannheim_real_residual)),
@@ -302,8 +304,7 @@ def cmd_offset(args) -> int:
             "gamma1": offset.gamma1,
             "s1": offset.s1_grid,
         },
-        "striction_shift_maxima": {k: float(np.max(np.abs(v)))
-                                   for k, v in offset.striction_shift.items()},
+        "striction_shift_maxima": {k: float(np.max(np.abs(v))) for k, v in shift.items()},
         "window": {
             "hi": float(spec.s[-1]),
             "lo": float(spec.s[0]),
@@ -313,16 +314,17 @@ def cmd_offset(args) -> int:
     outputs = {args.output: functools.partial(dump_canonical, payload)}
     if args.verify:
         report = consistency_report(spec.source_model, spec, offset)
+        oracle = report.oracle  # derived on read: bound once for both dicts
         verify_payload = {
             "formulas": report.formulas,
             "mannheim": mannheim,
             "max_residual": report.max_residual,
             "mean_residual": report.mean_residual,
             "name": cfg.name,
-            "oracle": report.oracle,
-            "residuals": report.residuals,
+            "oracle": oracle,
+            "residuals": formula_residuals(report.formulas, oracle),
             "s": spec.s,
-            "striction_shift": offset.striction_shift,
+            "striction_shift": shift,
             "theta": spec.theta,
             "theta_star": spec.theta_star,
             "tol": VERDICT_TOL,

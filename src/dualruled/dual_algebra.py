@@ -127,12 +127,6 @@ def dual_tanh(x: DualScalar) -> DualScalar:
     return _pair(x, np.tanh(x.re), 1.0 / (c * c))
 
 
-def dual_coth(x: DualScalar) -> DualScalar:
-    _domain_check("coth", x, x.re != 0.0)
-    s = np.sinh(x.re)
-    return _pair(x, np.cosh(x.re) / s, -1.0 / (s * s))
-
-
 def dual_sqrt(x: DualScalar) -> DualScalar:
     _domain_check("sqrt", x, x.re > 0.0)
     r = np.sqrt(x.re)

@@ -98,7 +98,8 @@ class OffsetSpec:
 class OffsetModel:
     """Oracle reconstruction of a Mannheim offset, sampled at the base grid; the
     rebuilt frame t1, g1 enters the Mannheim residuals and is not kept, and the
-    tilted dual director e1_dual is taken again from the spec when read."""
+    tilted dual director e1_dual and the striction shift are taken again from
+    the spec when read."""
 
     s1_grid: np.ndarray
     ds1_ds: np.ndarray
@@ -111,7 +112,6 @@ class OffsetModel:
     rho1_star: np.ndarray
     mannheim_real_residual: np.ndarray
     mannheim_dual_residual: np.ndarray
-    striction_shift: dict  # offset minus base striction point, by frame direction
     spec: OffsetSpec
 
     @property
@@ -119,21 +119,52 @@ class OffsetModel:
         """The tilted dual director the offset was rebuilt from."""
         return transfer_dual_director(self.spec)
 
+    @property
+    def striction_shift(self) -> dict:
+        """Offset minus base striction point, by direction of the base frame."""
+        m, w = self.spec.source_model, self.spec.window
+        v = self.c1 - m.c[w]
+        return {"along_director": -linner(v, m.e[w]), "along_tangent": linner(v, m.t[w]),
+                "along_normal": linner(v, m.g[w])}
+
 
 @dataclass
 class OffsetReport:
-    """Per-sample adjudication of the closed-form offset identities, and the
-    largest real Mannheim residual (the dual ones stay on the offset)."""
+    """Adjudication of the closed-form offset identities: the formulas per sample,
+    and each key's largest and mean residual and its verdict. Everything else is
+    taken again from the offset when read: the window and its theta*, the largest
+    real Mannheim residual (the dual ones stay on the offset), the oracle values
+    and the per-sample residuals. The derived arrays follow the offset as it is
+    when they are read; the maxima, means and verdicts, as it was when the report
+    was made."""
 
-    s: np.ndarray
-    theta_star: np.ndarray
-    oracle: dict
     formulas: dict
-    residuals: dict
     max_residual: dict
     mean_residual: dict
     verdicts: dict
-    mannheim_real_max: float
+    offset: OffsetModel
+
+    @property
+    def s(self) -> np.ndarray:
+        return self.offset.spec.s
+
+    @property
+    def theta_star(self) -> np.ndarray:
+        return self.offset.spec.theta_star
+
+    @property
+    def mannheim_real_max(self) -> float:
+        return float(np.max(self.offset.mannheim_real_residual))
+
+    @property
+    def oracle(self) -> dict:
+        """The oracle's value of each formula key, per window sample."""
+        return _oracle_fields(self.offset)
+
+    @property
+    def residuals(self) -> dict:
+        """Each formula key's absolute residual against the oracle, per window sample."""
+        return formula_residuals(self.formulas, self.oracle)
 
 
 def offset_angle_profile(m: RuledSurfaceModel, c_const: float, cstar_const: float,
@@ -201,7 +232,7 @@ def construct_offset(m: RuledSurfaceModel, spec: OffsetSpec) -> OffsetModel:
         raise MismatchedInputs("spec was built for a different model")
     w = spec.window
     s = m.s_grid[w]
-    e, t, g, c = m.e[w], m.t[w], m.g[w], m.c[w]
+    g, c = m.g[w], m.c[w]
     e1_dual = transfer_dual_director(spec)
     # the surface's stride, capped at the widest whose one-sided rows (5k samples) fit
     h, k = grid_step(s), min(m.k, len(s) // 5)
@@ -226,16 +257,12 @@ def construct_offset(m: RuledSurfaceModel, spec: OffsetSpec) -> OffsetModel:
 
     # back to the window's order; only the kept c1 is copied column-major again
     t1, c1 = fields["t"][back], np.asfortranarray(fields["c"][back])
-
-    v = c1 - c
     return OffsetModel(
         s1_grid=s1_grid, ds1_ds=orient * sigma1, orientation=orient,
         c1=c1, gamma1=gamma1, delta1=delta1, Delta1=Delta1,
         apparatus1=apparatus1, rho1_star=apparatus1.rho_cosh.du / rho1_sinh,
         mannheim_real_residual=enorm(t1 + g),
         mannheim_dual_residual=enorm(lcross(c1, t1) + lcross(c, g)),
-        striction_shift={"along_director": -linner(v, e), "along_tangent": linner(v, t),
-                         "along_normal": linner(v, g)},
         spec=spec,
     )
 
@@ -298,13 +325,27 @@ def consistency_report(m: RuledSurfaceModel, spec: OffsetSpec, offset: OffsetMod
     """
     if offset.spec is not spec or spec.source_model is not m:
         raise MismatchedInputs("report inputs must be the model/spec pair the offset was built from")
-    gamma, delta, Delta, theta, theta_star = _closed_form_inputs(spec)
-    F = _formula_fields(gamma, delta, Delta, theta, theta_star)
+    F = _formula_fields(*_closed_form_inputs(spec))
+    oracle = _oracle_fields(offset)
+    # each key's residual is let go once its max and mean are taken
+    max_residual, mean_residual = {}, {}
+    for k, f in F.items():
+        r = _residual(k, f, oracle[k])
+        max_residual[k], mean_residual[k] = float(np.max(r)), float(np.mean(r))
+    verdicts = {k: ("CONFIRMED" if max_residual[k] <= VERDICT_TOL else "DISCREPANT")
+                for k in F}
+    return OffsetReport(formulas=F, max_residual=max_residual, mean_residual=mean_residual,
+                        verdicts=verdicts, offset=offset)
 
+
+def _oracle_fields(offset: OffsetModel) -> dict:
+    """The rebuild's value of each formula key on the spec's window."""
+    spec = offset.spec
+    Delta = spec.source_model.Delta[spec.window]
     ds1, a1 = offset.ds1_ds, offset.apparatus1
     rho1_cosh, rho1_sinh = a1.rho_cosh, a1.rho_sinh
     arc_dual_oracle = DualScalar(ds1, ds1 * (Delta - offset.Delta1))
-    oracle = {
+    return {
         "arc_rate": np.abs(ds1),
         "arc_rate_dual": arc_dual_oracle,
         "conical_curvature": offset.gamma1,
@@ -323,22 +364,18 @@ def consistency_report(m: RuledSurfaceModel, spec: OffsetSpec, offset: OffsetMod
         "offset_distance_constraint": spec.theta_star,
     }
 
-    arc_f, arc_o = F["arc_rate_dual"], oracle["arc_rate_dual"]
-    # in the gauge ds1/ds = -gamma*sinh(theta), the formula is minus the oracle
-    arc_dual = np.maximum(np.abs(arc_f.re + arc_o.re), np.abs(arc_f.du + arc_o.du))
-    residuals = {k: arc_dual if k == "arc_rate_dual" else np.abs(f - oracle[k])
-                 for k, f in F.items()}
 
-    max_residual = {k: float(np.max(v)) for k, v in residuals.items()}
-    mean_residual = {k: float(np.mean(v)) for k, v in residuals.items()}
-    verdicts = {k: ("CONFIRMED" if max_residual[k] <= VERDICT_TOL else "DISCREPANT")
-                for k in residuals}
-    return OffsetReport(
-        s=spec.s, theta_star=spec.theta_star,
-        oracle=oracle, formulas=F, residuals=residuals,
-        max_residual=max_residual, mean_residual=mean_residual, verdicts=verdicts,
-        mannheim_real_max=float(np.max(offset.mannheim_real_residual)),
-    )
+def formula_residuals(formulas: dict, oracle: dict) -> dict:
+    """Each formula key's absolute residual against its oracle value, per sample."""
+    return {k: _residual(k, f, oracle[k]) for k, f in formulas.items()}
+
+
+def _residual(key: str, formula, oracle) -> np.ndarray:
+    """Absolute residual of one formula key against its oracle value, per sample."""
+    if key == "arc_rate_dual":
+        # in the gauge ds1/ds = -gamma*sinh(theta), the formula is minus the oracle
+        return np.maximum(np.abs(formula.re + oracle.re), np.abs(formula.du + oracle.du))
+    return np.abs(formula - oracle)
 
 
 def developability_predicates(spec: OffsetSpec) -> dict:

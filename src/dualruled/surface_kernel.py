@@ -168,8 +168,9 @@ def _darboux_fields(u: np.ndarray, e_raw: np.ndarray, p_raw: np.ndarray, h: floa
     input grid; 'sigma' is the indicatrix speed |de/du| and 's' the running arc
     length (origin u[0]). The two input curves are copied column-major here unless
     they already are, so every N x 3 field downstream is too (numpy's elementwise
-    operations keep their operands' layout). An error names a sample by its entry
-    in `samples`, the caller's numbering (by default the input's own order).
+    operations keep their operands' layout). Each temporary is let go after its
+    last read. An error names a sample by its entry in `samples`, the caller's
+    numbering (by default the input's own order).
     """
     at = range(len(u)) if samples is None else samples
     e = _renormalize_director(np.asfortranarray(e_raw, dtype=float), at)
@@ -188,16 +189,21 @@ def _darboux_fields(u: np.ndarray, e_raw: np.ndarray, p_raw: np.ndarray, h: floa
     et = linner(e, t)
     guard(np.abs(et) - DRIFT_TOL, lambda i: FrameDriftExceeded(
         f"<e,t> = {et[i]:.3e} at sample {at[i]} exceeds {DRIFT_TOL:.0e}"))
+    del et
     g = -lcross(e, t)
     p = np.asfortranarray(p_raw, dtype=float)
     dp = stencil_rows(p, h, k=k)
     lam = -linner(dp, de) / sig2
+    del de, dp, sig2
     c = p + lam[:, None] * e
+    del p, lam
     dt_ds = stencil_rows(t, h, k=k) / sigma[:, None]
     gamma = linner(dt_ds, g)
+    del dt_ds
     dc_ds = stencil_rows(c, h, k=k) / sigma[:, None]
     delta = linner(dc_ds, e)
     Delta = det3(dc_ds, e, t)
+    del dc_ds
     s = u[0] + cumulative_simpson(sigma, h)
     return {
         "u": np.asarray(u, dtype=float), "h": h, "k": k, "s": s, "sigma": sigma,
@@ -218,7 +224,7 @@ def _model_from_fields(fields: dict) -> RuledSurfaceModel:
     `fields` is consumed: e1, t1 and c1 are resampled in this order, each field
     leaves the dict after its last use, and g1 is taken last, so the chain-rule
     fields are let go while the model's are made. The three frame slopes share
-    one buffer, filled in place.
+    one buffer, filled in place; it and every temporary go after their last use.
     """
     u, s = fields.pop("u"), fields.pop("s")
     s_uniform = np.linspace(s[0], s[-1], len(u))
@@ -233,6 +239,7 @@ def _model_from_fields(fields: dict) -> RuledSurfaceModel:
     guard(drift - DRIFT_TOL, lambda i: FrameDriftExceeded(
         f"director norm drifted by {drift[i]:.3e} after resampling at sample {i}"))
     e1 /= np.sqrt(-q)[:, None]
+    del q, drift
     np.multiply(fields["gamma"][:, None], fields["g"], out=slope)  # dt/ds = e + gamma g
     slope += fields["e"]
     slope *= sigma
@@ -242,11 +249,13 @@ def _model_from_fields(fields: dict) -> RuledSurfaceModel:
           lambda i: FrameDriftExceeded(
               f"frame orthonormality drift at sample {i} exceeds {DRIFT_TOL:.0e}"))
     t1 += et[:, None] * e1  # drop the e component (<e,e> = -1)
+    del et
     t1 /= np.sqrt(linner(t1, t1))[:, None]
     np.multiply(-fields["delta"][:, None], fields.pop("e"), out=slope)  # dc/ds = -delta e + Delta g
     slope += fields["Delta"][:, None] * fields.pop("g")
     slope *= sigma
     c1 = at(fields.pop("c"), slope)
+    del sigma, slope
 
     def resample(name):
         f = fields.pop(name)

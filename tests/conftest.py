@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,19 @@ from dualruled.mannheim_offset import (
 )
 
 APEX = (1.0, 2.0, 3.0)
+
+
+def traced(call):
+    """call() under tracemalloc: its result, then the bytes it leaves allocated and
+    its peak, both counted over what was allocated before the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held - base, peak - base
 
 
 @pytest.fixture(scope="session")

@@ -108,7 +108,6 @@ FUNCTIONS = {name.removeprefix("dual_"): fn for name, fn in vars(dual_algebra).i
         ("arccosh", 0.5),
         ("artanh", 1.0),
         ("artanh", -2.0),
-        ("coth", 0.0),
     ],
 )
 def test_domain_errors(name, bad):
@@ -121,7 +120,6 @@ DOMAINS = {
     "cosh": (-2.0, 2.0),
     "sinh": (-2.0, 2.0),
     "tanh": (-2.0, 2.0),
-    "coth": (0.3, 2.0),
     "sqrt": (0.5, 4.0),
     "arccosh": (1.2, 4.0),
     "artanh": (-0.8, 0.8),
@@ -145,18 +143,19 @@ def test_dual_part_is_directional_derivative(name, rng):
         assert np.all(np.abs(out.du - fd) <= bound)
 
 
-COMPOSABLE = [
-    ("sinh", "cosh", (-1.5, 1.5)),
-    ("sqrt", "cosh", (-1.5, 1.5)),
-    ("arccosh", "cosh", (1.2, 3.0)),
-    ("coth", "cosh", (-2.0, 2.0)),
-    ("artanh", "tanh", (-1.0, 1.0)),
-    ("tanh", "sinh", (-1.5, 1.5)),
-    ("cosh", "artanh", (-0.8, 0.8)),
-]
+# outer, inner and the domain of the inner argument, by test id; the ids are fixed
+# strings, so a row deleted leaves the others' names as they were
+COMPOSABLE = {
+    "sinh-cosh-dom0": ("sinh", "cosh", (-1.5, 1.5)),
+    "sqrt-cosh-dom1": ("sqrt", "cosh", (-1.5, 1.5)),
+    "arccosh-cosh-dom2": ("arccosh", "cosh", (1.2, 3.0)),
+    "artanh-tanh-dom4": ("artanh", "tanh", (-1.0, 1.0)),
+    "tanh-sinh-dom5": ("tanh", "sinh", (-1.5, 1.5)),
+    "cosh-artanh-dom6": ("cosh", "artanh", (-0.8, 0.8)),
+}
 
 
-@pytest.mark.parametrize("outer,inner,dom", COMPOSABLE)
+@pytest.mark.parametrize("outer,inner,dom", COMPOSABLE.values(), ids=COMPOSABLE)
 def test_chain_rule(outer, inner, dom, rng):
     xs = rng.uniform(dom[0], dom[1], size=500)
     stars = rng.uniform(-3.0, 3.0, size=500)

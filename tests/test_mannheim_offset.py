@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import traced
 
 from dualruled import (
     DualScalar,
@@ -191,20 +192,19 @@ def test_offset_orientation_and_gauge(gamma, c, orientation):
 
 
 def offset_arrays(offset) -> list:
-    """Every array an offset exposes: the 17 it stores (its array fields, the parts
-    of its dual fields and the values of its dict fields, its apparatus record's
-    included), then the parts of the 3 dual arrays derived when read."""
+    """Every array an offset exposes: the 14 it stores (its array fields and the
+    parts of its dual fields, its apparatus record's included), then the parts of
+    the 3 dual arrays and the 3 striction-shift arrays derived when read."""
     out = []
     for obj in (offset, offset.apparatus1):
         for f in dataclasses.fields(obj):
             value = getattr(obj, f.name)
-            for part in value.values() if isinstance(value, dict) else [value]:
-                out += [part] if isinstance(part, np.ndarray) else [
-                    getattr(part, k) for k in ("re", "du") if hasattr(part, k)]
-    assert len(out) == 17
+            out += [value] if isinstance(value, np.ndarray) else [
+                getattr(value, k) for k in ("re", "du") if hasattr(value, k)]
+    assert len(out) == 14
     for derived in (offset.e1_dual, offset.apparatus1.rho_cosh, offset.apparatus1.rho_sinh):
         out += [derived.re, derived.du]
-    return out
+    return out + list(offset.striction_shift.values())
 
 
 def test_oracle_ignores_the_stored_invariants(constant_surface, offset_pieces):
@@ -216,7 +216,7 @@ def test_oracle_ignores_the_stored_invariants(constant_surface, offset_pieces):
     negated = construct_offset(m, offset_angle_profile(m, 3.0, 0.3, (1.0, 2.0)))
     assert negated.orientation == offset.orientation == -1
     pairs = list(zip(offset_arrays(offset), offset_arrays(negated), strict=True))
-    assert len(pairs) == 23  # 17 stored, 6 derived
+    assert len(pairs) == 23  # 14 stored, 9 derived
     for a, b in pairs:
         assert a.tobytes() == b.tobytes()
 
@@ -230,6 +230,86 @@ def test_offset_records_keep_nothing_derivable(offset_pieces):
     assert offset.e1_dual.re.tobytes() == e1.re.tobytes()
     assert offset.e1_dual.du.tobytes() == e1.du.tobytes()
     assert spec.theta.base is None and spec.theta_star.base is None
+
+
+def stored_dicts(m, spec, offset) -> tuple:
+    """The oracle and residual dicts and the striction shift a report and an offset
+    stored before they derived them on read, by the expressions that built them."""
+    w = spec.window
+    Delta = m.Delta[w]
+    F = consistency_report(m, spec, offset).formulas
+    ds1, a1 = offset.ds1_ds, offset.apparatus1
+    rho1_cosh, rho1_sinh = a1.rho_cosh, a1.rho_sinh
+    oracle = {
+        "arc_rate": np.abs(ds1),
+        "arc_rate_dual": DualScalar(ds1, ds1 * (Delta - offset.Delta1)),
+        "conical_curvature": offset.gamma1,
+        "conical_curvature_dual_re": a1.gamma_bar.re,
+        "conical_curvature_dual_du": a1.gamma_bar.du,
+        "drift": offset.delta1,
+        "dist_param_rate_route": offset.Delta1,
+        "dist_param_det_route": offset.Delta1,
+        "curvature_radius_re": a1.R_bar.re,
+        "curvature_radius_du": a1.R_bar.du,
+        "sph_radius_cosh_re": rho1_cosh.re,
+        "sph_radius_cosh_du": rho1_cosh.du,
+        "sph_radius_sinh": rho1_sinh.re,
+        "sph_radius_sinh_du": rho1_sinh.du,
+        "sph_radius_shift": offset.rho1_star,
+        "offset_distance_constraint": spec.theta_star,
+    }
+    arc_f, arc_o = F["arc_rate_dual"], oracle["arc_rate_dual"]
+    arc_dual = np.maximum(np.abs(arc_f.re + arc_o.re), np.abs(arc_f.du + arc_o.du))
+    residuals = {k: arc_dual if k == "arc_rate_dual" else np.abs(f - oracle[k])
+                 for k, f in F.items()}
+    v = offset.c1 - m.c[w]
+    shift = {"along_director": -linner(v, m.e[w]), "along_tangent": linner(v, m.t[w]),
+             "along_normal": linner(v, m.g[w])}
+    return oracle, residuals, shift
+
+
+def same_bits(a: dict, b: dict) -> bool:
+    """Whether two dicts of arrays and DualScalars have the same keys in the same
+    order and every array the same dtype, shape and bytes."""
+    def parts(x):
+        return [x.re, x.du] if isinstance(x, DualScalar) else [x]
+    return list(a) == list(b) and all(
+        p.dtype == q.dtype and p.shape == q.shape and p.tobytes() == q.tobytes()
+        for k in a for p, q in zip(parts(a[k]), parts(b[k]), strict=True))
+
+
+def test_the_report_and_offset_derive_their_arrays_on_read(offset_pieces, disguise):
+    # the report keeps the formulas, each key's max and mean and the verdicts; the
+    # window, theta*, the real Mannheim max, the oracle values, the per-sample residuals
+    # and the striction shift are taken again when read, with the bits once stored
+    u, director, base = disguise.sample(4097)
+    m = build_surface(SampledCurve(u, director), SampledCurve(u, base))
+    spec = offset_angle_profile(m, 2.5, 0.3, (1.0, 2.0))
+    for m, spec, offset in (offset_pieces, (m, spec, construct_offset(m, spec))):
+        report = consistency_report(m, spec, offset)
+        assert {f.name for f in dataclasses.fields(report)} == {
+            "formulas", "max_residual", "mean_residual", "verdicts", "offset"}
+        assert report.s is spec.s and report.theta_star is spec.theta_star
+        assert report.mannheim_real_max == float(np.max(offset.mannheim_real_residual))
+        assert "striction_shift" not in {f.name for f in dataclasses.fields(offset)}
+        oracle, residuals, shift = stored_dicts(m, spec, offset)
+        assert same_bits(report.oracle, oracle)
+        assert same_bits(report.residuals, residuals)
+        assert same_bits(offset.striction_shift, shift)
+        assert report.max_residual == {k: float(np.max(r)) for k, r in residuals.items()}
+        assert report.mean_residual == {k: float(np.mean(r)) for k, r in residuals.items()}
+
+
+def test_the_report_retains_its_formulas_alone(disguise):
+    # each key's residual goes once its max and mean are taken: the report holds 17.0
+    # window vectors, the 16 formulas (arc_rate_dual two); storing the oracle values
+    # and the residuals held 39.0
+    u, director, base = disguise.sample(16385)
+    m = build_surface(SampledCurve(u, director), SampledCurve(u, base))
+    spec = offset_angle_profile(m, 2.5, 0.3, (1.0, 2.0))
+    offset = construct_offset(m, spec)
+    _, held, _ = traced(lambda: consistency_report(m, spec, offset))
+    assert held <= 18 * 8 * len(spec.s)
 
 
 def test_a_sign_disagreement_reads_discrepant(offset_pieces, offset_report):
