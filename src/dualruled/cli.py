@@ -202,7 +202,8 @@ def build_model(cfg: SurfaceConfig) -> RuledSurfaceModel:
         curves = np.hstack([director, base])  # one Hermite pass over both curves
         dy = slopes(u, curves)  # before hermite: slopes refuses fewer than 5 samples
         grid = np.linspace(u[0], u[-1], cfg.samples)
-        director, base = np.hsplit(hermite(u, grid)(curves, dy), 2)
+        rows, at = hermite(u, grid)  # the grid spans u: its intervals touch every node
+        director, base = np.hsplit(at(curves[rows], dy[rows]), 2)
         u = grid
     return build_surface(SampledCurve(u, director), SampledCurve(u, base))
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dual_algebra import DualScalar, dual_arccosh
 from .errors import InvalidLine, KernelError, NotTimelike, NotUnit, NullDirection, ParallelLines, guard
-from .minkowski3 import enorm, lcross, linner
+from .minkowski3 import enorm, enorm2, lcross, linner
 
 LINE_TOL = 1e-6
 
@@ -53,8 +53,11 @@ class DualVec3:
 
 
 def dinner(a: DualVec3, b: DualVec3) -> DualScalar:
-    """Dual Lorentzian inner product: (<a,b>, <a,b*> + <a*,b>)."""
-    return DualScalar(linner(a.re, b.re), linner(a.re, b.du) + linner(a.du, b.re))
+    """Dual Lorentzian inner product: (<a,b>, <a,b*> + <a*,b>). For b = a the dual
+    part is 2 <a,a*>, taken as x + x: <a*,a> forms the products of <a,a*>, so x + x
+    has the bits of the sum of the two."""
+    cross = linner(a.re, b.du)
+    return DualScalar(linner(a.re, b.re), cross + (cross if b is a else linner(a.du, b.re)))
 
 
 def dnorm(a: DualVec3, start: int = 0) -> DualScalar:
@@ -65,7 +68,7 @@ def dnorm(a: DualVec3, start: int = 0) -> DualScalar:
     the sample by that numbering.
     """
     d = dinner(a, a)  # (<re, re>, 2 <re, du>)
-    null = np.abs(d.re) <= 1e-9 * np.maximum(1.0, np.sum(a.re * a.re, axis=-1))
+    null = np.abs(d.re) <= 1e-9 * np.maximum(1.0, enorm2(a.re))
     guard(null, lambda i: NullDirection(f"null direction at sample {start + i}; dual norm undefined"))
     n = np.sqrt(np.abs(d.re))
     return DualScalar(n, d.du / (2.0 * n))
@@ -102,14 +105,26 @@ def decode_line_point(a: DualVec3, error: type[KernelError] = InvalidLine) -> np
     that built the line itself passes DegenerateLine: there a violation is
     lost digits, not bad input.
     """
+    _guard_line(*_line_deviations(a), error)
+    return lcross(a.re, a.du)
+
+
+def _line_deviations(a: DualVec3) -> tuple:
+    """The line constraints of `decode_line_point` per sample: the unit deviation
+    |<re,re> + 1|, the orthogonality deviation |<re,du>| and that deviation's
+    excess over LINE_TOL max(1, |du|)."""
     d = dinner(a, a)  # (<re, re>, 2 <re, du>)
-    unit_dev = np.abs(d.re + 1.0)
+    ortho_dev = np.abs(d.du) / 2.0
+    return np.abs(d.re + 1.0), ortho_dev, ortho_dev - LINE_TOL * np.maximum(1.0, enorm(a.du))
+
+
+def _guard_line(unit_dev, ortho_dev, ortho_excess, error: type[KernelError]) -> None:
+    """Raise `error` where the `_line_deviations` of some lines exceed their limits:
+    first the unit check, then the orthogonality check, each at its worst sample."""
     guard(unit_dev - LINE_TOL, lambda i: error(
         f"direction not unit timelike (deviation {unit_dev.flat[i]:.3e} at sample {i})"))
-    ortho_dev = np.abs(d.du) / 2.0
-    guard(ortho_dev - LINE_TOL * np.maximum(1.0, enorm(a.du)), lambda i: error(
+    guard(ortho_excess, lambda i: error(
         f"moment not orthogonal to direction (deviation {ortho_dev.flat[i]:.3e} at sample {i})"))
-    return lcross(a.re, a.du)
 
 
 def dual_angle(a: DualVec3, b: DualVec3) -> DualScalar:

@@ -242,11 +242,15 @@ def construct_offset(m: RuledSurfaceModel, spec: OffsetSpec) -> OffsetModel:
     back = slice(None, None, orient)
     try:
         pts = decode_line_point(e1_dual, DegenerateLine)
+        e1 = e1_dual.re
+        del e1_dual  # its moments go once the points are decoded
         # the reflected grid -s[::-1] has the bits of the step of s
-        fields = _darboux_fields(orient * s[back], e1_dual.re[back], pts[back], h, k,
+        fields = _darboux_fields(orient * s[back], e1[back], pts[back], h, k,
                                  range(len(s))[back])
-        gamma1, delta1, Delta1, s1_grid, sigma1 = (
-            fields[name][back] for name in ("gamma", "delta", "Delta", "s", "sigma"))
+        del e1, pts
+        gamma1, delta1, Delta1, s1_grid, sigma1, t1, c1 = (
+            fields[name][back] for name in ("gamma", "delta", "Delta", "s", "sigma", "t", "c"))
+        del fields  # the rebuild's e and g, which nothing reads, go with it
         apparatus1 = _curvature_elements(gamma1, delta1, Delta1)
         rho1_sinh = apparatus1.rho_sinh.re
         guard(rho1_sinh == 0.0, lambda i: DegenerateOffsetIndicatrix(
@@ -256,7 +260,7 @@ def construct_offset(m: RuledSurfaceModel, spec: OffsetSpec) -> OffsetModel:
         raise cls(f"offset: {exc}") from exc
 
     # back to the window's order; only the kept c1 is copied column-major again
-    t1, c1 = fields["t"][back], np.asfortranarray(fields["c"][back])
+    c1 = np.asfortranarray(c1)
     return OffsetModel(
         s1_grid=s1_grid, ds1_ds=orient * sigma1, orientation=orient,
         c1=c1, gamma1=gamma1, delta1=delta1, Delta1=Delta1,
@@ -273,17 +277,17 @@ def _formula_fields(gamma, delta, Delta, theta, theta_star) -> dict:
     K is the shared bracket of the dual-part formulas. No reconciliation
     happens here.
     """
-    coth = np.cosh(theta) / np.sinh(theta)
-    sinh = np.sinh(theta)
-    cosh = np.cosh(theta)
+    sinh, cosh = np.sinh(theta), np.cosh(theta)
+    coth = cosh / sinh
+    neg_coth = -coth  # one array for the two keys that read -coth
     K = (delta - theta_star) * coth + Delta * (1.0 + coth * coth)
     out = {
         "arc_rate": np.abs(gamma * sinh),
         "arc_rate_dual": DualScalar(
             gamma * sinh, gamma * theta_star * cosh + _gamma_bar(gamma, delta, Delta).du * sinh
         ),
-        "conical_curvature": -coth,
-        "conical_curvature_dual_re": -coth,
+        "conical_curvature": neg_coth,
+        "conical_curvature_dual_re": neg_coth,
         "conical_curvature_dual_du": (1.0 / gamma) * (2.0 * (delta - theta_star) * coth
                                                       + Delta * (1.0 + coth * coth)),
         "drift": (1.0 / gamma) * ((delta - theta_star) * coth + Delta),

@@ -16,10 +16,14 @@ import numpy as np
 
 
 def linner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Lorentzian inner product -a0*b0 + a1*b1 + a2*b2."""
+    """Lorentzian inner product -a0*b0 + a1*b1 + a2*b2, taken as (a1*b1 - a0*b0) +
+    a2*b2: -x + y is y - x bit for bit, and no negated copy is made."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return -a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+    out = a[..., 1] * b[..., 1]
+    out -= a[..., 0] * b[..., 0]
+    out += a[..., 2] * b[..., 2]
+    return out
 
 
 def lcross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -40,14 +44,19 @@ def lcross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def enorm(v: np.ndarray) -> np.ndarray:
-    """Euclidean length over the last axis, v0^2 + v1^2 + v2^2 summed left to
-    right: the bits of np.sqrt(np.sum(v * v, axis=-1)) without the reduction."""
+def enorm2(v: np.ndarray) -> np.ndarray:
+    """Squared Euclidean length over the last axis, v0^2 + v1^2 + v2^2 summed left
+    to right: the bits of np.sum(v * v, axis=-1) without the reduction."""
     v = np.asarray(v, dtype=float)
     out = v[..., 0] * v[..., 0]
     out += v[..., 1] * v[..., 1]
     out += v[..., 2] * v[..., 2]
-    return np.sqrt(out)
+    return out
+
+
+def enorm(v: np.ndarray) -> np.ndarray:
+    """Euclidean length over the last axis: the bits of np.sqrt(np.sum(v * v, axis=-1))."""
+    return np.sqrt(enorm2(v))
 
 
 def det3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:

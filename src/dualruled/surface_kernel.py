@@ -25,16 +25,29 @@ every derivative from the one stencil kernel, `numerics.stencil_rows`. A
 model checks its arc-length grid when it is made and carries the step as
 `h` and its stride as `k`, so a model whose grid is not uniform, or
 shorter than MIN_SAMPLES, never exists, and every reader takes `m.h` and
-differentiates at `m.k`, the stride its invariants were taken at. The
-residual checks (`frame_residuals`, `dual_frame_residuals`) run in row
-blocks of at most ROW_BLOCK samples, split evenly, so a model of up to
-ROW_BLOCK samples is one block. A block asks the kernel for its own rows,
-and the dual check builds its frame lines (x, c x x) only on the block and
-the 2k rows on each side that its stencils read. Every per-sample value
+differentiates at `m.k`, the stride its invariants were taken at.
+
+Row blocks. Every pass over a whole field runs in the same near-equal row
+blocks of at most ROW_BLOCK samples (`_row_blocks`), so a grid of up to
+ROW_BLOCK samples is one block: frame recovery (`_darboux_fields`, three
+passes: e; then sigma, t and c; then g, gamma, delta and Delta), the
+resampler (`_model_from_fields`: each block of the arc-length grid makes
+its own Hermite maps and reads only the input rows they touch), and the
+checks (`frame_residuals`, `dual_frame_residuals`, `study_residual`). A
+block asks the stencil kernel for its own rows of a whole-length field,
+which reads the 2k rows past each end (5k at an end of the grid), so
+frame recovery's nested stencils reach 4k rows past a block without any
+row being computed twice; the dual check builds its frame lines (x, c x
+x) only on the block and the 2k rows on each side. Every per-sample value
 is the one the whole-array expression gives, and the per-block maxima
-combine exactly, so each returned value is the whole-array maximum bit for
-bit. The blocks keep every temporary small enough for the allocator to
-reuse it, instead of faulting tens of MB of fresh pages in per call.
+combine exactly, so each output is the whole-array one bit for bit. Each
+guard of these passes runs after its pass, on a whole-length vector of
+the quantity it checks, in the order of the whole-array code, so it names
+the sample and the value that code names (`errors.guard` names the worst
+sample, not the first failing block's); a pass that a guard follows runs
+under np.errstate, as rows past a failed guard may hold nan or inf. The
+blocks keep every temporary small enough for the allocator to reuse it,
+instead of faulting tens of MB of fresh pages in per call.
 
 A `DualApparatus` is the curvature-element record of any surface, the base
 or its Mannheim offset: `_curvature_elements` makes it from (gamma, delta,
@@ -57,7 +70,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dual_algebra import DualScalar, dual_sqrt
-from .dual_lorentz import DualVec3, _frame_line, decode_line_point, dnorm
+from .dual_lorentz import DualVec3, _frame_line, _guard_line, _line_deviations, dnorm
 from .errors import (
     DegenerateIndicatrix,
     DegenerateLine,
@@ -68,7 +81,7 @@ from .errors import (
     NullDarbouxAxis,
     guard,
 )
-from .minkowski3 import det3, enorm, lcross, linner
+from .minkowski3 import det3, enorm, enorm2, lcross, linner
 from .numerics import (
     SampledCurve,
     cumulative_simpson,
@@ -86,7 +99,7 @@ NULL_AXIS_GUARD = 1e-6
 DRIFT_TOL = 1e-4
 DEVELOPABLE_TOL = 1e-6  # |Delta| (or |delta|) at or below this counts as zero
 STALL_FLOOR = 1e-16  # <e',e'> at or below this: the indicatrix stalls (speed <= 1e-8)
-ROW_BLOCK = 16384  # most rows per block of the residual checks
+ROW_BLOCK = 16384  # most rows per block of every pass over a whole field
 
 
 @dataclass(frozen=True)
@@ -152,13 +165,6 @@ class DualApparatus:
         return DualScalar(np.where(gamma_side, mgR.re, mR.re), np.where(gamma_side, mgR.du, mR.du))
 
 
-def _renormalize_director(e: np.ndarray, at) -> np.ndarray:
-    q = linner(e, e)
-    guard(q >= -1e-12, lambda i: NotTimelikeDirector(
-        f"director sample {at[i]} is not timelike: <e,e> = {q[i]:.3e} (need < 0)"))
-    return e / np.sqrt(-q)[:, None]
-
-
 def _darboux_fields(u: np.ndarray, e_raw: np.ndarray, p_raw: np.ndarray, h: float, k: int,
                     samples=None) -> dict:
     """Frame and invariants per input sample, derivatives via chain rule.
@@ -166,16 +172,47 @@ def _darboux_fields(u: np.ndarray, e_raw: np.ndarray, p_raw: np.ndarray, h: floa
     u is a uniform grid, h its step (`grid_step(u)`) and k the stencil stride the
     caller chose, returned as 'h' and 'k'. All fields are indexed by the
     input grid; 'sigma' is the indicatrix speed |de/du| and 's' the running arc
-    length (origin u[0]). The two input curves are copied column-major here unless
-    they already are, so every N x 3 field downstream is too (numpy's elementwise
-    operations keep their operands' layout). Each temporary is let go after its
-    last read. An error names a sample by its entry in `samples`, the caller's
-    numbering (by default the input's own order).
+    length (origin u[0]). Every N x 3 field is column-major. An error names a
+    sample by its entry in `samples`, the caller's numbering (by default the
+    input's own order).
+
+    Three passes over the row blocks: the unit director e; then sigma, t and c,
+    whose stencils read e and p; then g, gamma, delta and Delta, whose stencils read
+    t and c. A block's stencils read the whole-length fields of the pass before,
+    so no row is computed twice, and its temporaries are block-sized. Each guard
+    runs on a whole-length vector of its quantity after the pass that fills it,
+    in the order of the plain expressions, so it names the sample and value they
+    name; the two passes that guards follow run under np.errstate, as rows past a
+    failed guard may hold nan or inf.
     """
     at = range(len(u)) if samples is None else samples
-    e = _renormalize_director(np.asfortranarray(e_raw, dtype=float), at)
-    de = stencil_rows(e, h, k=k)
-    sig2 = linner(de, de)
+    n = len(u)
+    blocks = _row_blocks(n)
+    e = np.empty((n, 3), order="F")
+    q = np.empty(n)
+    with np.errstate(all="ignore"):
+        for a, b in blocks:
+            x = np.asarray(e_raw[a:b], dtype=float)
+            q[a:b] = linner(x, x)
+            np.divide(x, np.sqrt(-q[a:b])[:, None], out=e[a:b])
+    guard(q >= -1e-12, lambda i: NotTimelikeDirector(
+        f"director sample {at[i]} is not timelike: <e,e> = {q[i]:.3e} (need < 0)"))
+    del q
+    p = np.asarray(p_raw, dtype=float)
+    sig2, sigma, et = np.empty(n), np.empty(n), np.empty(n)
+    t, c = np.empty((n, 3), order="F"), np.empty((n, 3), order="F")
+    with np.errstate(all="ignore"):
+        for a, b in blocks:
+            de = stencil_rows(e, h, a, b, k)
+            sig2[a:b] = linner(de, de)
+            np.sqrt(sig2[a:b], out=sigma[a:b])
+            np.divide(de, sigma[a:b, None], out=t[a:b])
+            et[a:b] = linner(e[a:b], t[a:b])
+            lam = linner(stencil_rows(p, h, a, b, k), de)
+            np.negative(lam, out=lam)
+            lam /= sig2[a:b]
+            np.add(p[a:b], lam[:, None] * e[a:b], out=c[a:b])
+            del de, lam
 
     def stalled(i):
         value = f"(<e',e'> = {sig2[i]:.3e})"
@@ -184,26 +221,18 @@ def _darboux_fields(u: np.ndarray, e_raw: np.ndarray, p_raw: np.ndarray, h: floa
         return DegenerateIndicatrix(f"indicatrix speed vanishes at sample {at[i]} {value}")
 
     guard(sig2 <= STALL_FLOOR, stalled)
-    sigma = np.sqrt(sig2)
-    t = de / sigma[:, None]
-    et = linner(e, t)
     guard(np.abs(et) - DRIFT_TOL, lambda i: FrameDriftExceeded(
         f"<e,t> = {et[i]:.3e} at sample {at[i]} exceeds {DRIFT_TOL:.0e}"))
-    del et
-    g = -lcross(e, t)
-    p = np.asfortranarray(p_raw, dtype=float)
-    dp = stencil_rows(p, h, k=k)
-    lam = -linner(dp, de) / sig2
-    del de, dp, sig2
-    c = p + lam[:, None] * e
-    del p, lam
-    dt_ds = stencil_rows(t, h, k=k) / sigma[:, None]
-    gamma = linner(dt_ds, g)
-    del dt_ds
-    dc_ds = stencil_rows(c, h, k=k) / sigma[:, None]
-    delta = linner(dc_ds, e)
-    Delta = det3(dc_ds, e, t)
-    del dc_ds
+    del sig2, et, p
+    g, gamma, delta, Delta = np.empty((n, 3), order="F"), np.empty(n), np.empty(n), np.empty(n)
+    for a, b in blocks:
+        e_b, t_b, sig = e[a:b], t[a:b], sigma[a:b, None]
+        np.negative(lcross(e_b, t_b), out=g[a:b])
+        gamma[a:b] = linner(stencil_rows(t, h, a, b, k) / sig, g[a:b])
+        dc_ds = stencil_rows(c, h, a, b, k) / sig
+        delta[a:b] = linner(dc_ds, e_b)
+        Delta[a:b] = det3(dc_ds, e_b, t_b)
+        del dc_ds
     s = u[0] + cumulative_simpson(sigma, h)
     return {
         "u": np.asarray(u, dtype=float), "h": h, "k": k, "s": s, "sigma": sigma,
@@ -221,49 +250,90 @@ def _model_from_fields(fields: dict) -> RuledSurfaceModel:
     The map u(s) onto the uniform s grid is cubic Hermite too, with the exact
     slopes du/ds = 1/sigma, clipped to the input range.
 
-    `fields` is consumed: e1, t1 and c1 are resampled in this order, each field
-    leaves the dict after its last use, and g1 is taken last, so the chain-rule
-    fields are let go while the model's are made. The three frame slopes share
-    one buffer, filled in place; it and every temporary go after their last use.
+    Each row block of the s grid makes its own maps, s -> u and then u -> the
+    fields, and reads only the input rows their intervals touch; the slopes
+    are made on those rows alone. `fields` is consumed: e1, t1 and c1 are
+    resampled in this order, a pass over the blocks each (t1 is checked and
+    projected in a pass of its own), each field leaves the dict after its last
+    use, and g1 is taken last, so the chain-rule fields are let go while the
+    model's are made. The two guards run on whole-length vectors after the
+    pass that fills them, as in `_darboux_fields`.
     """
-    u, s = fields.pop("u"), fields.pop("s")
-    s_uniform = np.linspace(s[0], s[-1], len(u))
-    u_at_s = np.clip(hermite(s, s_uniform)(u, 1.0 / fields["sigma"]), u[0], u[-1])
-    at = hermite(u, u_at_s)  # one basis for all six fields
+    u, s, sigma = fields.pop("u"), fields.pop("s"), fields.pop("sigma")
+    n, h, k = len(u), fields["h"], fields["k"]
+    s_uniform = np.linspace(s[0], s[-1], n)
+    maps = []  # (a, b, rows, at): block a:b of the grid and its map from the input rows
+    for a, b in _row_blocks(n):
+        rows, at = hermite(s, s_uniform[a:b])
+        u_at_s = np.clip(at(u[rows], 1.0 / sigma[rows]), u[0], u[-1])
+        del at  # the s -> u map goes before the u -> field map is made
+        maps.append((a, b, *hermite(u, u_at_s)))
     del u, s, u_at_s
-    sigma = fields.pop("sigma")[:, None]
-    slope = sigma * fields["t"]  # de/ds = t
-    e1 = at(fields["e"], slope)
-    q = linner(e1, e1)
-    drift = np.abs(q + 1.0)
+
+    def slope(rows, x, y):
+        """x y on rows, column-major: the first term of a frame slope."""
+        return np.multiply(x, y, out=np.empty((rows.stop - rows.start, 3), order="F"))
+
+    e, t, g = fields["e"], fields.pop("t"), fields["g"]
+    e1, drift = np.empty((n, 3), order="F"), np.empty(n)
+    with np.errstate(all="ignore"):
+        for a, b, rows, at in maps:
+            x = at(e[rows], slope(rows, sigma[rows, None], t[rows]), e1[a:b])  # de/ds = t
+            q = linner(x, x)
+            drift[a:b] = np.abs(q + 1.0)
+            x /= np.sqrt(-q)[:, None]
+            del x, q  # each block's temporaries go before the next block's are made
     guard(drift - DRIFT_TOL, lambda i: FrameDriftExceeded(
         f"director norm drifted by {drift[i]:.3e} after resampling at sample {i}"))
-    e1 /= np.sqrt(-q)[:, None]
-    del q, drift
-    np.multiply(fields["gamma"][:, None], fields["g"], out=slope)  # dt/ds = e + gamma g
-    slope += fields["e"]
-    slope *= sigma
-    t1 = at(fields.pop("t"), slope)
-    et = linner(e1, t1)
-    guard(np.maximum(np.abs(linner(t1, t1) - 1.0), np.abs(et)) - DRIFT_TOL,
-          lambda i: FrameDriftExceeded(
-              f"frame orthonormality drift at sample {i} exceeds {DRIFT_TOL:.0e}"))
-    t1 += et[:, None] * e1  # drop the e component (<e,e> = -1)
-    del et
-    t1 /= np.sqrt(linner(t1, t1))[:, None]
-    np.multiply(-fields["delta"][:, None], fields.pop("e"), out=slope)  # dc/ds = -delta e + Delta g
-    slope += fields["Delta"][:, None] * fields.pop("g")
-    slope *= sigma
-    c1 = at(fields.pop("c"), slope)
-    del sigma, slope
+    del drift
+    gamma, t1 = fields["gamma"], np.empty((n, 3), order="F")
+    for a, b, rows, at in maps:  # dt/ds = e + gamma g
+        dt = slope(rows, gamma[rows, None], g[rows])
+        dt += e[rows]
+        dt *= sigma[rows, None]
+        at(t[rows], dt, t1[a:b])
+        del dt
+    del t, gamma
+    # the check and the projection take a pass of their own, so the guard's vector
+    # is never held beside a block's slopes
+    ortho = np.empty(n)
+    with np.errstate(all="ignore"):
+        for a, b, *_ in maps:
+            x = t1[a:b]
+            et = linner(e1[a:b], x)
+            drift = linner(x, x)
+            drift -= 1.0
+            np.maximum(np.abs(drift, out=drift), np.abs(et), out=ortho[a:b])
+            del drift
+            for col, e_col in zip(x.T, e1[a:b].T):  # drop the e component (<e,e> = -1)
+                col += et * e_col
+            del et
+            x /= np.sqrt(linner(x, x))[:, None]
+    guard(ortho - DRIFT_TOL, lambda i: FrameDriftExceeded(
+        f"frame orthonormality drift at sample {i} exceeds {DRIFT_TOL:.0e}"))
+    del ortho
+    c, delta, Delta = fields.pop("c"), fields["delta"], fields["Delta"]
+    c1 = np.empty((n, 3), order="F")
+    for a, b, rows, at in maps:  # dc/ds = -delta e + Delta g
+        dc = slope(rows, -delta[rows, None], e[rows])
+        for col, g_col in zip(dc.T, g[rows].T):
+            col += Delta[rows] * g_col
+        dc *= sigma[rows, None]
+        at(c[rows], dc, c1[a:b])
+        del dc
+    del fields["e"], fields["g"], e, g, c, delta, Delta, sigma
 
     def resample(name):
         f = fields.pop(name)
-        return at(f, stencil_rows(f, fields["h"], k=fields["k"]))
+        out = np.empty(n)
+        for a, b, rows, at in maps:
+            at(f[rows], stencil_rows(f, h, rows.start, rows.stop, k), out[a:b])
+        return out
 
     gamma1, delta1, Delta1 = resample("gamma"), resample("delta"), resample("Delta")
-    g1 = lcross(e1, t1)
-    np.negative(g1, out=g1)  # g = -e x t: closure kept exact
+    g1 = np.empty((n, 3), order="F")
+    for a, b, *_ in maps:
+        np.negative(lcross(e1[a:b], t1[a:b]), out=g1[a:b])  # g = -e x t: closure kept exact
     return RuledSurfaceModel(s_grid=s_uniform, e=e1, t=t1, g=g1, c=c1,
                              gamma=gamma1, delta=delta1, Delta=Delta1)
 
@@ -383,20 +453,17 @@ def _frame_block(m: RuledSurfaceModel, a: int, b: int) -> dict:
     e, t, g = m.e[a:b], m.t[a:b], m.g[a:b]
     gamma, delta, Delta = (x[a:b, None] for x in (m.gamma, m.delta, m.Delta))
     de, dt, dg, dc = (stencil_rows(x, m.h, a, b, m.k) for x in (m.e, m.t, m.g, m.c))
-
-    def mx(v):
-        return np.max(enorm(v))
     return {
         "unit_director": np.max(np.abs(linner(e, e) + 1.0)),
         "unit_tangent": np.max(np.abs(linner(t, t) - 1.0)),
         "unit_normal": np.max(np.abs(linner(g, g) - 1.0)),
         "orthogonality": np.max(np.abs([linner(e, t), linner(e, g), linner(t, g)])),
-        "frame_closure": mx(g + lcross(e, t)),
-        "director_ode": mx(de - t),
-        "tangent_ode": mx(dt - e - gamma * g),
-        "normal_ode": mx(dg + gamma * t),
+        "frame_closure": _max_enorm(g + lcross(e, t)),
+        "director_ode": _max_enorm(de - t),
+        "tangent_ode": _max_enorm(dt - e - gamma * g),
+        "normal_ode": _max_enorm(dg + gamma * t),
         "striction": np.max(np.abs(linner(dc, t))),
-        "striction_decomposition": mx(dc + delta * e - Delta * g),
+        "striction_decomposition": _max_enorm(dc + delta * e - Delta * g),
     }
 
 
@@ -411,8 +478,14 @@ def _d_ds_bar(dx_ds: DualVec3, Delta: np.ndarray) -> DualVec3:
     return DualVec3(dx_ds.re, dx_ds.du + Delta[:, None] * dx_ds.re)
 
 
+def _max_enorm(v: np.ndarray) -> float:
+    """The largest Euclidean length of the rows of v: the square root of the largest
+    sum of squares, as sqrt is correctly rounded and monotone."""
+    return np.sqrt(np.max(enorm2(v)))
+
+
 def _dual_vec_norms(x: DualVec3) -> float:
-    return max(float(np.max(enorm(x.re))), float(np.max(enorm(x.du))))
+    return max(float(_max_enorm(x.re)), float(_max_enorm(x.du)))
 
 
 def dual_frame_residuals(m: RuledSurfaceModel) -> dict:
@@ -443,9 +516,22 @@ def _dual_frame_block(m: RuledSurfaceModel, a: int, b: int) -> dict:
 
 
 def study_residual(m: RuledSurfaceModel) -> float:
-    """Max Euclidean distance from decoded ruling points to the model rulings."""
-    q = decode_line_point(_frame_line(m.c, m.e), DegenerateLine)
-    # lcross is the Euclidean cross product with two components negated, which
-    # its Euclidean length does not see
-    dist = enorm(lcross(q - m.c, m.e)) / enorm(m.e)
+    """Max Euclidean distance from decoded ruling points to the model rulings.
+
+    Each row block decodes its own lines; the line checks of `decode_line_point`
+    run on whole-length vectors after the pass, so a failure names its sample.
+    """
+    n = len(m)
+    unit_dev, ortho_dev, ortho_excess = np.empty(n), np.empty(n), np.empty(n)
+    dist = []
+    with np.errstate(all="ignore"):
+        for a, b in _row_blocks(n):
+            c, e = m.c[a:b], m.e[a:b]
+            line = _frame_line(c, e)
+            unit_dev[a:b], ortho_dev[a:b], ortho_excess[a:b] = _line_deviations(line)
+            q = lcross(line.re, line.du)
+            # lcross is the Euclidean cross product with two components negated, which
+            # its Euclidean length does not see
+            dist.append(np.max(enorm(lcross(q - c, e)) / enorm(e)))
+    _guard_line(unit_dev, ortho_dev, ortho_excess, DegenerateLine)
     return float(np.max(dist))

@@ -845,3 +845,37 @@ def _golden_outputs(tmp_path, constant_family):
 
 def test_golden_output_bytes(tmp_path, constant_family):
     assert _golden_outputs(tmp_path, constant_family) == GOLDEN_SHA256
+
+
+def test_golden_output_bytes_in_row_blocks(tmp_path, constant_family, monkeypatch):
+    # 1024 samples in four row blocks: frame recovery, resampling and every check
+    # keep the bytes of one block
+    from dualruled import surface_kernel
+
+    monkeypatch.setattr(surface_kernel, "ROW_BLOCK", 257)
+    assert _golden_outputs(tmp_path, constant_family) == GOLDEN_SHA256
+
+
+def test_offset_verify_in_row_blocks(tmp_path, capsys, disguise, monkeypatch):
+    # 4097 disguised samples in 16 row blocks give the one-block bytes; a director that
+    # is spacelike at sample 3900 past a stall on rows 300:700 exits 2 either way, with
+    # the one-block line
+    from dualruled import surface_kernel
+
+    u, director, base = disguise.sample(4097)
+    params = {"u": u.tolist(), "director": director.tolist(), "base": base.tolist()}
+    good = write_cfg(tmp_path, "good.json", {"name": "d", "kind": "sampled", "params": params})
+    director[300:700] = director[300]
+    director[3900] = (0.0, 1.0, 0.0)
+    params["director"] = director.tolist()
+    bad = write_cfg(tmp_path, "bad.json", {"name": "d", "kind": "sampled", "params": params})
+    runs = []
+    for rows in (len(u), 257):
+        monkeypatch.setattr(surface_kernel, "ROW_BLOCK", rows)
+        out, verify = tmp_path / f"offset{rows}.json", tmp_path / f"verify{rows}.json"
+        assert main(["offset", "--input", good, "--c", "2.5", "--cstar", "0.3", "--s-lo", "1",
+                     "--s-hi", "2", "--output", str(out), "--verify", str(verify)]) == 0
+        assert main(["analyze", "--input", bad, "--output", str(tmp_path / "bad_report.json")]) == 2
+        runs.append((out.read_bytes(), verify.read_bytes(), capsys.readouterr().err))
+    assert runs[1] == runs[0]
+    assert runs[0][2] == "NotTimelikeDirector: director sample 3900 is not timelike: <e,e> = 1.000e+00 (need < 0)\n"

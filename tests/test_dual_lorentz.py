@@ -35,6 +35,17 @@ def test_dinner_unit_line_with_itself():
     assert got.re == -1.0 and got.du == 0.0
 
 
+def test_dinner_of_a_line_with_itself_keeps_the_two_call_bits(rng):
+    # the dual part of dinner(a, a) is <re, du> taken once and doubled: the bits of
+    # <re, du> + <du, re>, on a batch, on one line and on column-major fields
+    re, du = rng.normal(size=(2, 257, 3)) * np.array([1.0, 1e-3, 1e3])
+    for a in (DualVec3(re, du), DualVec3(re[7], du[7]),
+              DualVec3(np.asfortranarray(re), np.asfortranarray(du))):
+        got, want = dinner(a, a), (linner(a.re, a.re), linner(a.re, a.du) + linner(a.du, a.re))
+        assert np.asarray(got.re).tobytes() == np.asarray(want[0]).tobytes()
+        assert np.asarray(got.du).tobytes() == np.asarray(want[1]).tobytes()
+
+
 def test_dinner_skew_example():
     a, b = skew_pair()
     got = dinner(a, b)

@@ -175,3 +175,15 @@ def test_guard_message(site):
         trip()
     assert type(info.value) is cls
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("site", ["renormalize_director", "indicatrix_not_spacelike", "indicatrix_stall",
+                                  "e_t_orthogonality", "director_norm_after_resampling",
+                                  "frame_orthonormality", "offset_indicatrix_stall"])
+def test_guard_message_in_row_blocks(site, monkeypatch):
+    # frame recovery and resampling in row blocks of at most 4 rows: each guard runs on
+    # its whole-length vector after its pass, and names the sample the one block names
+    from dualruled import surface_kernel
+
+    monkeypatch.setattr(surface_kernel, "ROW_BLOCK", 4)
+    test_guard_message(site)

@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 from dualruled import SampledCurve
 from dualruled.errors import GridTooCoarse, NonUniformGrid, ValidationError
 from dualruled.numerics import (
+    _intervals,
     cumulative_simpson,
     grid_step,
     hermite,
@@ -123,8 +124,11 @@ def test_hermite_reproduces_cubics(rng):
     y = np.stack([np.polyval(coef[:, k], x) for k in range(2)], axis=-1)
     dy = np.stack([np.polyval(np.polyder(coef[:, k]), x) for k in range(2)], axis=-1)
     want = np.stack([np.polyval(coef[:, k], xq) for k in range(2)], axis=-1)
-    assert np.max(np.abs(hermite(x, xq)(y, dy) - want)) < 1e-12
-    assert np.max(np.abs(hermite(x, x)(y[:, 0], dy[:, 0]) - y[:, 0])) < 1e-12
+    rows, at = hermite(x, xq)
+    assert np.max(np.abs(at(y[rows], dy[rows]) - want)) < 1e-12
+    rows, at = hermite(x, x)
+    assert rows == slice(0, len(x))
+    assert np.max(np.abs(at(y[:, 0], dy[:, 0]) - y[:, 0])) < 1e-12
 
 
 def _bits(a):
@@ -151,10 +155,11 @@ def resampling_cases(draw):
 @given(resampling_cases())
 def test_hermite_resampler_matches_one_shot_formula(case):
     # one resampler, applied to fields of any shape, keeps the bits of the
-    # one-shot expression it replaced
+    # one-shot expression it replaced, on queries in any order and sorted, as a
+    # whole and as two blocks, each fed the rows it touches
     x, xq, fields = case
 
-    def one_shot(y, dy):
+    def one_shot(xq, y, dy):
         i = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, len(x) - 2)
         shape = (-1,) + (1,) * (np.ndim(y) - 1)
         h = (x[i + 1] - x[i]).reshape(shape)
@@ -162,9 +167,33 @@ def test_hermite_resampler_matches_one_shot_formula(case):
         return ((1 + 2 * t) * (1 - t) ** 2 * y[i] + t * (1 - t) ** 2 * h * dy[i]
                 + t * t * (3 - 2 * t) * y[i + 1] + t * t * (t - 1) * h * dy[i + 1])
 
-    at = hermite(x, xq)
-    for y, dy in fields:
-        assert _bits(at(y, dy)) == _bits(one_shot(y, dy))
+    for q in (xq, np.sort(xq)):
+        rows, at = hermite(x, q)
+        cut = len(q) // 2
+        blocks = [hermite(x, part) for part in (q[:cut], q[cut:]) if len(part)]
+        for y, dy in fields:
+            want = _bits(one_shot(q, y, dy))
+            assert _bits(at(y[rows], dy[rows])) == want
+            assert _bits(np.concatenate([at_b(y[rows_b], dy[rows_b]) for rows_b, at_b in blocks])) == want
+
+
+def test_interval_search_gives_the_binary_search_bits(rng):
+    # sorted queries merged into the nodes, and queries in any order searched, give
+    # searchsorted's intervals: at the nodes, just below them, between them and past
+    # the ends, on a uniform and a warped grid, with a nan query in the last interval
+    uniform = np.linspace(-1.0, 2.0, 301)
+    warped = np.sort(rng.uniform(-1.0, 2.0, 301))
+    for x in (uniform, warped):
+        xq = np.concatenate([x, x[:-1] + 0.5 * np.diff(x), np.nextafter(x, -np.inf),
+                             [-5.0, 7.0, np.inf, -np.inf], rng.uniform(-1.5, 2.5, 500)])
+        for q in (xq, np.sort(xq), np.sort(xq)[290:310], xq[:1], np.append(xq, np.nan)):
+            want = np.clip(np.searchsorted(x, q, side="right") - 1, 0, len(x) - 2)
+            i, x_i, x_next = _intervals(x, q)
+            assert np.array_equal(i, want)
+            assert _bits(x_i) == _bits(x[want]) and _bits(x_next) == _bits(x[want + 1])
+    with pytest.raises(ValueError, match="nodes 10:21"):
+        rows, at = hermite(uniform, uniform[10:20])
+        at(uniform, uniform)
 
 
 @st.composite

@@ -23,9 +23,12 @@ from dualruled import (
     study_residual,
     synth_constant_invariant,
 )
+from dualruled import mannheim_offset, surface_kernel
 from dualruled.dual_lorentz import DualVec3, dnorm
 from dualruled.errors import (
     DegenerateIndicatrix,
+    DegenerateLine,
+    FrameDriftExceeded,
     GammaOutOfRange,
     GridTooCoarse,
     MismatchedInputs,
@@ -34,9 +37,10 @@ from dualruled.errors import (
     NullDarbouxAxis,
     NullDirection,
 )
+from dualruled.mannheim_offset import construct_offset, offset_angle_profile
 from dualruled.minkowski3 import enorm
 from dualruled.numerics import grid_step, is_uniform, stencil_rows, stride
-from dualruled.surface_kernel import ROW_BLOCK, RuledSurfaceModel, _darboux_fields
+from dualruled.surface_kernel import ROW_BLOCK, RuledSurfaceModel, _darboux_fields, _row_blocks
 
 
 def assert_dual_close(x, re, du, atol):
@@ -391,6 +395,103 @@ def test_director_stall_in_a_later_block_names_the_global_sample():
     assert str(blocked.value) == str(whole.value)
 
 
+def bits(value):
+    """A value as comparable bytes: arrays by shape, dtype and bytes; dicts and
+    records by their fields; anything else as it is."""
+    if isinstance(value, dict):
+        return {k: bits(v) for k, v in value.items()}
+    if dataclasses.is_dataclass(value):
+        return {f.name: bits(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.shape, value.dtype, np.ascontiguousarray(value).tobytes()
+    return value
+
+
+def in_blocks(monkeypatch, rows, call):
+    """call() with at most `rows` rows per row block."""
+    monkeypatch.setattr(surface_kernel, "ROW_BLOCK", rows)
+    return call()
+
+
+def test_frame_recovery_and_resampling_keep_their_bits_in_row_blocks(disguise, monkeypatch):
+    # 4097 samples in 16 blocks of 256 or 257 rows, at stride 4, give the bits of one
+    # block: each pass reads the whole-length fields of the pass before
+    u, director, base = disguise.sample(4097)
+    curves = SampledCurve(u, director), SampledCurve(u, base)
+
+    def run():
+        fields = _darboux_fields(u, director, base, grid_step(u), stride(len(u)))
+        m = build_surface(*curves)
+        return bits(fields), bits(m), study_residual(m)
+
+    whole = in_blocks(monkeypatch, len(u), run)
+    assert len(_row_blocks(len(u))) == 1
+    blocked = in_blocks(monkeypatch, 257, run)
+    assert len(_row_blocks(len(u))) == 16
+    assert blocked == whole
+
+
+def test_the_offset_rebuild_keeps_its_bits_in_row_blocks(disguise, monkeypatch):
+    # the rebuild recovers the frame on the reversed window, numbered by the caller
+    u, director, base = disguise.sample(4097)
+    m = build_surface(SampledCurve(u, director), SampledCurve(u, base))
+    spec = offset_angle_profile(m, 2.5, 0.3, (1.0, 2.0))
+    calls = []
+    monkeypatch.setattr(mannheim_offset, "_darboux_fields",
+                        lambda *args: calls.append(args) or _darboux_fields(*args))
+    construct_offset(m, spec)
+    args = calls[0]
+    assert args[-1] == range(len(spec.s))[::-1]
+    whole = in_blocks(monkeypatch, len(spec.s), lambda: bits(_darboux_fields(*args)))
+    blocked = in_blocks(monkeypatch, 257, lambda: bits(_darboux_fields(*args)))
+    assert len(_row_blocks(len(spec.s))) > 5
+    assert blocked == whole
+
+
+def test_a_guard_after_the_pass_names_the_one_block_sample(monkeypatch):
+    # the director stalls on rows 300:700 (block 2) and is spacelike at row 3900 (block
+    # 16), and two rapidity jumps at rows 500 and 3000 drift <e,t>, the later one most:
+    # each blocked run raises what the one-block run raises, not the first block's fault
+    u = np.linspace(0.0, 2.0, 4097)
+    zeros = np.zeros_like(u)
+    stalled, jumped = u.copy(), u.copy()
+    stalled[300:700] = stalled[300]
+    jumped[500:] += 0.05
+    jumped[3000:] += 0.2
+    spacelike = np.stack([np.cosh(stalled), np.sinh(stalled), zeros], -1)
+    spacelike[3900] = (0.0, 1.0, 0.0)
+    cases = {  # director, class, and the start of the message: its sample
+        "spacelike past a stall": (spacelike, NotTimelikeDirector, "director sample 3900 is not timelike"),
+        "stall": (np.stack([np.cosh(stalled), np.sinh(stalled), zeros], -1), DegenerateIndicatrix,
+                  "indicatrix speed vanishes at sample 308 "),
+        "worst drift in a later block": (np.stack([np.cosh(jumped), np.sinh(jumped), zeros], -1),
+                                         FrameDriftExceeded, "<e,t> = 1.180e-01 at sample 2995 "),
+    }
+    base = np.stack([zeros, zeros, u], -1)
+    for director, cls, start in cases.values():
+        messages = []
+        for rows in (len(u), 257):
+            with pytest.raises(cls) as info:
+                in_blocks(monkeypatch, rows, lambda: _darboux_fields(u, director, base, grid_step(u), 4))
+            assert type(info.value) is cls
+            messages.append(str(info.value))
+        assert messages[0].startswith(start) and messages[1] == messages[0]
+
+
+def test_the_study_check_names_its_worst_line_across_blocks(constant_surface, monkeypatch):
+    # two directors off unit length, in the first and the last of four blocks: the
+    # check runs after the pass and names the worse one, as the one-block run does
+    e = constant_surface.e.copy()
+    e[10] *= 1.001
+    e[1000] *= 1.01
+    m = dataclasses.replace(constant_surface, e=e)
+    for rows in (len(m), 257):
+        with pytest.raises(DegenerateLine) as info:
+            in_blocks(monkeypatch, rows, lambda: study_residual(m))
+        assert str(info.value) == "direction not unit timelike (deviation 2.010e-02 at sample 1000)"
+    assert len(_row_blocks(len(m))) == 4
+
+
 def test_dual_frame_residuals_memory_peak():
     # on 2^17 samples the whole-array evaluation peaked at 51.0 MB of traced
     # temporaries; row blocks of ROW_BLOCK samples peak at 6.4 MB
@@ -438,8 +539,9 @@ def test_axis_kind_is_a_mask_spelled_on_read(constant_surface, offset_pieces):
 
 
 def test_frame_recovery_lets_its_temporaries_go(disguise):
-    # the copy of p, de, dp, lambda, <e',e'>, <e,t>, dt/ds and dc/ds each go after
-    # their last read: 23.0 float N-vectors at the peak, 37.0 with them held to the end
+    # de, dp, lambda, <e',e'>, <e,t>, dt/ds and dc/ds are block-sized and go after
+    # their block: 19.5 float N-vectors at the peak; whole-array passes that let each
+    # go after its last read peaked at 23.0, and 37.0 with them held to the end
     n = 16385
     u, director, base = disguise.sample(n)
     _, _, peak = traced(lambda: _darboux_fields(u, director, base, grid_step(u), stride(n)))
@@ -449,7 +551,8 @@ def test_frame_recovery_lets_its_temporaries_go(disguise):
 def test_build_surface_and_apparatus_memory(disguise):
     # frame recovery and the resampler let each field and temporary go after its last
     # use: build_surface peaked at 2.94x its model's array bytes while all chain-rule
-    # fields were held, 2.31x while frame recovery held its temporaries, 2.01x now;
+    # fields were held, 2.31x while frame recovery held its temporaries, 2.01x with
+    # whole-array passes and 1.98x in row blocks;
     # the apparatus keeps gamma_bar's dual part, R_bar and the mask, and computes the
     # radius pair on read (7.15 float N-vectors with the pair stored, 3.15 now)
     u, director, base = disguise.sample(16385)
