@@ -208,12 +208,13 @@ def _intervals(x: np.ndarray, xq: np.ndarray) -> tuple:
     """The interval i of each query, np.clip(np.searchsorted(x, xq, side="right") - 1,
     0, len(x) - 2), with x[i] and x[i + 1].
 
-    Sorted queries (the arc-length grid, and the map u(s) on it, block by block) are
-    merged into the nodes between the first and the last of them: a stable sort of
-    the two sorted runs is one merge, and it puts a node before an equal query, so a
-    query's place in it, less the queries before it, counts the nodes at or below
-    it. For 16384 queries that is about 2.4 times faster than a binary search.
-    Other queries (a nan fails the order test) take the binary search."""
+    Sorted queries (the arc-length grid, block by block) are merged into the nodes
+    between the first and the last of them: a stable sort of the two sorted runs is
+    one merge, and it puts a node before an equal query, so a query's place in it,
+    less the queries before it, counts the nodes at or below it. For 16384 queries
+    that is about 2.4 times faster than a binary search. Other queries take the
+    binary search: a nan (as sigma = inf from an overflowing stencil gives) fails
+    the order test."""
     n = len(x)
     if np.all(xq[1:] >= xq[:-1]):
         lo, hi = np.searchsorted(x, xq[[0, -1]], side="right")

@@ -15,10 +15,12 @@ arc-length grid the model promises. Interpolating first and
 differentiating the interpolant would amplify the interpolation error by
 1/h per derivative order, which is fatal for reconstructed curves with
 large moments; values, by contrast, survive resampling at full accuracy.
-The resampler is cubic Hermite whose slopes are the frame equations
-themselves, so a resampled model obeys its own ODEs to 4th order:
-re-differentiating its fields on its own grid gives residuals that fall
-about 16x per 4x samples until rounding takes over.
+The resampler is cubic Hermite in arc length whose slopes are the frame
+equations themselves (e' = t, t' = e + gamma g, c' = -delta e + Delta g)
+and, for the invariants, the stencil over sigma = ds/du, so a resampled
+model obeys its own ODEs to 4th order: re-differentiating its fields on its
+own grid gives residuals that fall about 16x per 4x samples until rounding
+takes over.
 
 Each grid is checked once: the step comes from `numerics.grid_step`, and
 every derivative from the one stencil kernel, `numerics.stencil_rows`. A
@@ -32,16 +34,16 @@ blocks of at most ROW_BLOCK samples (`_row_blocks`), so a grid of up to
 ROW_BLOCK samples is one block: frame recovery (`_darboux_fields`, three
 passes: e; then sigma, t and c; then g, gamma, delta and Delta), the
 resampler (`_model_from_fields`: each block of the arc-length grid makes
-its own Hermite maps and reads only the input rows they touch), and the
+its own Hermite map and reads only the input rows it touches), and the
 checks (`frame_residuals`, `dual_frame_residuals`, `study_residual`). A
 block asks the stencil kernel for its own rows of a whole-length field,
 which reads the 2k rows past each end (5k at an end of the grid), so
 frame recovery's nested stencils reach 4k rows past a block without any
 row being computed twice; the dual check builds its frame lines (x, c x
-x) only on the block and the 2k rows on each side. Every per-sample value
-is the one the whole-array expression gives, and the per-block maxima
-combine exactly, so each output is the whole-array one bit for bit. Each
-guard of these passes runs after its pass, on a whole-length vector of
+x) only on the rows its stencils read. Every per-sample value is the one
+the whole-array expression gives, and the per-block maxima combine
+exactly, so each output is the whole-array one bit for bit. Each guard of
+these passes runs after its pass, on a whole-length vector of
 the quantity it checks, in the order of the whole-array code, so it names
 the sample and the value that code names (`errors.guard` names the worst
 sample, not the first failing block's); a pass that a guard follows runs
@@ -235,7 +237,7 @@ def _darboux_fields(u: np.ndarray, e_raw: np.ndarray, p_raw: np.ndarray, h: floa
         del dc_ds
     s = u[0] + cumulative_simpson(sigma, h)
     return {
-        "u": np.asarray(u, dtype=float), "h": h, "k": k, "s": s, "sigma": sigma,
+        "h": h, "k": k, "s": s, "sigma": sigma,
         "e": e, "t": t, "g": g, "c": c,
         "gamma": gamma, "delta": delta, "Delta": Delta,
     }
@@ -244,31 +246,27 @@ def _darboux_fields(u: np.ndarray, e_raw: np.ndarray, p_raw: np.ndarray, h: floa
 def _model_from_fields(fields: dict) -> RuledSurfaceModel:
     """Resample chain-rule fields onto the uniform arc-length grid.
 
-    Cubic Hermite in u. Frame slopes come from the frame equations times
-    sigma = ds/du (de/ds = t, dt/ds = e + gamma g, dc/ds = -delta e + Delta g),
-    scalar slopes from the grid at its stride, so the resampled frame obeys its own ODEs.
-    The map u(s) onto the uniform s grid is cubic Hermite too, with the exact
-    slopes du/ds = 1/sigma, clipped to the input range.
+    Cubic Hermite in s, from the chain-rule arc lengths fields['s'] to the
+    uniform grid. Frame slopes are the frame equations (de/ds = t, dt/ds = e +
+    gamma g, dc/ds = -delta e + Delta g), scalar slopes the stencil at the
+    grid's stride divided by sigma = ds/du, so the resampled frame obeys its
+    own ODEs.
 
-    Each row block of the s grid makes its own maps, s -> u and then u -> the
-    fields, and reads only the input rows their intervals touch; the slopes
-    are made on those rows alone. `fields` is consumed: e1, t1 and c1 are
-    resampled in this order, a pass over the blocks each (t1 is checked and
-    projected in a pass of its own), each field leaves the dict after its last
-    use, and g1 is taken last, so the chain-rule fields are let go while the
-    model's are made. The two guards run on whole-length vectors after the
+    Each row block of the s grid makes its own map and reads only the input
+    rows its intervals touch; the slopes are made on those rows alone.
+    `fields` is consumed: e1, t1 and c1 are resampled in this order, a pass
+    over the blocks each (t1 is checked and projected in a pass of its own),
+    each field leaves the dict after its last use, sigma goes after the
+    scalars, and g1 is taken last, so the chain-rule fields are let go while
+    the model's are made. The two guards run on whole-length vectors after the
     pass that fills them, as in `_darboux_fields`.
     """
-    u, s, sigma = fields.pop("u"), fields.pop("s"), fields.pop("sigma")
-    n, h, k = len(u), fields["h"], fields["k"]
+    s, sigma = fields.pop("s"), fields.pop("sigma")
+    n, h, k = len(s), fields["h"], fields["k"]
     s_uniform = np.linspace(s[0], s[-1], n)
-    maps = []  # (a, b, rows, at): block a:b of the grid and its map from the input rows
-    for a, b in _row_blocks(n):
-        rows, at = hermite(s, s_uniform[a:b])
-        u_at_s = np.clip(at(u[rows], 1.0 / sigma[rows]), u[0], u[-1])
-        del at  # the s -> u map goes before the u -> field map is made
-        maps.append((a, b, *hermite(u, u_at_s)))
-    del u, s, u_at_s
+    # (a, b, rows, at): block a:b of the grid and its map from the input rows
+    maps = [(a, b, *hermite(s, s_uniform[a:b])) for a, b in _row_blocks(n)]
+    del s
 
     def slope(rows, x, y):
         """x y on rows, column-major: the first term of a frame slope."""
@@ -278,7 +276,7 @@ def _model_from_fields(fields: dict) -> RuledSurfaceModel:
     e1, drift = np.empty((n, 3), order="F"), np.empty(n)
     with np.errstate(all="ignore"):
         for a, b, rows, at in maps:
-            x = at(e[rows], slope(rows, sigma[rows, None], t[rows]), e1[a:b])  # de/ds = t
+            x = at(e[rows], t[rows], e1[a:b])  # de/ds = t
             q = linner(x, x)
             drift[a:b] = np.abs(q + 1.0)
             x /= np.sqrt(-q)[:, None]
@@ -290,7 +288,6 @@ def _model_from_fields(fields: dict) -> RuledSurfaceModel:
     for a, b, rows, at in maps:  # dt/ds = e + gamma g
         dt = slope(rows, gamma[rows, None], g[rows])
         dt += e[rows]
-        dt *= sigma[rows, None]
         at(t[rows], dt, t1[a:b])
         del dt
     del t, gamma
@@ -318,19 +315,19 @@ def _model_from_fields(fields: dict) -> RuledSurfaceModel:
         dc = slope(rows, -delta[rows, None], e[rows])
         for col, g_col in zip(dc.T, g[rows].T):
             col += Delta[rows] * g_col
-        dc *= sigma[rows, None]
         at(c[rows], dc, c1[a:b])
         del dc
-    del fields["e"], fields["g"], e, g, c, delta, Delta, sigma
+    del fields["e"], fields["g"], e, g, c, delta, Delta
 
     def resample(name):
         f = fields.pop(name)
         out = np.empty(n)
         for a, b, rows, at in maps:
-            at(f[rows], stencil_rows(f, h, rows.start, rows.stop, k), out[a:b])
+            at(f[rows], stencil_rows(f, h, rows.start, rows.stop, k) / sigma[rows], out[a:b])
         return out
 
     gamma1, delta1, Delta1 = resample("gamma"), resample("delta"), resample("Delta")
+    del sigma
     g1 = np.empty((n, 3), order="F")
     for a, b, *_ in maps:
         np.negative(lcross(e1[a:b], t1[a:b]), out=g1[a:b])  # g = -e x t: closure kept exact
@@ -494,9 +491,9 @@ def dual_frame_residuals(m: RuledSurfaceModel) -> dict:
 
 
 def _dual_frame_block(m: RuledSurfaceModel, a: int, b: int) -> dict:
-    # the frame lines are built on the block and the 2k rows on each side
-    # that its stencils read; `rows` is the block within them
-    lo, hi = max(a - 2 * m.k, 0), min(b + 2 * m.k, len(m))
+    # the frame lines are built on the rows the block's stencils read, 2k past each
+    # end and 5k at an end of the grid; `rows` is the block within them
+    lo, hi = max(min(a, len(m) - 3 * m.k) - 2 * m.k, 0), min(max(b, 3 * m.k) + 2 * m.k, len(m))
     rows = slice(a - lo, b - lo)
     e_l, t_l, g_l = (_frame_line(m.c[lo:hi], x[lo:hi]) for x in (m.e, m.t, m.g))
     e_d, t_d, g_d = (DualVec3(x.re[rows], x.du[rows]) for x in (e_l, t_l, g_l))

@@ -117,8 +117,8 @@ class Varying:
     """A surface whose invariants vary: gamma = 0.5 + 0.15 sin 1.3s, delta = 0.3 +
     0.1 cos 0.9s and Delta = 0.2 + 0.1 sin(0.7s + 0.4) on s in [0, 2]. The frame
     equations de/ds = t, dt/ds = e + gamma g, dg/ds = -gamma t and dc/ds = -delta e +
-    Delta g are integrated by classical RK4, SUBSTEPS steps per sample, from e = (1, 0, 0),
-    t = (0, 1, 0), g = (0, 0, 1) and c = 0; the samples are e and c at n arc lengths."""
+    Delta g are integrated by classical RK4, SUBSTEPS steps between samples, from e = (1, 0, 0),
+    t = (0, 1, 0), g = (0, 0, 1) and c = 0 at s = 0; the samples are e and c at n arc lengths."""
 
     s_end, SUBSTEPS = 2.0, 4
 
@@ -132,13 +132,15 @@ class Varying:
         e, t, g, _ = y
         return np.array([t, e + gamma * g, -gamma * t, -delta * e + Delta * g])
 
-    def sample(self, n):
-        """Grid s (n,), director e (n, 3) and striction curve c (n, 3)."""
-        s = np.linspace(0.0, self.s_end, n)
-        h = (s[1] - s[0]) / self.SUBSTEPS
+    def sample(self, s):
+        """Arc lengths s (n,), director e (n, 3) and striction curve c (n, 3): at s
+        uniform arc lengths on [0, s_end] for an int s, else at the increasing arc
+        lengths s, which start at 0."""
+        s = np.linspace(0.0, self.s_end, s) if np.ndim(s) == 0 else np.asarray(s, dtype=float)
         y = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
         out = [y]
-        for s0 in s[:-1]:
+        for s0, s1 in zip(s[:-1], s[1:]):
+            h = (s1 - s0) / self.SUBSTEPS
             for k in range(self.SUBSTEPS):
                 x = s0 + k * h
                 k1 = self.rate(x, y)

@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import family
+from conftest import Disguise, family
 
 from dualruled.cli import (
     DEFAULT_SAMPLES,
@@ -806,6 +806,11 @@ GOLDEN_SHA256 = {
         "3c04b4a9e7eba70cd861f43573e5a78da57b7090534747473e64eafa46c65395",
     "export:sampled_smooth":
         "1c8e8ed799993707afe6eb4c81ddf7bb49d12dda3e9e79605baa24cbe8ebea07",
+    # the disguise has ds/du from 0.7 to 1.3, where every other golden has ds/du = 1
+    "analyze:sampled_disguised":
+        "ec5da7a526d809b4f9a1275d56448d1cb3c0890b2f0736f2c7702d62685f93ae",
+    "verify:sampled_disguised":
+        "0bd5d77cdaa6d86fcdcf93d3fb29f82258d5c3bf1d3f729733c8ccbbe84cf065",
 }
 
 
@@ -817,6 +822,8 @@ def sampled_cfg(constant_family, u):
 
 def _golden_outputs(tmp_path, constant_family):
     x = np.linspace(0.0, 1.0, 1024)
+    u, director, base = Disguise().sample(1024)  # ds/du runs from 0.7 to 1.3
+    disguised = {"u": u.tolist(), "director": director.tolist(), "base": base.tolist()}
     cfgs = {
         "planar": write_cfg(tmp_path, "planar.json", planar_cfg(1024)),
         "constant": write_cfg(tmp_path, "constant.json", constant_cfg(1024)),
@@ -825,15 +832,18 @@ def _golden_outputs(tmp_path, constant_family):
         "sampled_uniform": write_cfg(tmp_path, "su.json", sampled_cfg(constant_family, 3.0 * x)),
         "sampled_smooth": write_cfg(tmp_path, "ss.json", sampled_cfg(
             constant_family, 3.0 * (x + 0.1 * np.sin(2 * np.pi * x) / (2 * np.pi)))),
+        "sampled_disguised": write_cfg(tmp_path, "sd.json", {"name": "sampled", "kind": "sampled",
+                                                             "params": disguised}),
     }
     window = ["--c", "3", "--cstar", "0.3", "--s-lo", "1", "--s-hi", "2"]
     mesh = ["--v-min", "-1", "--v-max", "1", "--v-samples", "5"]
     out = {k: tmp_path / k.replace(":", "_") for k in GOLDEN_SHA256}
-    for name in ("planar", "constant", "cone", "sampled_uniform", "sampled_smooth"):
+    for name in ("planar", "constant", "cone", "sampled_uniform", "sampled_smooth", "sampled_disguised"):
         assert main(["analyze", "--input", cfgs[name], "--output", str(out[f"analyze:{name}"])]) == 0
-    for name in ("constant", "sampled_uniform"):
-        assert main(["offset", "--input", cfgs[name], *window,
-                     "--output", str(out[f"offset:{name}"]),
+    for name in ("constant", "sampled_uniform", "sampled_disguised"):
+        # the disguise pins its verdict file only
+        offset = out.get(f"offset:{name}", tmp_path / f"offset_{name}")
+        assert main(["offset", "--input", cfgs[name], *window, "--output", str(offset),
                      "--verify", str(out[f"verify:{name}"])]) == 0
     for name in ("planar", "sampled_smooth"):
         assert main(["export", "--input", cfgs[name], *mesh,

@@ -372,6 +372,17 @@ def test_row_blocked_residuals_equal_the_whole_array_maxima(disguise):
     assert dual_frame_residuals(m) == _whole_dual_frame_residuals(m)
 
 
+def test_short_end_blocks_read_the_rows_of_their_one_sided_stencils(disguise, monkeypatch):
+    # at stride 4 a block shorter than 3k = 12 rows at an end of the grid reaches 5k = 20
+    # rows into it, past the 2k rows on its far side; every block size gives the one-block dict
+    u, director, base = disguise.sample(4097)
+    m = build_surface(SampledCurve(u, director), SampledCurve(u, base))
+    assert m.k == 4
+    whole = dual_frame_residuals(m)
+    for rows in (9, 11, 12):
+        assert in_blocks(monkeypatch, rows, lambda: dual_frame_residuals(m)) == whole
+
+
 def test_director_stall_in_a_later_block_names_the_global_sample():
     # the director stands still on rows 16000:16300, inside the second of three
     # blocks: the dual norm of its derivative is undefined from the first row
