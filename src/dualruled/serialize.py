@@ -1,36 +1,50 @@
 """Deterministic text: canonical JSON reports and the number rows of OBJ meshes.
 
-Reports must be byte-identical across runs and machines, so floats are
-printed in 12-significant-digit scientific notation instead of repr's
-shortest roundtrip (which can differ between libm builds for the same
-value history). Every float is written with the bytes of Python's
-"%.11e" % float(v). Non-finite numbers are rejected outright. A dual
-number is written as the object {"du": ..., "re": ...}.
+Floats are printed in 12-significant-digit scientific notation, with the
+bytes of Python's "%.11e" % float(v), instead of repr's shortest roundtrip,
+so a report is byte-identical across runs. Across machines it is identical
+only where numpy's float64 kernels give the same bits: numpy's AVX-512
+cosh, sinh and tanh differ from its other kernels in the last bit, and the
+stencils magnify that into printed digits. Non-finite numbers are rejected
+outright, naming the first in row-major order. A dual number is written as
+the object {"du": ..., "re": ...}.
 
 Text goes to a sink: `dump_canonical(obj, write)` passes the bytes to
-write(piece) one piece after another, so a caller can stream a report into
-a file, and `dumps_canonical(obj)` is the same emitter into a list, joined.
-Number arrays go in blocks of 8192 values and string arrays in blocks of
-8192 labels, so no array's text is ever whole in memory.
+write(piece) one bytes-like piece after another, so a caller can stream a
+report into a file, and `dumps_canonical(obj)` is the same emitter into a
+list, joined. Number arrays go in blocks of 8192 values and string arrays
+in blocks of 8192 labels, so no array's text is ever whole in memory.
 
-One numpy digit kernel formats every number array, in three modes, each
+One numpy row writer formats every number array, in three modes, each
 with the bytes of a Python %-format:
 - "%.11e", the floats of a 1-D or 2-D JSON array: each value is scaled to a
   12-digit integer mantissa in float64;
 - "%.9f", OBJ vertex coordinates: each value below 1e8 is scaled by 10**9
   in float64;
 - "%d", OBJ face indices: integers below 10**8, as they are.
-The kernel rounds the scaled value and looks up the digit bytes in small
+The writer rounds the scaled value and looks up the digit bytes in small
 tables, built on first use. With u = 2**-53, a scaled value sc is within
 2u * sc of its exact value: each power of ten is parsed from text (at most
 half an ulp off) and the product adds at most half an ulp more ("%.9f"
 multiplies by the exact 10**9, so only the product rounds). A value whose
-rounding float64 cannot decide (the fraction of sc lies within
-4 * eps * sc = 8u * sc of one half, exact ties included), or that is out of
-the mode's range, is formatted by Python instead, so the bytes are always
-Python's. That band covers every fraction once sc reaches about 5.6e14:
-an OBJ coordinate with |x| >= 5.6e5 always takes the Python path, as does
-a JSON float below about 1e-297, whose power of ten overflows float64.
+rounding float64 cannot decide (the fraction of sc lies within a band of
+one half, exact ties included: 4 * eps * sc = 8u * sc for "%.9f", and
+4 * eps * 1e12 for "%.11e", whose sc is below 1e12), or that is out of the
+mode's range (for "%.11e" a three-digit exponent, a log10 that misses its
+power of ten, or a carry into a 13th digit), is formatted by Python
+instead, so the bytes are always Python's. The band covers every fraction
+once sc reaches about 5.6e14: an OBJ coordinate with |x| >= 5.6e5 always
+takes the Python path.
+
+A block of rows is one byte array of fixed-width rows, made by repeating a
+row that holds the separators. Each number's field is as wide as the
+widest text of its column in the block, and the writer puts each table
+word of a number at its byte offset. Where every text fills its field, as
+in every "%.11e" column of one sign, the block's bytes are its text, and
+they go to the sink as they are. Where one is narrower (a positive number
+beside a negative one, an integer part narrower than its column's widest),
+nulls fill the field and one pass deletes them. A text from Python goes
+into its field where it fits, and is spliced in otherwise.
 `write_rows(a, fmt, prefix, write)` writes the rows of a 2-D array as OBJ
 lines "prefix n n n".
 """
@@ -52,167 +66,196 @@ def _fmt_float(x: float) -> str:
     return f"{x:.11e}"
 
 
-_BAND_EPS = 4
-_BLOCK = 8192  # values per pass, which caps the kernel's transient memory
+_BAND_EPS = 4  # the rounding band, in float64 eps (2**-52) of the scaled value (or of its bound)
+_BLOCK = 8192  # values per pass, which caps the writer's transient memory
 _E_LO, _E_HI = -330, 310  # decimal exponents of float64 values, with margin
-_P_LO = 11 - _E_HI  # the first power of ten in the table
-
-
-def _words(texts) -> np.ndarray:
-    """Each text as zero-padded 4-byte words, one row per text."""
-    texts = [t.encode() for t in texts]
-    width = -(-max(map(len, texts)) // 4) * 4
-    return np.array([list(t.ljust(width, b"\0")) for t in texts], np.uint8).view(np.uint32)
 
 
 @functools.cache
 def _tables() -> dict:
-    """The kernel's words: up to four text bytes each, zero-padded."""
+    """The writer's words: text bytes at fixed places, null where a text is shorter."""
 
-    def word(*columns):  # one 4-byte word per row of the byte columns
-        return np.stack(np.broadcast_arrays(*columns), axis=-1).astype(np.uint8).view(np.uint32)[..., 0]
+    def word(*columns):  # the byte columns side by side, one 2-, 4- or 8-byte word per row
+        b = np.stack(np.broadcast_arrays(*columns), axis=-1).astype(np.uint8)
+        return b.view(f"u{b.shape[-1]}")[..., 0]
 
-    zero, i, k = ord("0"), np.arange(100), np.arange(10000)
-    digits = (k // 1000, k // 100 % 10, k // 10 % 10, k % 10)
-    quad = word(*(zero + d for d in digits))  # four digits, with leading zeros
-    # k without leading zeros; "0" for 0 in `low`, nothing in `high`
-    plain = word(*(np.where(k >= 10 ** (3 - j), zero + d, 0) for j, d in enumerate(digits[:3])), zero + digits[3])
-    e = np.abs(np.arange(_E_LO, _E_HI + 1))
-    signs = np.array([[ord("+")], [ord("-")]])
+    zero, k = ord("0"), np.arange(10000)
+    digits = [zero + d for d in (k // 1000, k // 100 % 10, k // 10 % 10, k % 10)]
+    quad = word(*digits)  # four digits, with leading zeros
+    # k right-aligned: nulls before its first digit, "0" for 0
+    plain = word(*(np.where(k >= 10 ** (3 - j), d, 0) for j, d in enumerate(digits[:3])), digits[3])
+    e = np.arange(_E_LO, _E_HI + 1)
+    e2 = np.where(np.abs(e) < 100, e, 0)  # "e+00" past two digits, where only a zero is certain
     return {
-        # "%.11e": sign, lead digit, point and next digit; four digits, twice;
-        # the last two digits, e and the exponent's sign; the exponent's digits
-        "lead": word(np.array([[0], [ord("-")]]), zero + i // 10, ord("."), zero + i % 10).ravel(),
+        # "%.11e": the lead digit, point, next three digits and three junk bytes; four
+        # digits; e, the exponent's sign and its two digits, at e - _E_LO
+        "lead": word(digits[0], ord("."), *digits[1:], 0, 0, 0),
         "quad": quad,
-        "last": word(zero + i // 10, zero + i % 10, ord("e"), signs).ravel(),
-        "exponent": np.where(e >= 100, word(zero + e // 100, zero + e // 10 % 10, zero + e % 10, 0),
-                             word(zero + e // 10, zero + e % 10, 0, 0)),
-        # "%d" and the integer part of "%.9f": minus sign; the high four digits; the low four
-        "minus": word(ord("-"), 0, 0, 0),
+        "exponent": word(ord("e"), np.where(e2 < 0, ord("-"), ord("+")), zero + abs(e2) // 10, zero + abs(e2) % 10),
+        # an integer below 10**8, right-aligned in two words: its high four digits, its low four
         "high": np.where(k > 0, plain, 0),
         "low": np.concatenate([quad, plain]),  # quad after a high part, plain without one
-        # the fraction of "%.9f": point and first digit, then two quads
-        "point": word(ord("."), zero + np.arange(10), 0, 0),
+        # the fraction of "%.9f": point and first digit
+        "point": word(ord("."), zero + np.arange(10)),
     }
 
 
 @functools.cache
 def _powers() -> np.ndarray:
-    """Powers of ten 10**_P_LO, ... in float64."""
-    # parsed from text, so each power is correctly rounded (inf past the range of float64)
-    return np.array([f"1e{p}" for p in range(_P_LO, 12 - _E_LO)], dtype=np.float64)
+    """10**(11 - e) in float64 for each decimal exponent e = _E_LO, ..., _E_HI, and 0 where
+    e has three digits, so that every value with such an exponent is undecided."""
+    # parsed from text, so each power is correctly rounded
+    return np.array([f"1e{11 - e}" if abs(e) < 100 else "0" for e in range(_E_LO, _E_HI + 1)], dtype=np.float64)
 
 
-def _round(sc: np.ndarray) -> tuple:
-    """Each nonnegative finite float64 sc rounded to an integer, and whether float64
-    decides that rounding (elsewhere the result is junk)."""
-    with np.errstate(invalid="ignore"):  # inf and nan sc are never decided
-        whole = sc.astype(np.int64)
-    frac = sc - whole
-    band = _BAND_EPS * np.finfo(np.float64).eps * sc
-    return whole + (frac > 0.5), np.abs(frac - 0.5) > band
+def _round(sc: np.ndarray, band) -> tuple:
+    """Each nonnegative finite float64 sc rounded to an integer (as a float64), and whether
+    float64 decides that rounding: whether sc lies farther than band from a half."""
+    m = np.rint(sc)
+    d = sc - m
+    return m, np.abs(d, out=d) < 0.5 - band
 
 
 def _decimal(x: np.ndarray) -> tuple:
-    """12-digit mantissa m, decimal exponent e and certainty of each float64 of x.
+    """12-digit mantissa m, index at = e - _E_LO of the decimal exponent e, and certainty of
+    each float64 of x.
 
-    Where the kernel is certain, "%.11e" % v has the digits of m and the exponent e;
-    zeros are certain with m = e = 0. Elsewhere m = e = 0 and v needs Python's formatter.
+    Where the writer is certain, "%.11e" % v has the digits of m and the two-digit exponent
+    e; zeros are certain with m = 0. Elsewhere m = 0 and v needs Python's formatter:
+    float64 cannot decide its rounding (the band is 4 eps of 1e12, above every scaled
+    value), log10 missed its power of ten, the rounding carries into a 13th digit, or its
+    exponent has three digits.
     """
-    powers = _powers()
-    zero = x == 0
-    ax = np.abs(x)
-    ax[zero] = 1.0
-    e = np.floor(np.log10(ax)).astype(np.int64)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf powers below about 1e-297
-        sc = ax * powers[11 - _P_LO - e]
-        step = (sc >= 1e12).astype(np.int64) - (sc < 1e11)  # log10 rounded across a power of ten
-        if step.any():
-            e += step
-            sc = ax * powers[11 - _P_LO - e]
-        m, decided = _round(sc)
-        decided &= (sc >= 1e11) & (sc < 1e12) & ~zero
-    m = np.where(decided, m, 0)
-    carry = m == 10**12
-    m[carry] = 10**11
-    return m, np.where(decided, e + carry, 0), decided | zero
+    sc = np.maximum(np.abs(x), 1e-300)  # a zero gets a three-digit exponent, and is certain below
+    at = np.log10(sc)
+    at -= _E_LO  # positive, so the cast below is the floor
+    at = at.astype(np.intp)
+    sc *= _powers().take(at)
+    m, decided = _round(sc, _BAND_EPS * 2.0**-52 * 1e12)
+    decided &= m > 1e11
+    decided &= m < 1e12
+    m *= decided
+    return m.astype(np.int64), at, decided | (x == 0)
 
 
 def _scientific(x: np.ndarray) -> tuple:
-    """The "%.11e" words of each float of x, and where they are certain."""
-    x = x.astype(np.float64, copy=False)
-    finite = np.isfinite(x)
-    if not finite.all():
-        _fmt_float(float(x[~finite][0]))  # raises, naming the first non-finite value
+    """The "%.11e" layout of a float64 block (see _write_numbers): 17 bytes after any sign."""
+    m, at, certain = _decimal(x)
     t = _tables()
-    m, e, certain = _decimal(x)
-    head, upper, lower = m // 10**10, m // 10**6, m // 100  # floor division by a constant is fast
-    return [t["lead"][head + 100 * np.signbit(x)], t["quad"][upper - head * 10**4],
-            t["quad"][lower - upper * 10**4], t["last"][m - lower * 100 + 100 * (e < 0)],
-            t["exponent"][e - _E_LO]], certain
+    lead, upper = m // 10**8, m // 10**4  # floor division by a constant is fast
+    # in this order the lead's junk bytes are overwritten by the next word
+    words = [(0, t["lead"].take(lead)), (5, t["quad"].take(upper - lead * 10**4)),
+             (9, t["quad"].take(m - upper * 10**4)), (13, t["exponent"].take(at))]
+    return np.signbit(x), 17, False, words, certain
 
 
-def _integer_words(n: np.ndarray, negative: np.ndarray) -> list:
-    """The words of "%d" for integers 0 <= n < 10**8, with a minus sign where negative."""
+def _integer_part(n: np.ndarray) -> tuple:
+    """The words of integers 0 <= n < 10**8 that end at offset `width` of a text as wide as
+    the widest integer of its column, that width, and whether its column has a narrower
+    integer (whose text begins with nulls)."""
     t = _tables()
     high = n // 10**4
-    return [np.where(negative, t["minus"], 0), t["high"][high], t["low"][n - high * 10**4 + 10**4 * (high == 0)]]
+    width, narrow = (np.array([len(str(v)) for v in f(axis=1).tolist()]) for f in (n.max, n.min))
+    low = t["low"][n - high * 10**4 + 10**4 * (high == 0)]
+    return [(width - 8, t["high"][high]), (width - 4, low)], width, narrow < width
 
 
 def _integer(x: np.ndarray) -> tuple:
-    """The "%d" words of each integer of x, and where they are certain."""
+    """The "%d" layout of a block (see _write_numbers)."""
     certain = (x > -(10**8)) & (x < 10**8)
-    return _integer_words(np.where(certain, np.abs(x), 0), x < 0), certain
+    words, width, nulls = _integer_part(np.where(certain, np.abs(x), 0))
+    return x < 0, width, nulls, words, certain
 
 
 def _fixed(x: np.ndarray) -> tuple:
-    """The "%.9f" words of each float of x, and where they are certain."""
+    """The "%.9f" layout of a block (see _write_numbers)."""
     x = x.astype(np.float64, copy=False)
     ax = np.abs(x)
     in_range = ax < 1e8  # not nan or inf
     ax[~in_range] = 0.0
-    m, decided = _round(ax * 10**9)
-    whole = m // 10**9
-    fraction = m - whole * 10**9
+    sc = ax * 10**9
+    m, decided = _round(sc, _BAND_EPS * 2.0**-52 * sc)
+    m = m.astype(np.int64)
+    integer = m // 10**9
+    fraction = m - integer * 10**9
     top, middle = fraction // 10**8, fraction // 10**4
+    words, width, nulls = _integer_part(integer)
     t = _tables()
-    return _integer_words(whole, np.signbit(x)) + [
-        t["point"][top], t["quad"][middle - top * 10**4], t["quad"][fraction - middle * 10**4],
+    return np.signbit(x), width + 10, nulls, words + [
+        (width, t["point"][top]), (width + 2, t["quad"][middle - top * 10**4]),
+        (width + 6, t["quad"][fraction - middle * 10**4]),
     ], decided & in_range
 
 
-_MODES = {"%.11e": (_scientific, 5), "%.9f": (_fixed, 6), "%d": (_integer, 3)}
+_MODES = {"%.11e": _scientific, "%.9f": _fixed, "%d": _integer}
 
 
 def _write_numbers(a: np.ndarray, fmt: str, head: str, seps: tuple, write) -> None:
     """Write head, then each number of the 2-D array a in fmt followed by its separator:
-    seps[0] within a row, seps[1] after a row, seps[2] after the last number."""
-    words, width = _MODES[fmt]
+    seps[0] within a row, seps[1] after a row, seps[2] after the last number.
+
+    A block of rows of a is written as a byte array with one row per row of a. In it each
+    number has a field as wide as its column's text in the block, which starts with a byte
+    for the minus sign where the column has a negative number: "-" where all are negative,
+    and null or "-" where some are. The mode of fmt takes the block with a row per column
+    of a and gives: where a number is negative; the width of each column's text after the
+    sign; whether a column's text may begin with nulls; each number's words with their
+    offsets in the text, in the order that they are written (of a word at a negative
+    offset only the bytes in the text are written); and where its text is certain. Where
+    no field may hold a null, the block's bytes are its text; otherwise one pass deletes
+    the nulls. Python's text of an uncertain number goes into its field where it fits, and
+    is spliced in otherwise.
+    """
     rows, cols = a.shape
-    seps = _words(seps)
+    fmt_b, sep, row_end = fmt.encode(), seps[0].encode(), seps[1].encode()
     per = max(_BLOCK // cols, 1)  # whole rows, so every block has one layout
-    cells = np.zeros((min(per, rows) * cols, width + seps.shape[1]), np.uint32)
-    cells[:, width:] = seps[(np.arange(len(cells)) % cols == cols - 1).astype(np.intp)]
     write(head.encode())
     for start in range(0, rows, per):
-        x = a[start : start + per].ravel()
-        if start + per >= rows:
-            cells = cells[: x.size]
-            cells[-1, width:] = seps[2]
-        columns, certain = words(x)
-        for j, column in enumerate(columns):
-            cells[:, j] = column
-        uncertain = np.flatnonzero(~certain).tolist()
-        cells[uncertain, :width] = 0
-        text = cells.tobytes()
-        if uncertain:  # Python's text goes where the row's number words were
-            row, at, pieces = cells.shape[1] * 4, 0, []
-            for i in uncertain:
-                pieces += (text[at : i * row], fmt.encode() % x[i].item())
-                at = i * row
-            pieces.append(text[at:])
-            text = b"".join(pieces)
-        write(text.translate(None, b"\0"))
+        x = np.ascontiguousarray(a[start : start + per].T)  # a row per column: fast column reductions
+        neg, width, nulls, words, certain = _MODES[fmt](x)
+        signed, negative = neg.any(axis=1), neg.all(axis=1)
+        padded = (nulls | (signed & ~negative)).tolist()  # fields that may hold a null
+        width, signed, negative = (width + signed).tolist(), signed.tolist(), negative.tolist()
+        row, field = b"", []  # a row of the block: signs of negative columns, separators
+        for j in range(cols):
+            field.append(len(row))
+            row += (b"-" if negative[j] else b"\0" * signed[j]) + bytes(width[j] - signed[j])
+            row += sep if j < cols - 1 else row_end
+        n = x.shape[1]
+        text = bytearray(row) * n
+        buf = np.frombuffer(text, np.uint8).reshape(n, len(row))
+        for j in range(cols):
+            begin = field[j] + signed[j]  # where the text after the sign starts
+            for at, w in words:  # in order: a later word overwrites the junk bytes of an earlier one
+                at = at if isinstance(at, int) else int(at[j])
+                if at >= 0:
+                    buf[:, begin + at : begin + at + w.itemsize].view(w.dtype)[:, 0] = w[j]
+                else:  # only the bytes of the word that fall in the text, one by one
+                    for b in range(-at, w.itemsize):
+                        buf[:, begin + at + b] = w[j].view(np.uint8)[b :: w.itemsize]
+            if signed[j] and not negative[j]:
+                buf[:, field[j]] = neg[j] * np.uint8(ord("-"))
+        uncertain = np.flatnonzero(~certain)
+        if uncertain.size:
+            view, splices = memoryview(text), []
+            for i, v in zip(uncertain.tolist(), x.ravel()[uncertain].tolist()):
+                j, r = divmod(i, n)
+                number, lo = fmt_b % v, r * len(row) + field[j]
+                if len(number) == width[j] or (len(number) < width[j] and padded[j]):
+                    view[lo : lo + width[j]] = number.rjust(width[j], b"\0")
+                else:
+                    splices.append((lo, lo + width[j], number))
+            if splices:  # in the order of the text
+                pieces, done = [], 0
+                for lo, hi, number in sorted(splices):
+                    pieces += (view[done:lo], number)
+                    done = hi
+                pieces.append(view[done:])
+                text = b"".join(pieces)
+        if any(padded):
+            text = text.replace(b"\0", b"")
+        write(memoryview(text)[: len(text) - (len(row_end) if start + per >= rows else 0)])
+    write(seps[2].encode())
 
 
 def write_rows(a: np.ndarray, fmt: str, prefix: str, write) -> None:
@@ -223,7 +266,7 @@ def write_rows(a: np.ndarray, fmt: str, prefix: str, write) -> None:
 
 
 def _emit_float_array(a: np.ndarray, pad: str, inner: str, write) -> None:
-    """Write a 1-D or 2-D float array with the digit kernel, as the per-item path would."""
+    """Write a 1-D or 2-D float array with the row writer, as the per-item path would."""
     if a.ndim == 2:
         cell = inner + "  "
         head = "[\n" + inner + "[\n" + cell
@@ -232,6 +275,11 @@ def _emit_float_array(a: np.ndarray, pad: str, inner: str, write) -> None:
         head = "[\n" + inner
         seps = ("", ",\n" + inner, "\n" + pad + "]")
         a = a.reshape(-1, 1)
+    with np.errstate(over="ignore"):  # the writer works in float64: a long double past its range is inf
+        a = a.astype(np.float64, copy=False)
+    finite = np.isfinite(a)
+    if not finite.all():
+        _fmt_float(float(a[~finite][0]))  # raises, naming the first non-finite value in row-major order
     _write_numbers(a, "%.11e", head, seps, write)
 
 

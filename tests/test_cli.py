@@ -866,6 +866,15 @@ def test_golden_output_bytes_in_row_blocks(tmp_path, constant_family, monkeypatc
     assert _golden_outputs(tmp_path, constant_family) == GOLDEN_SHA256
 
 
+def test_golden_output_bytes_in_emit_blocks(tmp_path, constant_family, monkeypatch):
+    # emission blocks of 97 values: every report array crosses many block edges, and a
+    # column's sign, and so its layout, changes from one block to the next
+    from dualruled import serialize
+
+    monkeypatch.setattr(serialize, "_BLOCK", 97)
+    assert _golden_outputs(tmp_path, constant_family) == GOLDEN_SHA256
+
+
 def test_offset_verify_in_row_blocks(tmp_path, capsys, disguise, monkeypatch):
     # 4097 disguised samples in 16 row blocks give the one-block bytes; a director that
     # is spacelike at sample 3900 past a stall on rows 300:700 exits 2 either way, with

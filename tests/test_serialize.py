@@ -51,6 +51,8 @@ def test_rejections():
         dumps_canonical({"x": float("nan")})
     with pytest.raises(ValidationError, match="non-finite"):
         dumps_canonical({"x": np.inf})
+    with pytest.raises(ValidationError, match="non-finite value inf"):  # past the range of float64
+        dumps_canonical({"x": np.array([1.0, np.longdouble("1e400"), 2.0])})
     with pytest.raises(ValidationError, match="keys must be strings"):
         dumps_canonical({1: "x"})
     with pytest.raises(ValidationError, match="deterministically"):
@@ -166,6 +168,34 @@ def test_digit_kernel_matches_the_per_item_format(dtype):
     rows = values[: 3 * (serialize._BLOCK // 3 + 7)].reshape(-1, 3).astype(dtype)  # crosses a block boundary
     for a in (rows, rows[::-1], floats32[: rows.size].reshape(-1, 3)):
         assert dumps_canonical({"x": a}) == dumps_canonical({"x": a.tolist()})
+    # blocks of one sign are their text, with no null-strip pass; Python's text of an
+    # exact tie goes into its field, and one with a three-digit exponent is spliced in
+    rng = np.random.default_rng(20261021)
+    size = np.abs(values)
+    exponents = 10.0 ** rng.uniform(-300, 300, size=3000)
+    # positive: exact ties, three-digit exponents and plain values, shuffled
+    shuffled = rng.permutation(np.concatenate([size[exact_ties], exponents, size[: serialize._BLOCK]]))
+    positive = size[: serialize._BLOCK].copy()
+    positive[17] = -0.0  # one minus sign in a positive block
+    for a in (size, -size, shuffled, -shuffled, positive):
+        assert dumps_canonical(a.astype(dtype)) == _per_item(a)
+    for n in (serialize._BLOCK - 1, serialize._BLOCK, serialize._BLOCK + 1):
+        for a in (size[:n], -shuffled[:n], values[:n]):
+            assert dumps_canonical(a.astype(dtype)) == _per_item(a)
+    for n in (serialize._BLOCK // 3, serialize._BLOCK // 3 + 1):  # one block of rows, and one more row
+        # columns of one sign each, of either sign, and of both signs
+        for columns in ([shuffled[:n], -size[:n], values[:n]], [-shuffled[:n], size[:n], -size[:n]]):
+            a = np.stack(columns, axis=1)
+            assert dumps_canonical({"x": a.astype(dtype)}) == dumps_canonical({"x": a.tolist()})
+    # the whole array is checked first; the error names its first non-finite value in row-major order
+    bad = rows.copy()
+    bad[5, 2], bad[9, 0] = np.inf, np.nan
+    with pytest.raises(ValidationError, match="non-finite value inf"):
+        dumps_canonical({"x": bad})
+    pieces = []
+    with pytest.raises(ValidationError, match="non-finite value nan"):
+        serialize.dump_canonical({"x": bad.T}, pieces.append)
+    assert b"".join(pieces) == b'{\n  "x": '  # no number of the array was written
 
 
 def _rows(a, fmt, prefix):
@@ -192,7 +222,7 @@ def test_fixed_and_integer_modes_match_python(dtype):
     rows, ties = _fixed_cases()
     assert rows.size > 5 * serialize._BLOCK
     assert _rows(rows.astype(dtype), "%.9f", "v") == "".join("v %.9f %.9f %.9f\n" % tuple(r) for r in rows.tolist())
-    _, certain = serialize._fixed(ties)
+    certain = serialize._fixed(ties[None])[-1]  # one column
     assert not certain.any()  # exact ties at the 10th decimal go to Python
     assert _rows(np.array([[-0.0, -1e-12, -4e-10]]), "%.9f", "v") == "v -0.000000000 -0.000000000 -0.000000000\n"
     rng = np.random.default_rng(5)
@@ -237,5 +267,5 @@ def test_streaming_a_report_holds_no_array_text(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2**20
+    assert peak < 2 * 2**20
     assert path.read_text() == dumps_canonical(payload)
