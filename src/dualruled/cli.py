@@ -5,6 +5,12 @@ surface and writes a JSON report; `offset` constructs a Mannheim offset
 (optionally adjudicating the closed forms into a second report); `export`
 writes an OBJ mesh of the surface or its offset.
 
+A config is read as bytes. The arrays params.u, params.director and
+params.base of a sampled config go to serialize.read_array, and json parses
+the rest; where the reader declines an array, json reads it, and where
+anything else is unusual json parses the whole text, so every value and
+every error message is json's.
+
 The sample count is the config's "samples", else the length of a sampled
 surface's arrays, else 1024, within [MIN_SAMPLES, MAX_SAMPLES]. The
 tolerances are fixed (DEVELOPABLE_TOL, VERDICT_TOL); each report writes its
@@ -28,6 +34,7 @@ import contextlib
 import functools
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -43,7 +50,7 @@ from .mannheim_offset import (
     offset_angle_profile,
 )
 from .numerics import MAX_SAMPLES, MIN_SAMPLES, SampledCurve, hermite, is_uniform, slopes
-from .serialize import dump_canonical, write_rows
+from .serialize import dump_canonical, read_array, write_rows
 from .surface_kernel import (
     DEVELOPABLE_TOL,
     RuledSurfaceModel,
@@ -127,7 +134,9 @@ def parse_config(data: dict) -> SurfaceConfig:
             if key not in params:
                 raise ConfigError(f"sampled surface needs params.{key}")
         u = _coerce(params["u"], _floats, "params.u must be an array of numbers")
-        if u.ndim != 1 or np.any(np.diff(u) <= 0):
+        if u.ndim != 1:
+            raise ConfigError("params.u must be a 1-D array of numbers")
+        if np.any(np.diff(u) <= 0):
             raise ConfigError("params.u must be strictly increasing")
         if u.size == 0:
             raise ConfigError("params.u must not be empty")
@@ -171,12 +180,64 @@ def parse_config(data: dict) -> SurfaceConfig:
                          s_range=s_range, samples=samples)
 
 
-def load_config(path: str) -> SurfaceConfig:
+# a key of the three arrays of a sampled config, up to its array's "["
+_SAMPLED_ARRAY = re.compile(rb'"(u|director|base)"[ \t\n\r]*:[ \t\n\r]*\[')
+
+
+def _sampled_config(data: bytes):
+    """The config object of the JSON bytes data with each array of params.u, params.director
+    and params.base that serialize.read_array reads in place, as a float64 array; None where
+    json must parse the whole text.
+
+    Without a backslash, every '"' delimits a string, so an array of one of these keys ends
+    at its last "]" before the next '"' or "}". Each array that the reader takes becomes the
+    placeholder string "\u0000<i>", which no such text can hold, and json parses the rest.
+    The arrays go back only where each placeholder is the value of its own key in the
+    params of a "sampled" object; json parses the whole text where they do not, or where
+    the rest does not parse.
+    """
+    if b"\\" in data:
+        return None
+    pieces, arrays, done, at = [], [], 0, 0
+    while key := _SAMPLED_ARRAY.search(data, at):
+        lo = key.end() - 1
+        stop = min((i for i in (data.find(b'"', lo), data.find(b"}", lo)) if i >= 0), default=len(data))
+        at = max(data.rfind(b"]", lo, stop) + 1, lo)  # the next key lies past the array
+        array = read_array(data[lo:at])
+        if array is not None:
+            pieces += (data[done:lo], b'"\\u0000%d"' % len(arrays))
+            arrays.append((key[1].decode(), array))
+            done = at
+    if not arrays:
+        return None
+    pieces.append(data[done:])
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        config = json.loads(b"".join(pieces).decode("utf-8"))
+    except (ValueError, RecursionError):  # a JSONDecodeError or UnicodeDecodeError among them
+        return None
+    params = config.get("params") if isinstance(config, dict) and config.get("kind") == "sampled" else None
+    if not isinstance(params, dict):
+        return None
+    for i, (key, array) in enumerate(arrays):
+        if params.get(key) != f"\0{i}":
+            return None
+        params[key] = array
+    return config
+
+
+def load_config(path: str) -> SurfaceConfig:
+    """Read and check the config at path. The sampled arrays are read by serialize.read_array
+    where it can (see _sampled_config); json parses everything else, and the whole text
+    where anything is unusual, so every error is json's."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
+    config = _sampled_config(data)
+    try:
+        if config is None:  # the text as open(path, encoding="utf-8") reads it
+            config = json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}")
     except UnicodeDecodeError as exc:
@@ -185,7 +246,7 @@ def load_config(path: str) -> SurfaceConfig:
         raise ConfigError(f"config {path} nests too deeply: {exc}")
     except ValueError as exc:  # an integer past CPython's digit limit for int(str)
         raise ConfigError(f"config {path} is not readable JSON: {exc}")
-    return parse_config(data)
+    return parse_config(config)
 
 
 def build_model(cfg: SurfaceConfig) -> RuledSurfaceModel:

@@ -47,12 +47,27 @@ nulls fill the field and one pass deletes them. A text from Python goes
 into its field where it fits, and is spliced in otherwise.
 `write_rows(a, fmt, prefix, write)` writes the rows of a 2-D array as OBJ
 lines "prefix n n n".
+
+The one reader of number text, `read_array(text)`, turns a JSON array of
+numbers, of depth 1 or 2 with rows of equal length, into a float64 array
+whose values have the bits of Python's float() of each number, the bits
+json gives. It returns None where it declines, and the caller lets json
+read the text. Events (separators, points, exponent marks, the ends of
+numbers) are found in one numpy pass; the digits are read 8 at a time
+(fast_float's parse_eight_digits_unrolled, Lemire 2021); m * 10**q is one
+exact float64 operation where m <= 2**53 and |q| <= 22 (Clinger 1990) and
+a double-double product with an error bound elsewhere. A number whose
+rounding that bound cannot settle, or with more than 19 digits, goes alone
+to float(). The reader declines any other byte, any other shape, a value
+that is not finite, an integer of more than 15 digits (json's int), and
+more than one undecided number in 16.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import re
 
 import numpy as np
 
@@ -351,3 +366,240 @@ def dumps_canonical(obj) -> str:
     parts = []
     dump_canonical(obj, parts.append)
     return b"".join(parts).decode("ascii")
+
+
+# The reader's byte classes: the bytes of a number have odd classes (digits and signs, its
+# point, its exponent mark), JSON whitespace and the separators even ones
+_SPACE, _DIGIT, _COMMA, _POINT, _OPEN, _EXPONENT, _CLOSE, _OTHER = range(8)
+_FALLBACK_SHARE = 16  # at most one number in this many goes to Python, else json reads the array
+_Q_LO, _Q_HI = -280, 280  # the exponents q of m * 10**q that the double-double product takes
+_ZEROS = 0x3030303030303030  # eight "0" bytes in a little-endian word
+_JSON_FLOAT = re.compile(rb"-?(?:0|[1-9][0-9]*)(?=[.eE])(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?")
+
+
+@functools.cache
+def _reader_tables() -> dict:
+    """The reader's byte classes, the masks that keep the last j of 24 bytes, and the powers of
+    ten that float64 holds exactly."""
+    classes = bytearray([_OTHER]) * 256
+    for chars, c in ((b" \t\n\r", _SPACE), (b"0123456789-+", _DIGIT), (b",", _COMMA), (b".", _POINT),
+                     (b"[", _OPEN), (b"eE", _EXPONENT), (b"]", _CLOSE)):
+        for b in chars:
+            classes[b] = c
+    return {
+        "classes": bytes(classes),
+        # the 24 bytes of three words, each byte kept (0xff) or not: row j keeps the last j
+        "keep": np.array([[0] * (24 - j) + [255] * j for j in range(25)], dtype=np.uint8).view("V24")[:, 0],
+        "exact": np.array([float(10**k) for k in range(23)]),
+    }
+
+
+@functools.cache
+def _ten(q: int) -> tuple:
+    """10**q as hi + lo, from exact integer arithmetic: hi is 10**q correctly rounded and lo
+    is 10**q - hi correctly rounded; then Dekker's halves of hi."""
+    num, den = (10**q, 1) if q >= 0 else (1, 10**-q)
+    hi = num / den  # an int quotient is correctly rounded
+    a, b = hi.as_integer_ratio()
+    return (hi, (num * b - a * den) / (den * b), *_halves(hi))
+
+
+def _tens(q: np.ndarray) -> np.ndarray:
+    """The four rows of _ten at each q in [_Q_LO, _Q_HI], each exponent built once."""
+    present = np.zeros(_Q_HI - _Q_LO + 1, bool)
+    present[q - _Q_LO] = True
+    table = np.zeros((4, len(present)))
+    for k in np.flatnonzero(present).tolist():
+        table[:, k] = _ten(k + _Q_LO)
+    return table.take(q - _Q_LO, axis=1)
+
+
+def _halves(a):
+    """Dekker's split of float64 a into hi + lo, each with at most 26 significant bits."""
+    c = a * 134217729.0  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _product(m: np.ndarray, q: np.ndarray) -> tuple:
+    """m * 10**q rounded to float64, for integers 0 < m < 10**19 and _Q_LO <= q <= _Q_HI, and
+    whether float64 decides that rounding.
+
+    With a + a_lo = m exactly and hi + lo the pair of _tens, Dekker's product gives
+    a * hi = p + e exactly, and s + err = p + e + a * lo + a_lo * hi exactly. The terms
+    left out and the rounding of the small ones are below 16 u**2 * s, with u = 2**-53, so
+    the exact product lies well within bound = 2**-96 * s = 1024 u**2 * s of s + err, also
+    after err +- bound is rounded. Rounding is monotone: where s + (err + bound) and
+    s + (err - bound) both round to s, so does every value in between, ties included.
+    """
+    hi, lo, bh, bl = _tens(q)
+    a = m.astype(np.float64)
+    a_lo = (m - a.astype(np.uint64)).view(np.int64).astype(np.float64)  # exact: |a_lo| <= 2**10
+    p = a * hi
+    ah, al = _halves(a)
+    t = ((ah * bh - p) + ah * bl + al * bh) + al * bl + (a * lo + a_lo * hi)
+    s = p + t
+    err = t - (s - p)  # exact, as |p| >= |t|
+    bound = s * 2.0**-96
+    return s, (s + (err + bound) == s) & (s + (err - bound) == s)
+
+
+def _digit_words(words: np.ndarray, keep: np.ndarray) -> tuple:
+    """The value of each little-endian word of eight digit bytes, its bytes outside keep read
+    as "0" (fast_float's parse_eight_digits_unrolled), and whether a row of words of
+    digit and sign bytes holds no sign."""
+    w = (words ^ _ZEROS) & keep  # a digit d is now the byte d, "+" and "-" are 0x1B and 0x1D
+    signs = w[:, 0]
+    for column in w.T[1:]:
+        signs = signs | column
+    w = w * 10 + (w >> 8)  # pairs of digits in the even bytes
+    w = ((w & 0x000000FF000000FF) * 0x000F424000000064
+         + ((w >> 16) & 0x000000FF000000FF) * 0x0000271000000001) >> 32
+    return w, (signs & 0xF0F0F0F0F0F0F0F0) == 0
+
+
+def _read_numbers(text: bytes, events: np.ndarray, kinds: np.ndarray, first: np.ndarray, last: np.ndarray):
+    """The float64 value of each number of text that starts at event first and ends at event
+    last (see read_array), and whether it is decided; None where one is an integer of more
+    than 15 digits.
+
+    A number -?I(.F)?([eE][-+]?X)? is m * 10**q with m the integer of the digits of I and F.
+    Its events between its start and its end are its point, then its exponent mark. Its
+    digits are read 8 at a time from its text with the points deleted: three words that
+    end at the end of F hold m, and one that ends at the end of X holds the exponent.
+    Where m <= 2**53 and |q| <= 22 the value is one float64 multiply or divide of exact
+    operands (Clinger's fast path); elsewhere it is the double-double _product. A number
+    with more than 19 digits in I and F, more than 8 in X, any other exponent, a text
+    that is not a JSON number, or a rounding that float64 cannot decide is undecided.
+    """
+    raw = np.frombuffer(text, np.uint8)
+    start, end = events.take(first), events.take(last)
+    inner = last - first - 1
+    point = kinds.take(first + 1) == _POINT
+    exponent = inner - point  # 1 where the last event inside is the exponent mark
+    mark = last - exponent  # the event where the mantissa ends
+    ok = (exponent <= 1) & (kinds.take(mark) != _POINT) & (kinds.take(first) == _DIGIT)
+    exponent = exponent > 0
+    mantissa_end = events.take(mark)
+    neg = raw.take(start) == ord("-")
+    dot = events.take(first + 1)  # the mantissa's end where it has no point
+    int_len = dot - start - neg
+    if ((inner == 0) & (int_len > 15)).any():
+        return None  # json makes an int, and numpy casts it
+    frac_len = mantissa_end - dot - point
+    digits = int_len + frac_len
+    ok &= ((int_len >= 1) & (frac_len >= point) & (digits <= 19)
+           & ((int_len == 1) | (raw.take(start + neg) != ord("0"))))
+
+    # the block's text without points, after 24 "0" bytes that stand in for the digits
+    # left of a word's number; a word may end at each byte
+    lo = int(start[0])
+    chunk = (b"0" * 24 + text[lo : int(end[-1])]).replace(b".", b"")
+    shift = np.cumsum(point) + (lo - 24)  # the points up to a number's own, one if it has one
+    keep = _reader_tables()["keep"]
+    tails = np.ndarray((len(chunk) - 23,), "V24", chunk, strides=(1,))  # the 24 bytes from each byte
+    at = np.minimum(mantissa_end - shift, len(chunk)) - 24  # a number of two points overshoots
+    part, no_sign = _digit_words(*(a.view("<u8").reshape(-1, 3) for a in (tails[at], keep[np.minimum(digits, 24)])))
+    ok &= no_sign
+    m = (part[:, 0] * 10**8 + part[:, 1]) * 10**8 + part[:, 2]
+    q = -frac_len
+    if exponent.any():
+        sign = raw.take(mantissa_end + 1, mode="clip")
+        signed = (sign == ord("-")) | (sign == ord("+"))
+        exp_len = np.where(exponent, end - mantissa_end - 1 - signed, 0)
+        ok &= (exp_len <= 8) & (exp_len >= exponent)
+        at = np.minimum(end - shift, len(chunk)) - 24
+        e, no_sign = _digit_words(*(a.view("<u8").reshape(-1, 3)[:, 2:] for a in (tails[at], keep[np.clip(exp_len, 0, 8)])))
+        ok &= no_sign
+        e = e[:, 0].astype(np.int64)
+        q += np.where(sign == ord("-"), -e, e)
+
+    near = np.minimum(np.abs(q), 22)
+    tens = _reader_tables()["exact"].take(near)
+    x = m.astype(np.float64)
+    x = np.where(q >= 0, x * tens, x / tens)
+    decided = ok & ((m <= 2**53) & (near == np.abs(q)) | (m == 0))
+    far = ok & ~decided & (q >= _Q_LO) & (q <= _Q_HI)
+    if far.any():
+        s, sure = _product(np.where(far, m, 1), np.where(far, q, 0))
+        x = np.where(far, s, x)
+        decided |= far & sure
+    neg &= ~((inner == 0) & (m == 0))  # -0 is json's int 0
+    return np.negative(x, out=x, where=neg), decided
+
+
+def read_array(text: bytes) -> np.ndarray | None:
+    """The float64 array of the JSON array text, which starts with "[" and ends with "]", of
+    numbers, of depth 1 or of depth 2 with rows of equal length, each value with the bits
+    of Python's float() of its number; None where json must read the text.
+
+    The text is classed in pieces of about _BLOCK * 16 bytes that end after a comma, one
+    bytes.translate each: any byte other than JSON whitespace, "[", "]", "," and the bytes
+    of numbers declines. One pass over a piece finds its events: each separator, point and
+    exponent mark, and each byte where a number starts or ends. Between two numbers stand
+    exactly the separators of their places: a comma, or "]", "," and "[" between two rows.
+    The numbers are read in blocks of _BLOCK (see _read_numbers); an undecided one goes
+    alone to a JSON-number match and float(). The reader declines an empty array, a number
+    that is not finite or is not a JSON number, an integer of more than 15 digits (json's
+    int, cast by numpy), and more than one undecided number in _FALLBACK_SHARE.
+    """
+    if text[:1] != b"[" or text[-1:] != b"]":
+        return None
+    classes_of = _reader_tables()["classes"]
+    events, kinds, after_number = [], [], []
+    at = 1
+    while at < len(text):
+        stop = text.find(b",", at + 16 * _BLOCK) + 1 or len(text)
+        classes = np.frombuffer(text[at - 1 : stop].translate(classes_of), np.uint8)  # from the byte before
+        if classes.max() == _OTHER:
+            return None
+        number = (classes & 1).view(bool)
+        marks = number[1:] != number[:-1]
+        marks |= classes[1:] > _DIGIT
+        i = np.flatnonzero(marks)
+        events.append(i.astype(np.int32) + at)
+        kinds.append(classes[1:].take(i))
+        after_number.append(number.take(i))
+        at = stop
+    events, kinds, after_number = map(np.concatenate, (events, kinds, after_number))
+    odd = (kinds & 1).view(bool)
+    first, last = (np.flatnonzero(a).astype(np.int32) for a in (odd & ~after_number, after_number & ~odd))
+    del odd, after_number
+    # before the first number: no event after the first "[", or the "[" of the first row
+    if not len(first) or first[0] > 1 or (first[0] == 1 and kinds[0] != _OPEN):
+        return None
+    n, depth = len(first), int(first[0]) + 1
+    # the separators between two numbers: events that are not the space ending the first
+    between = first[1:] - last[:-1] - (kinds.take(last[:-1]) == _SPACE)
+    cols = int(np.argmax(between != 1)) + 1 if depth == 2 and (between != 1).any() else n
+    rows = n // cols
+    expected = np.ones(n - 1, np.intp)
+    expected[cols - 1 :: cols] = 3
+    ends = len(events) - last[-1] - (kinds[last[-1]] == _SPACE)
+    if rows * cols != n or ends != depth or (kinds[-depth:] != _CLOSE).any() or (between != expected).any():
+        return None
+    row_starts = first[cols::cols]
+    if ((kinds.take(first[1:] - 1) != np.where(expected == 1, _COMMA, _OPEN)).any()
+            or (kinds.take(row_starts - 2) != _COMMA).any() or (kinds.take(row_starts - 3) != _CLOSE).any()):
+        return None
+
+    out = np.empty(n)
+    budget = -(-n // _FALLBACK_SHARE)
+    for lo in range(0, n, _BLOCK):
+        block = _read_numbers(text, events, kinds, first[lo : lo + _BLOCK], last[lo : lo + _BLOCK])
+        if block is None:
+            return None
+        x, decided = block
+        undecided = np.flatnonzero(~decided)
+        budget -= len(undecided)
+        if budget < 0:
+            return None
+        for i in undecided.tolist():
+            number = text[events[first[lo + i]] : events[last[lo + i]]]
+            if not _JSON_FLOAT.fullmatch(number):
+                return None
+            x[i] = float(number)
+            if abs(x[i]) == np.inf:
+                return None
+        out[lo : lo + _BLOCK] = x
+    return out.reshape((rows, cols) if depth == 2 else n)

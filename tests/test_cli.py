@@ -96,6 +96,12 @@ def test_sampled_kind_validation():
         breaker(data)
         with pytest.raises(ConfigError):
             parse_config(data)
+    # a u that is not 1-D is named as such, before its order is checked
+    for u_bad in (5, [[0.0], [1.0], [2.0]], [[0.0, 1.0]] * 16):
+        with pytest.raises(ConfigError, match=r"^params.u must be a 1-D array of numbers$"):
+            parse_config({**good, "params": {**good["params"], "u": u_bad}})
+    with pytest.raises(ConfigError, match=r"^params.u must be strictly increasing$"):
+        parse_config({**good, "params": {**good["params"], "u": u[::-1].tolist()}})
 
 
 def test_samples_precedence():
@@ -147,6 +153,111 @@ def test_load_config_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"ConfigError: config {path} {message}") and err.count("\n") == 1
         assert not out.exists()
+
+
+def _json_load_config(path):
+    """The config at path as json alone reads it: the reference for every outcome."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}")
+    except RecursionError as exc:
+        raise ConfigError(f"config {path} nests too deeply: {exc}")
+    except ValueError as exc:
+        raise ConfigError(f"config {path} is not readable JSON: {exc}")
+    return parse_config(data)
+
+
+def _load_outcome(load, path):
+    try:
+        cfg = load(path)
+    except ConfigError as exc:
+        return str(exc)
+    arrays = {k: (np.asarray(v).dtype.str, np.shape(v), np.asarray(v).tobytes()) for k, v in cfg.params.items()}
+    return cfg.name, cfg.kind, cfg.samples, cfg.s_range, arrays
+
+
+SENTINEL = "0.123456789, 0.0]"  # the end of row 500 of the director below
+
+
+def _sampled_text():
+    u = np.linspace(0.0, 2.0, 1024)
+    params = hyperbola_params(u)
+    params["director"][500][1] = 0.123456789
+    return json.dumps({"name": "s", "kind": "sampled", "params": params})
+
+
+_PARAMS_AT = '"params": {'
+LOAD_CASES = {
+    **{token: (SENTINEL, token + ", 0.0]") for token in (
+        "NaN", "Infinity", "-Infinity", "1e400", "1.", ".5", "01", "+1", "-", '"1"', "null",
+        "9" * 5000, "true", "-0", "-0.0", "1E+2", "2.5e-3", "123456789012345", "1234567890123456")},
+    "trailing_comma": (SENTINEL, "0.123456789, 0.0,]"),
+    "missing_comma": (SENTINEL, "0.123456789 0.0]"),
+    "four_column_row": (SENTINEL, "0.123456789, 0.0, 1.0]"),
+    "ragged_row": (SENTINEL, "0.123456789]"),
+    "byte_0xff": (SENTINEL, "0.12\udcff3, 0.0]"),
+    "duplicate_u_first": (_PARAMS_AT, _PARAMS_AT + '"u": [5.0, 6.0], '),
+    "duplicate_u_last": ('"base": [', '"u": [0.0, 1.0, 2.0], "base": ['),
+    "u_in_another_object": (_PARAMS_AT, '"meta": {"u": [1.0, 2.0]}, ' + _PARAMS_AT),
+    "u_in_params_object": (_PARAMS_AT, _PARAMS_AT + '"meta": {"u": [1.0, 2.0], "base": [[1.0]]}, '),
+}
+
+
+@pytest.mark.parametrize("case", [*LOAD_CASES, "plain", "crlf", "crlf_extra_data", "utf8_bom", "u_nested_deep",
+                                  "four_columns", "indent", "not_sampled"])
+def test_load_config_outcomes_are_json_outcomes(tmp_path, capsys, case):
+    # every value and every error of a sampled config is json's, inside its big arrays too
+    text = _sampled_text()
+    if case in LOAD_CASES:
+        old, new = LOAD_CASES[case]
+        text = text.replace(old, new, 1)
+    elif case.startswith("crlf"):  # json's positions count "\r\n" as one character, as text mode reads it
+        text = text.replace(", ", ",\r\n ") + ("\r\n\r x" if case == "crlf_extra_data" else "")
+    elif case == "u_nested_deep":
+        lo = text.index('"u": [') + 5
+        text = text[:lo] + "[" * 100000 + "]" * 100000 + text[text.index("]", lo) + 1 :]
+    elif case == "four_columns":
+        lo, hi = text.index('"director"'), text.index('"base"')
+        text = text[:lo] + text[lo:hi].replace(", 0.0]", ", 0.0, 0.0]") + text[hi:]
+    elif case == "indent":
+        text = json.dumps(json.loads(text), indent=1)
+    elif case == "not_sampled":
+        text = text.replace('"sampled"', '"cone"')
+    data = text.encode("utf-8", "surrogateescape")
+    if case == "utf8_bom":
+        data = b"\xef\xbb\xbf" + data
+    path = tmp_path / "cfg.json"
+    path.write_bytes(data)
+    got = _load_outcome(load_config, str(path))
+    assert got == _load_outcome(_json_load_config, str(path))
+    if isinstance(got, str):  # an error: exit 2, today's one line, no output
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--input", str(path), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"ConfigError: {got}\n"
+        assert not out.exists()
+    if case == "1e400":  # json's inf, named by parse_config with the list that holds it
+        assert got.startswith("params.director must be an array of numbers, got [[1.0, 0.0, 0.0], ")
+    elif case == "four_columns":  # the reader's N x 4 array, refused by parse_config
+        assert got == "director/base must be N x 3 arrays"
+    elif case in ("plain", "indent", "true", "duplicate_u_first", "u_in_another_object"):
+        assert got[1:4] == ("sampled", 1024, (0.0, 2.0)) and got[4]["director"][:2] == ("<f8", (1024, 3))
+    if case == "true":  # the README's upcast: true reads as 1.0
+        assert np.frombuffer(got[4]["director"][2])[500 * 3 + 1] == 1.0
+
+
+def test_load_config_reads_sampled_arrays_with_numpy(tmp_path, monkeypatch):
+    # the plain config's three arrays come from the reader: json sees placeholders only
+    path = tmp_path / "cfg.json"
+    path.write_text(_sampled_text())
+    seen = []
+    real_loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda s, *a, **k: seen.append(len(s)) or real_loads(s, *a, **k))
+    cfg = load_config(str(path))
+    assert seen and max(seen) < 200 and cfg.params["director"].shape == (1024, 3)
 
 
 def test_build_model_param_errors():

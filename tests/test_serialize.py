@@ -1,6 +1,8 @@
-"""Canonical JSON writer: fixed float width, sorted keys, hard rejections."""
+"""Canonical JSON writer: fixed float width, sorted keys, hard rejections; the number reader."""
 
+import decimal
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -196,6 +198,124 @@ def test_digit_kernel_matches_the_per_item_format(dtype):
     with pytest.raises(ValidationError, match="non-finite value nan"):
         serialize.dump_canonical({"x": bad.T}, pieces.append)
     assert b"".join(pieces) == b'{\n  "x": '  # no number of the array was written
+
+
+def _json_floats(text: bytes):
+    """json's reading of a JSON array of numbers as float64, or None where json raises or
+    gives no number array (ragged rows, strings, booleans alone, integers past int64)."""
+    try:
+        a = np.asarray(json.loads(text))
+    except ValueError:
+        return None
+    return a.astype(float) if a.dtype.kind in "iuf" else None
+
+
+def _reads_json_bits(text: bytes) -> bool:
+    """Whether the reader takes text; where it does, its array is json's, bit for bit."""
+    got = serialize.read_array(text)
+    if got is None:
+        return False
+    want = _json_floats(text)
+    assert want is not None, text[:80]
+    assert got.dtype == np.float64 and got.flags.c_contiguous and got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64)), text[:80]
+    return True
+
+
+def _near_halfway(x: float, digits: int) -> str:
+    """The exact decimal expansion of the midpoint of x > 0 and the next float64, cut after
+    `digits` significant digits, with a final 5."""
+    mid = (Fraction(x) + Fraction(float(np.nextafter(x, np.inf)))) / 2
+    with decimal.localcontext() as ctx:
+        ctx.prec = 1200  # every midpoint of two float64 has fewer digits
+        exact = (decimal.Decimal(mid.numerator) / decimal.Decimal(mid.denominator)).as_tuple()
+    kept = "".join(map(str, exact.digits[:digits])) + "5"
+    return f"{kept[0]}.{kept[1:]}e{len(exact.digits) + exact.exponent - 1}"
+
+
+_FORMATS = ["%r", "%.17g"] + [f"%.{k}{c}" for k in range(21) for c in "feE"]
+
+
+@st.composite
+def _number_texts(draw):
+    kind = draw(st.sampled_from(["float", "digits", "halfway", "edge"]))
+    if kind == "float":
+        x = draw(st.floats(allow_nan=False, allow_infinity=False))
+        fmt = draw(st.sampled_from(_FORMATS))
+        return repr(x) if fmt == "%r" else fmt % x
+    if kind == "digits":  # up to 25 digits, leading zeros and all
+        text = draw(st.sampled_from(["", "-"])) + draw(st.text("0123456789", min_size=1, max_size=25))
+        if draw(st.booleans()):
+            text += "." + draw(st.text("0123456789", min_size=1, max_size=25))
+        if draw(st.booleans()):
+            text += draw(st.sampled_from(["e", "E"])) + draw(st.sampled_from(["", "+", "-"]))
+            text += draw(st.text("0123456789", min_size=1, max_size=4))
+        return text
+    if kind == "halfway":
+        return _near_halfway(draw(st.floats(min_value=1e-300, max_value=1e300)), draw(st.integers(16, 19)))
+    return draw(st.sampled_from(["0", "-0", "-0.0", "0.0", "0e0", "-0E-0", "123456789012345",
+                                 "-999999999999999", "1234567890123456", "1e5", "1E5", "1e+5",
+                                 "1E-5", "-2.5e-3", "1e400", "1e-400", "9007199254740993.0"]))
+
+
+@st.composite
+def _number_arrays(draw):
+    numbers = draw(st.lists(_number_texts(), min_size=1, max_size=24))
+    sep = draw(st.sampled_from([", ", ",", ",\n  "]))
+    cols = draw(st.integers(0, 3))  # 0: depth 1
+    if cols and len(numbers) >= cols:
+        rows = [numbers[i : i + cols] for i in range(0, len(numbers) - cols + 1, cols)]
+        text = "[" + sep.join("[" + sep.join(row) + "]" for row in rows) + "]"
+    else:
+        text = "[" + sep.join(numbers) + "]"
+    text = bytearray(text.encode())
+    for _ in range(draw(st.integers(0, 2))):  # structural damage
+        at = draw(st.integers(0, len(text) - 1))
+        byte = draw(st.sampled_from(b" \n,[]0159.eE-+x\xff"))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if edit == "insert":
+            text.insert(at, byte)
+        elif edit == "replace":
+            text[at] = byte
+        elif len(text) > 2:
+            del text[at]
+    return bytes(text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_number_arrays())
+def test_reader_gives_json_bits_or_declines(text):
+    with np.errstate(all="raise", under="ignore"):  # as the CLI runs it
+        _reads_json_bits(text)
+
+
+def test_reader_on_adversarial_arrays():
+    rng = np.random.default_rng(20261022)
+    x = rng.normal(size=3 * serialize._BLOCK + 7) * 10.0 ** rng.integers(-20, 20, size=3 * serialize._BLOCK + 7)
+    # near-halfway decimals of 17 to 19 digits that float64 products decide, and exact
+    # ties, powers of two and edges that Python's float() settles
+    halfway = [_near_halfway(v, int(k)) for v, k in zip(np.abs(x[:2000]).tolist(), rng.integers(16, 19, size=2000))]
+    edges = ["0", "-0", "-0.0", "0e0", "-0e-5", "123456789012345", "-123456789012345", "1e22", "1e23",
+             "9007199254740993.0", "9007199254740992.5", "4.9e-324", "2.2250738585072014e-308",
+             "1.7976931348623157e308", "1E+2", "1e-2", "0.1", "0.30000000000000004", "8.98846567431158e307"]
+    # "%.17g" writes a value from 1e16 as an integer, which json reads as an int
+    for numbers in ([repr(v) for v in x.tolist()], ["%.17g" % v for v in (x[:5000] / 1e6).tolist()],
+                    ["%.15e" % v for v in x[:5000].tolist()], halfway + edges + [repr(v) for v in x[:300].tolist()]):
+        numbers = numbers[: len(numbers) // 3 * 3]
+        for sep in (", ", ",", ",\n  "):
+            rows = (sep.join(numbers[i : i + 3]) for i in range(0, len(numbers), 3))
+            for text in ("[" + sep.join(numbers) + "]", "[[" + ("]" + sep + "[").join(rows) + "]]"):
+                assert _reads_json_bits(text.encode())
+    # json's path: not a JSON array of numbers, not finite, json's int, or no float64 array
+    for text in ["[]", "[[]]", "[[], []]", "[1,]", "[,1]", "[1 2]", "[1,,2]", "[[1], [2, 3]]", "[[[1]]]",
+                 "[1, [2]]", "[[1], 2]", "[NaN]", "[Infinity]", "[-Infinity]", "[1e400]", "[1.]", "[.5]",
+                 "[01]", "[+1]", "[-]", "[1_0]", "[true]", "[null]", '["1"]', "[1234567890123456]",
+                 "[-1234567890123456]", "[1e]", "[1e+]", "[1.e5]", "[1.2.3]", "[1e5.3]", "[1e5e5]", "[--1]",
+                 "[1-2]", "[0x10]", "[1]]", "[[1]", " [1]", "[1] ", "[\f1]", "[1\xa0]"]:
+        assert serialize.read_array(text.encode("latin-1")) is None, text
+    # more undecided numbers than one in _FALLBACK_SHARE go to json whole
+    many = ["%.20f" % v for v in x[:64].tolist()]
+    assert serialize.read_array(("[" + ", ".join(many) + "]").encode()) is None
 
 
 def _rows(a, fmt, prefix):
