@@ -7,9 +7,11 @@ writes an OBJ mesh of the surface or its offset.
 
 A config is read as bytes. The arrays params.u, params.director and
 params.base of a sampled config go to serialize.read_array, and json parses
-the rest; where the reader declines an array, json reads it, and where
-anything else is unusual json parses the whole text, so every value and
-every error message is json's.
+the rest. The reader settles each number in numpy, by its significant
+digits and its rounding, or declines the array; where any number of an
+array is not settled, json reads that array whole, and where anything else
+is unusual json parses the whole text, so every value and every error
+message is json's.
 
 The sample count is the config's "samples", else the length of a sampled
 surface's arrays, else 1024, within [MIN_SAMPLES, MAX_SAMPLES]. The

@@ -161,11 +161,6 @@ class OffsetReport:
         """The oracle's value of each formula key, per window sample."""
         return _oracle_fields(self.offset)
 
-    @property
-    def residuals(self) -> dict:
-        """Each formula key's absolute residual against the oracle, per window sample."""
-        return formula_residuals(self.formulas, self.oracle)
-
 
 def offset_angle_profile(m: RuledSurfaceModel, c_const: float, cstar_const: float,
                          window: tuple) -> OffsetSpec:

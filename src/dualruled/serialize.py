@@ -56,18 +56,18 @@ read the text. Events (separators, points, exponent marks, the ends of
 numbers) are found in one numpy pass; the digits are read 8 at a time
 (fast_float's parse_eight_digits_unrolled, Lemire 2021); m * 10**q is one
 exact float64 operation where m <= 2**53 and |q| <= 22 (Clinger 1990) and
-a double-double product with an error bound elsewhere. A number whose
-rounding that bound cannot settle, or with more than 19 digits, goes alone
-to float(). The reader declines any other byte, any other shape, a value
-that is not finite, an integer of more than 15 digits (json's int), and
-more than one undecided number in 16.
+a double-double product with an error bound elsewhere. A number is settled
+by its significant digits and its rounding: its digits, at most 24 with
+leading zeros, must make an m below 10**19, and the bound must decide the
+rounding. Any number that is not settled sends the whole array to json, as
+do any other byte, any other shape, a value that is not finite and an
+integer of more than 15 digits (json's int).
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import re
 
 import numpy as np
 
@@ -371,10 +371,8 @@ def dumps_canonical(obj) -> str:
 # The reader's byte classes: the bytes of a number have odd classes (digits and signs, its
 # point, its exponent mark), JSON whitespace and the separators even ones
 _SPACE, _DIGIT, _COMMA, _POINT, _OPEN, _EXPONENT, _CLOSE, _OTHER = range(8)
-_FALLBACK_SHARE = 16  # at most one number in this many goes to Python, else json reads the array
 _Q_LO, _Q_HI = -280, 280  # the exponents q of m * 10**q that the double-double product takes
 _ZEROS = 0x3030303030303030  # eight "0" bytes in a little-endian word
-_JSON_FLOAT = re.compile(rb"-?(?:0|[1-9][0-9]*)(?=[.eE])(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?")
 
 
 @functools.cache
@@ -460,8 +458,8 @@ def _digit_words(words: np.ndarray, keep: np.ndarray) -> tuple:
 
 def _read_numbers(text: bytes, events: np.ndarray, kinds: np.ndarray, first: np.ndarray, last: np.ndarray):
     """The float64 value of each number of text that starts at event first and ends at event
-    last (see read_array), and whether it is decided; None where one is an integer of more
-    than 15 digits.
+    last (see read_array); None where one is not settled or is an integer of more than 15
+    digits.
 
     A number -?I(.F)?([eE][-+]?X)? is m * 10**q with m the integer of the digits of I and F.
     Its events between its start and its end are its point, then its exponent mark. Its
@@ -469,8 +467,9 @@ def _read_numbers(text: bytes, events: np.ndarray, kinds: np.ndarray, first: np.
     end at the end of F hold m, and one that ends at the end of X holds the exponent.
     Where m <= 2**53 and |q| <= 22 the value is one float64 multiply or divide of exact
     operands (Clinger's fast path); elsewhere it is the double-double _product. A number
-    with more than 19 digits in I and F, more than 8 in X, any other exponent, a text
-    that is not a JSON number, or a rounding that float64 cannot decide is undecided.
+    with more than 24 digits in I and F (its leading zeros among them), an m of 10**19 or
+    more, more than 8 digits in X, any other exponent, a text that is not a JSON number, or
+    a rounding that float64 cannot decide is not settled.
     """
     raw = np.frombuffer(text, np.uint8)
     start, end = events.take(first), events.take(last)
@@ -487,8 +486,8 @@ def _read_numbers(text: bytes, events: np.ndarray, kinds: np.ndarray, first: np.
     if ((inner == 0) & (int_len > 15)).any():
         return None  # json makes an int, and numpy casts it
     frac_len = mantissa_end - dot - point
-    digits = int_len + frac_len
-    ok &= ((int_len >= 1) & (frac_len >= point) & (digits <= 19)
+    digits = int_len + frac_len  # leading zeros and all
+    ok &= ((int_len >= 1) & (frac_len >= point) & (digits <= 24)
            & ((int_len == 1) | (raw.take(start + neg) != ord("0"))))
 
     # the block's text without points, after 24 "0" bytes that stand in for the digits
@@ -500,7 +499,7 @@ def _read_numbers(text: bytes, events: np.ndarray, kinds: np.ndarray, first: np.
     tails = np.ndarray((len(chunk) - 23,), "V24", chunk, strides=(1,))  # the 24 bytes from each byte
     at = np.minimum(mantissa_end - shift, len(chunk)) - 24  # a number of two points overshoots
     part, no_sign = _digit_words(*(a.view("<u8").reshape(-1, 3) for a in (tails[at], keep[np.minimum(digits, 24)])))
-    ok &= no_sign
+    ok &= no_sign & (part[:, 0] < 1000)  # m < 10**19
     m = (part[:, 0] * 10**8 + part[:, 1]) * 10**8 + part[:, 2]
     q = -frac_len
     if exponent.any():
@@ -518,14 +517,16 @@ def _read_numbers(text: bytes, events: np.ndarray, kinds: np.ndarray, first: np.
     tens = _reader_tables()["exact"].take(near)
     x = m.astype(np.float64)
     x = np.where(q >= 0, x * tens, x / tens)
-    decided = ok & ((m <= 2**53) & (near == np.abs(q)) | (m == 0))
-    far = ok & ~decided & (q >= _Q_LO) & (q <= _Q_HI)
+    settled = ok & ((m <= 2**53) & (near == np.abs(q)) | (m == 0))
+    far = ok & ~settled & (q >= _Q_LO) & (q <= _Q_HI)
     if far.any():
         s, sure = _product(np.where(far, m, 1), np.where(far, q, 0))
         x = np.where(far, s, x)
-        decided |= far & sure
+        settled |= far & sure
+    if not settled.all():
+        return None
     neg &= ~((inner == 0) & (m == 0))  # -0 is json's int 0
-    return np.negative(x, out=x, where=neg), decided
+    return np.negative(x, out=x, where=neg)
 
 
 def read_array(text: bytes) -> np.ndarray | None:
@@ -538,10 +539,10 @@ def read_array(text: bytes) -> np.ndarray | None:
     of numbers declines. One pass over a piece finds its events: each separator, point and
     exponent mark, and each byte where a number starts or ends. Between two numbers stand
     exactly the separators of their places: a comma, or "]", "," and "[" between two rows.
-    The numbers are read in blocks of _BLOCK (see _read_numbers); an undecided one goes
-    alone to a JSON-number match and float(). The reader declines an empty array, a number
-    that is not finite or is not a JSON number, an integer of more than 15 digits (json's
-    int, cast by numpy), and more than one undecided number in _FALLBACK_SHARE.
+    The numbers are read in blocks of _BLOCK (see _read_numbers). The reader declines an
+    empty array, an integer of more than 15 digits (json's int, cast by numpy), and any
+    number that it does not settle: one that is not finite, is not a JSON number, or whose
+    rounding float64 cannot decide.
     """
     if text[:1] != b"[" or text[-1:] != b"]":
         return None
@@ -584,22 +585,9 @@ def read_array(text: bytes) -> np.ndarray | None:
         return None
 
     out = np.empty(n)
-    budget = -(-n // _FALLBACK_SHARE)
     for lo in range(0, n, _BLOCK):
         block = _read_numbers(text, events, kinds, first[lo : lo + _BLOCK], last[lo : lo + _BLOCK])
         if block is None:
             return None
-        x, decided = block
-        undecided = np.flatnonzero(~decided)
-        budget -= len(undecided)
-        if budget < 0:
-            return None
-        for i in undecided.tolist():
-            number = text[events[first[lo + i]] : events[last[lo + i]]]
-            if not _JSON_FLOAT.fullmatch(number):
-                return None
-            x[i] = float(number)
-            if abs(x[i]) == np.inf:
-                return None
-        out[lo : lo + _BLOCK] = x
+        out[lo : lo + _BLOCK] = block
     return out.reshape((rows, cols) if depth == 2 else n)

@@ -191,15 +191,21 @@ def _darboux_fields(u: np.ndarray, e_raw: np.ndarray, p_raw: np.ndarray, h: floa
     n = len(u)
     blocks = _row_blocks(n)
     e = np.empty((n, 3), order="F")
-    q = np.empty(n)
+    q, tol = np.empty(n), np.empty(n)
     with np.errstate(all="ignore"):
         for a, b in blocks:
             x = np.asarray(e_raw[a:b], dtype=float)
             q[a:b] = linner(x, x)
+            # 1e-12 min(|e|^2, 1), as |e|^2 = <e,e> + 2 e0^2, with no square that can overflow
+            tol[a:b] = np.minimum(1e-12 * q[a:b] + 2e-12 * x[:, 0] * x[:, 0], 1e-12)
             np.divide(x, np.sqrt(-q[a:b])[:, None], out=e[a:b])
-    guard(q >= -1e-12, lambda i: NotTimelikeDirector(
-        f"director sample {at[i]} is not timelike: <e,e> = {q[i]:.3e} (need < 0)"))
-    del q
+
+    def not_timelike(i):
+        need = "0" if q[i] >= 0 else f"-1e-12 min(|e|^2, 1) = {-tol[i]:.3e}"
+        return NotTimelikeDirector(f"director sample {at[i]} is not timelike: <e,e> = {q[i]:.3e} (need < {need})")
+
+    guard(q >= -tol, not_timelike)
+    del q, tol
     p = np.asarray(p_raw, dtype=float)
     sig2, sigma, et = np.empty(n), np.empty(n), np.empty(n)
     t, c = np.empty((n, 3), order="F"), np.empty((n, 3), order="F")
@@ -339,8 +345,11 @@ def build_surface(director: SampledCurve, base: SampledCurve) -> RuledSurfaceMod
     """Build the Darboux model of the ruled surface p(u) + v e(u).
 
     Both curves must share one uniform grid. Directors may carry any
-    timelike magnitude; they are renormalized per sample. Every entry of
-    both must square to a finite number, as every Lorentz product squares it.
+    timelike magnitude; they are renormalized per sample. A director sample
+    is timelike where <e,e> < -1e-12 min(|e|^2, 1), with |e|^2 its squared
+    Euclidean size: below unit size the bound scales with the director, so
+    no director is refused for being small. Every entry of both must square
+    to a finite number, as every Lorentz product squares it.
     """
     if not np.array_equal(director.params, base.params):
         raise MismatchedInputs("director and base curve must share one parameter grid")

@@ -64,6 +64,26 @@ def family(gamma0, delta0, Delta0):
     return sample
 
 
+def circle_family(gamma0, delta0, Delta0):
+    """Closed-form director e(s) and striction curve c(s) of the constant-invariant
+    family (gamma0, delta0, Delta0) with |gamma0| > 1: the indicatrix is a circle of
+    the hyperbolic plane, and the Darboux axis is timelike. With B = 1/sqrt(gamma0^2 - 1),
+    A = sqrt(1 + B^2), k = 1/B and the sign p of gamma0, e = (A, B cos ks, p B sin ks),
+    t = (0, -sin ks, p cos ks), g = -e x t = -(p B, p A cos ks, A sin ks), and c is the
+    integral of -delta0 e + Delta0 g from c(0) = 0."""
+    B = 1.0 / np.sqrt(gamma0 * gamma0 - 1.0)
+    A, k, p = np.sqrt(1.0 + B * B), 1.0 / B, np.sign(gamma0)
+
+    def sample(s):
+        cs, sn, ones = np.cos(k * s), np.sin(k * s), np.ones_like(s)
+        e = np.stack([A * ones, B * cs, p * B * sn], axis=-1)
+        c = (-delta0 * np.stack([A * s, B * B * sn, p * B * B * (1.0 - cs)], axis=-1)
+             - Delta0 * np.stack([p * B * s, p * A * B * sn, A * B * (1.0 - cs)], axis=-1))
+        return e, c
+
+    return sample
+
+
 @pytest.fixture(scope="session")
 def constant_family():
     """The (0.5, 0.3, 0.2) family at any grid of arc lengths s."""

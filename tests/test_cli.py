@@ -579,6 +579,34 @@ def test_near_uniform_sampled_grid_is_resampled(tmp_path):
     assert np.max(np.abs(samples["gamma"])) < 1e-8
 
 
+def test_a_small_director_is_timelike(tmp_path, capsys):
+    # below unit size the bound on <e,e> scales with the director: the hyperbola with its
+    # director scaled by 1e-7 gives the samples of its unit run within 1e-9
+    u = np.linspace(0.0, 2.0, 1024)
+    params = hyperbola_params(u)
+    director = np.array(params["director"])
+    samples = {}
+    for scale in (1.0, 1e-7):
+        cfg = write_cfg(tmp_path, "d.json", {"name": "s", "kind": "sampled",
+                                             "params": dict(params, director=(scale * director).tolist())})
+        assert main(["analyze", "--input", cfg, "--output", str(tmp_path / f"{scale}.json")]) == 0
+        samples[scale] = json.loads((tmp_path / f"{scale}.json").read_text())["samples"]
+    for key, want in samples[1.0].items():
+        assert np.max(np.abs(np.array(samples[1e-7][key]) - want)) < 1e-9, key
+    # a director sample with |<e,e>| <= 1e-12 |e|^2 is refused at unit size and below,
+    # in one line that names the bound
+    near_null = director.copy()
+    near_null[500] = (1.0, 1.0 - 1e-13, 0.0)
+    for scale, bound in ((1.0, "-1.000e-12"), (1e-7, "-2.000e-26")):
+        cfg = write_cfg(tmp_path, "n.json", {"name": "s", "kind": "sampled",
+                                             "params": dict(params, director=(scale * near_null).tolist())})
+        assert main(["analyze", "--input", cfg, "--output", str(tmp_path / "n_report.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("NotTimelikeDirector: director sample 500 is not timelike: <e,e> = -")
+        assert err.endswith(f" (need < -1e-12 min(|e|^2, 1) = {bound})\n") and err.count("\n") == 1
+        assert not (tmp_path / "n_report.json").exists()
+
+
 FLOAT_FLAG_COMMANDS = {
     "offset": ["offset", "--c", "3", "--cstar", "0.3", "--s-lo", "1", "--s-hi", "2"],
     "export": ["export", "--offset", "--c", "3", "--cstar", "0.3", "--s-lo", "1", "--s-hi", "2",

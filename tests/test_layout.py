@@ -25,6 +25,7 @@ from dualruled import (
     study_residual,
     synth_constant_invariant,
 )
+from dualruled.mannheim_offset import formula_residuals
 
 FIELDS = ("e", "t", "g", "c")
 
@@ -92,8 +93,10 @@ def pipeline(u, director, base):
     out.update({f"offset.{k}": getattr(off, k) for k in (
         "s1_grid", "ds1_ds", "c1", "gamma1", "delta1", "Delta1", "rho1_star",
         "mannheim_real_residual", "mannheim_dual_residual")})
-    for group in ("oracle", "formulas", "residuals"):
-        for k, v in getattr(rep, group).items():
+    oracle = rep.oracle
+    for group, values in (("oracle", oracle), ("formulas", rep.formulas),
+                          ("residuals", formula_residuals(rep.formulas, oracle))):
+        for k, v in values.items():
             parts = {"re": v.re, "du": v.du} if hasattr(v, "du") else {"": v}
             out.update({f"{group}.{k}.{p}": a for p, a in parts.items()})
     return {k: np.asarray(v) for k, v in out.items()}

@@ -292,20 +292,25 @@ def test_reader_gives_json_bits_or_declines(text):
 def test_reader_on_adversarial_arrays():
     rng = np.random.default_rng(20261022)
     x = rng.normal(size=3 * serialize._BLOCK + 7) * 10.0 ** rng.integers(-20, 20, size=3 * serialize._BLOCK + 7)
-    # near-halfway decimals of 17 to 19 digits that float64 products decide, and exact
-    # ties, powers of two and edges that Python's float() settles
+    # near-halfway decimals of 17 to 19 digits that float64 products settle, and exact
+    # ties, powers of two and edges, some of which only Python's float() settles
     halfway = [_near_halfway(v, int(k)) for v, k in zip(np.abs(x[:2000]).tolist(), rng.integers(16, 19, size=2000))]
     edges = ["0", "-0", "-0.0", "0e0", "-0e-5", "123456789012345", "-123456789012345", "1e22", "1e23",
              "9007199254740993.0", "9007199254740992.5", "4.9e-324", "2.2250738585072014e-308",
              "1.7976931348623157e308", "1E+2", "1e-2", "0.1", "0.30000000000000004", "8.98846567431158e307"]
-    # "%.17g" writes a value from 1e16 as an integer, which json reads as an int
-    for numbers in ([repr(v) for v in x.tolist()], ["%.17g" % v for v in (x[:5000] / 1e6).tolist()],
-                    ["%.15e" % v for v in x[:5000].tolist()], halfway + edges + [repr(v) for v in x[:300].tolist()]):
+    # "%.17g" writes a value from 1e16 as an integer, which json reads as an int; the
+    # array with the edges goes to json whole, the others are read
+    for numbers, settled in (([repr(v) for v in x.tolist()], True),
+                             (["%.17g" % v for v in (x[:5000] / 1e6).tolist()], True),
+                             (["%.15e" % v for v in x[:5000].tolist()], True),
+                             (halfway + edges + [repr(v) for v in x[:300].tolist()], False)):
         numbers = numbers[: len(numbers) // 3 * 3]
         for sep in (", ", ",", ",\n  "):
             rows = (sep.join(numbers[i : i + 3]) for i in range(0, len(numbers), 3))
             for text in ("[" + sep.join(numbers) + "]", "[[" + ("]" + sep + "[").join(rows) + "]]"):
-                assert _reads_json_bits(text.encode())
+                assert _reads_json_bits(text.encode()) or not settled
+    # each near-halfway decimal alone, beside 1.5: the products settle nearly all of them
+    assert sum(_reads_json_bits(f"[{h}, 1.5]".encode()) for h in halfway) >= 0.9 * len(halfway)
     # json's path: not a JSON array of numbers, not finite, json's int, or no float64 array
     for text in ["[]", "[[]]", "[[], []]", "[1,]", "[,1]", "[1 2]", "[1,,2]", "[[1], [2, 3]]", "[[[1]]]",
                  "[1, [2]]", "[[1], 2]", "[NaN]", "[Infinity]", "[-Infinity]", "[1e400]", "[1.]", "[.5]",
@@ -313,9 +318,28 @@ def test_reader_on_adversarial_arrays():
                  "[-1234567890123456]", "[1e]", "[1e+]", "[1.e5]", "[1.2.3]", "[1e5.3]", "[1e5e5]", "[--1]",
                  "[1-2]", "[0x10]", "[1]]", "[[1]", " [1]", "[1] ", "[\f1]", "[1\xa0]"]:
         assert serialize.read_array(text.encode("latin-1")) is None, text
-    # more undecided numbers than one in _FALLBACK_SHARE go to json whole
-    many = ["%.20f" % v for v in x[:64].tolist()]
-    assert serialize.read_array(("[" + ", ".join(many) + "]").encode()) is None
+
+
+@pytest.mark.parametrize("scale", [10.0**k for k in range(-4, 7)])
+def test_reader_reads_repr_in_every_decade(scale):
+    # repr writes 17 significant digits at most, and from 1e-4 to 1e-2 "0.00" or "0.000"
+    # before them: leading zeros add no significant digit, so every decade is read
+    rng = np.random.default_rng(20261023)
+    v = scale * rng.uniform(1.0, 10.0, size=(3 * serialize._BLOCK + 7, 3)) * rng.choice([-1.0, 1.0], size=3)
+    for a in (v[:, 0], v):
+        assert _reads_json_bits(json.dumps(a.tolist()).encode())
+
+
+@pytest.mark.parametrize("number", ["4.9e-324", "9007199254740993.0", "1e-400", "1.7976931348623157e308",
+                                    "12345678901234567890.5", "0.1000000000000000000000001"])
+def test_one_unsettled_number_sends_the_array_to_json(number):
+    # a subnormal, an exact tie, an exponent past the products' range, m of 10**19 or
+    # more, more than 24 digits: json reads the array, whatever the other 999 numbers are
+    numbers = [repr(v) for v in np.random.default_rng(20261024).normal(size=1000).tolist()]
+    numbers[500] = number
+    text = ("[" + ", ".join(numbers) + "]").encode()
+    assert serialize.read_array(text) is None
+    assert _json_floats(text) is not None
 
 
 def _rows(a, fmt, prefix):

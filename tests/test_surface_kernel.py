@@ -5,7 +5,7 @@ import inspect
 
 import numpy as np
 import pytest
-from conftest import traced
+from conftest import circle_family, traced
 
 from dualruled import (
     DualScalar,
@@ -37,7 +37,7 @@ from dualruled.errors import (
     NullDarbouxAxis,
     NullDirection,
 )
-from dualruled.mannheim_offset import construct_offset, offset_angle_profile
+from dualruled.mannheim_offset import consistency_report, construct_offset, offset_angle_profile
 from dualruled.minkowski3 import enorm
 from dualruled.numerics import grid_step, is_uniform, stencil_rows, stride
 from dualruled.surface_kernel import ROW_BLOCK, RuledSurfaceModel, _darboux_fields, _row_blocks
@@ -314,6 +314,26 @@ def test_reparameterized_input_keeps_frame_orthonormal(constant_family):
     assert np.max(np.abs(m.gamma - 0.5)) < 1e-6
     assert np.max(np.abs(m.delta - 0.3)) < 1e-6
     assert np.max(np.abs(m.Delta - 0.2)) < 1e-6
+
+
+@pytest.mark.parametrize("gamma0", [1.5, -2.0, 3.0])
+def test_circle_family_runs_the_timelike_axis_branch(gamma0, offset_report):
+    # |gamma0| > 1: the indicatrix is a circle of the hyperbolic plane, and every sample's
+    # Darboux axis is timelike, so the apparatus takes cosh rho = -gamma_bar R_bar and
+    # sinh rho = -R_bar; the offset reads the verdicts of the (0.5, 0.3, 0.2) hypercycle
+    s = np.linspace(0.0, 2.0, 1025)
+    e, c = circle_family(gamma0, 0.3, 0.2)(s)
+    m = build_surface(SampledCurve(s, e), SampledCurve(s, c))
+    assert np.max(np.abs(m.gamma - gamma0)) < 1e-7
+    assert np.max(np.abs(m.delta - 0.3)) < 1e-8
+    assert np.max(np.abs(m.Delta - 0.2)) < 1e-9
+    app = dual_apparatus(m)
+    assert app.timelike_axis.all()
+    assert set(app.darboux_branch.tolist()) == {"TimelikeAxis"}
+    ch, sh = app.rho_cosh.re, app.rho_sinh.re
+    assert np.max(np.abs(ch * ch - sh * sh - 1.0)) < 1e-9
+    spec = offset_angle_profile(m, 3.0, 0.3, (1.0, 2.0))
+    assert consistency_report(m, spec, construct_offset(m, spec)).verdicts == offset_report.verdicts
 
 
 def _whole_frame_residuals(m):
