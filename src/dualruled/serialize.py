@@ -52,16 +52,19 @@ The one reader of number text, `read_array(text)`, turns a JSON array of
 numbers, of depth 1 or 2 with rows of equal length, into a float64 array
 whose values have the bits of Python's float() of each number, the bits
 json gives. It returns None where it declines, and the caller lets json
-read the text. Events (separators, points, exponent marks, the ends of
-numbers) are found in one numpy pass; the digits are read 8 at a time
-(fast_float's parse_eight_digits_unrolled, Lemire 2021); m * 10**q is one
-exact float64 operation where m <= 2**53 and |q| <= 22 (Clinger 1990) and
-a double-double product with an error bound elsewhere. A number is settled
-by its significant digits and its rounding: its digits, at most 24 with
-leading zeros, must make an m below 10**19, and the bound must decide the
-rounding. Any number that is not settled sends the whole array to json, as
-do any other byte, any other shape, a value that is not finite and an
-integer of more than 15 digits (json's int).
+read the text. One pass over pieces of the text finds the events of each
+(separators, points, exponent marks, the ends of numbers), reads its
+numbers into the output and adds its separators, with a "0" for each
+number, to the skeleton, whose one comparison decides the array's shape;
+the digits are read 8 at a time (fast_float's parse_eight_digits_unrolled,
+Lemire 2021); m * 10**q is one exact float64 operation where m <= 2**53
+and |q| <= 22 (Clinger 1990) and a double-double product with an error
+bound elsewhere. A number is settled by its significant digits and its
+rounding: its digits, at most 24 with leading zeros, must make an m below
+10**19, and the bound must decide the rounding. Any number that is not
+settled sends the whole array to json, as do any other byte, any other
+shape, a value that is not finite and an integer of more than 15 digits
+(json's int).
 """
 
 from __future__ import annotations
@@ -377,8 +380,8 @@ _ZEROS = 0x3030303030303030  # eight "0" bytes in a little-endian word
 
 @functools.cache
 def _reader_tables() -> dict:
-    """The reader's byte classes, the masks that keep the last j of 24 bytes, and the powers of
-    ten that float64 holds exactly."""
+    """The reader's byte classes and skeleton bytes, the masks that keep the last j of 24 bytes,
+    and the powers of ten that float64 holds exactly."""
     classes = bytearray([_OTHER]) * 256
     for chars, c in ((b" \t\n\r", _SPACE), (b"0123456789-+", _DIGIT), (b",", _COMMA), (b".", _POINT),
                      (b"[", _OPEN), (b"eE", _EXPONENT), (b"]", _CLOSE)):
@@ -386,6 +389,9 @@ def _reader_tables() -> dict:
             classes[b] = c
     return {
         "classes": bytes(classes),
+        # each event class's byte of the skeleton, "0" for a number's first, and the classes without one
+        "skeleton": (bytes.maketrans(bytes([_DIGIT, _COMMA, _OPEN, _CLOSE]), b"0,[]"),
+                     bytes([_SPACE, _POINT, _EXPONENT])),
         # the 24 bytes of three words, each byte kept (0xff) or not: row j keeps the last j
         "keep": np.array([[0] * (24 - j) + [255] * j for j in range(25)], dtype=np.uint8).view("V24")[:, 0],
         "exact": np.array([float(10**k) for k in range(23)]),
@@ -534,60 +540,50 @@ def read_array(text: bytes) -> np.ndarray | None:
     numbers, of depth 1 or of depth 2 with rows of equal length, each value with the bits
     of Python's float() of its number; None where json must read the text.
 
-    The text is classed in pieces of about _BLOCK * 16 bytes that end after a comma, one
-    bytes.translate each: any byte other than JSON whitespace, "[", "]", "," and the bytes
-    of numbers declines. One pass over a piece finds its events: each separator, point and
-    exponent mark, and each byte where a number starts or ends. Between two numbers stand
-    exactly the separators of their places: a comma, or "]", "," and "[" between two rows.
-    The numbers are read in blocks of _BLOCK (see _read_numbers). The reader declines an
+    One pass over pieces of about _BLOCK * 16 bytes that end after a comma: one
+    bytes.translate classes a piece (any byte other than JSON whitespace, "[", "]", "," and
+    the bytes of numbers declines), and one numpy pass finds its events, each separator,
+    point and exponent mark and each byte where a number starts or ends. Its numbers go into
+    the output, one more than the text's commas (see _read_numbers), and its separators,
+    with a "0" for each number, extend the skeleton, whose one comparison with "[0,...,0]"
+    or "[[0,...,0],...,[0,...,0]]" decides the depth and the shape. The reader declines an
     empty array, an integer of more than 15 digits (json's int, cast by numpy), and any
     number that it does not settle: one that is not finite, is not a JSON number, or whose
     rounding float64 cannot decide.
     """
     if text[:1] != b"[" or text[-1:] != b"]":
         return None
-    classes_of = _reader_tables()["classes"]
-    events, kinds, after_number = [], [], []
-    at = 1
+    tables = _reader_tables()
+    out = np.empty(text.count(b",") + 1)
+    skeleton, n, at = bytearray(b"["), 0, 1
     while at < len(text):
         stop = text.find(b",", at + 16 * _BLOCK) + 1 or len(text)
-        classes = np.frombuffer(text[at - 1 : stop].translate(classes_of), np.uint8)  # from the byte before
+        classes = np.frombuffer(text[at - 1 : stop].translate(tables["classes"]), np.uint8)  # from the byte before
         if classes.max() == _OTHER:
             return None
         number = (classes & 1).view(bool)
         marks = number[1:] != number[:-1]
         marks |= classes[1:] > _DIGIT
         i = np.flatnonzero(marks)
-        events.append(i.astype(np.int32) + at)
-        kinds.append(classes[1:].take(i))
-        after_number.append(number.take(i))
+        kinds, after_number = classes[1:].take(i), number.take(i)
+        del classes, number, marks  # only the piece's events are read from here on
+        skeleton += kinds.tobytes().translate(*tables["skeleton"])
+        odd = (kinds & 1).view(bool)
+        first, last = np.flatnonzero(odd & ~after_number), np.flatnonzero(after_number & ~odd)
+        if len(first):
+            block = _read_numbers(text, i + at, kinds, first, last)
+            if block is None or n + len(block) > len(out):  # more numbers than commas and one
+                return None
+            out[n : n + len(block)] = block
+            n += len(block)
         at = stop
-    events, kinds, after_number = map(np.concatenate, (events, kinds, after_number))
-    odd = (kinds & 1).view(bool)
-    first, last = (np.flatnonzero(a).astype(np.int32) for a in (odd & ~after_number, after_number & ~odd))
-    del odd, after_number
-    # before the first number: no event after the first "[", or the "[" of the first row
-    if not len(first) or first[0] > 1 or (first[0] == 1 and kinds[0] != _OPEN):
+    deep = skeleton[1:2] == b"["
+    cols = skeleton.find(b"]") // 2 if deep else n  # a first row "[[0,...,0]" ends at 2 cols + 1
+    rows = n // cols if deep and cols > 0 else 1
+    # the length first: the expected text is built only as long as the skeleton
+    if n != len(out) or rows * cols != n or len(skeleton) != 2 * n + 1 + 2 * rows * deep:
         return None
-    n, depth = len(first), int(first[0]) + 1
-    # the separators between two numbers: events that are not the space ending the first
-    between = first[1:] - last[:-1] - (kinds.take(last[:-1]) == _SPACE)
-    cols = int(np.argmax(between != 1)) + 1 if depth == 2 and (between != 1).any() else n
-    rows = n // cols
-    expected = np.ones(n - 1, np.intp)
-    expected[cols - 1 :: cols] = 3
-    ends = len(events) - last[-1] - (kinds[last[-1]] == _SPACE)
-    if rows * cols != n or ends != depth or (kinds[-depth:] != _CLOSE).any() or (between != expected).any():
+    row = b"[" + b"0," * (cols - 1) + b"0]"
+    if skeleton != (b"[" + (row + b",") * (rows - 1) + row + b"]" if deep else row):
         return None
-    row_starts = first[cols::cols]
-    if ((kinds.take(first[1:] - 1) != np.where(expected == 1, _COMMA, _OPEN)).any()
-            or (kinds.take(row_starts - 2) != _COMMA).any() or (kinds.take(row_starts - 3) != _CLOSE).any()):
-        return None
-
-    out = np.empty(n)
-    for lo in range(0, n, _BLOCK):
-        block = _read_numbers(text, events, kinds, first[lo : lo + _BLOCK], last[lo : lo + _BLOCK])
-        if block is None:
-            return None
-        out[lo : lo + _BLOCK] = block
-    return out.reshape((rows, cols) if depth == 2 else n)
+    return out.reshape((rows, cols) if deep else n)

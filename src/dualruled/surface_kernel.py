@@ -196,12 +196,14 @@ def _darboux_fields(u: np.ndarray, e_raw: np.ndarray, p_raw: np.ndarray, h: floa
         for a, b in blocks:
             x = np.asarray(e_raw[a:b], dtype=float)
             q[a:b] = linner(x, x)
-            # 1e-12 min(|e|^2, 1), as |e|^2 = <e,e> + 2 e0^2, with no square that can overflow
-            tol[a:b] = np.minimum(1e-12 * q[a:b] + 2e-12 * x[:, 0] * x[:, 0], 1e-12)
+            # max(1e-12 min(|e|^2, 1), 2^-51 |e|^2): the rounding of <e,e> grows like 2^-53 |e|^2;
+            # 1e-12 |e|^2 as 1e-12 (<e,e> + 2 e0^2), with no square or sum that can overflow
+            w = 1e-12 * q[a:b] + 2e-12 * x[:, 0] * x[:, 0]
+            np.maximum(np.minimum(w, 1e-12), 2.0**-51 * 1e12 * w, out=tol[a:b])
             np.divide(x, np.sqrt(-q[a:b])[:, None], out=e[a:b])
 
     def not_timelike(i):
-        need = "0" if q[i] >= 0 else f"-1e-12 min(|e|^2, 1) = {-tol[i]:.3e}"
+        need = "0" if q[i] >= 0 else f"-max(1e-12 min(|e|^2, 1), 2^-51 |e|^2) = {-tol[i]:.3e}"
         return NotTimelikeDirector(f"director sample {at[i]} is not timelike: <e,e> = {q[i]:.3e} (need < {need})")
 
     guard(q >= -tol, not_timelike)
@@ -344,11 +346,12 @@ def _model_from_fields(fields: dict) -> RuledSurfaceModel:
 def build_surface(director: SampledCurve, base: SampledCurve) -> RuledSurfaceModel:
     """Build the Darboux model of the ruled surface p(u) + v e(u).
 
-    Both curves must share one uniform grid. Directors may carry any
-    timelike magnitude; they are renormalized per sample. A director sample
-    is timelike where <e,e> < -1e-12 min(|e|^2, 1), with |e|^2 its squared
-    Euclidean size: below unit size the bound scales with the director, so
-    no director is refused for being small. Every entry of both must square
+    Both curves must share one uniform grid. Directors may carry any timelike
+    magnitude; they are renormalized per sample. A director sample is timelike
+    where <e,e> < -max(1e-12 min(|e|^2, 1), 2^-51 |e|^2), with |e|^2 its
+    squared Euclidean size: below unit size the bound scales with the
+    director, so no director is refused for being small, and it stays above
+    the rounding of <e,e>, about 2^-53 |e|^2. Every entry of both must square
     to a finite number, as every Lorentz product squares it.
     """
     if not np.array_equal(director.params, base.params):

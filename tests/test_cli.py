@@ -579,20 +579,33 @@ def test_near_uniform_sampled_grid_is_resampled(tmp_path):
     assert np.max(np.abs(samples["gamma"])) < 1e-8
 
 
+def _director_scale_keeps_samples(tmp_path, scale):
+    """Assert that the 1024-sample hyperbola with its director scaled gives the samples of
+    its unit run within 1e-9; return its params."""
+    params = hyperbola_params(np.linspace(0.0, 2.0, 1024))
+    director = np.array(params["director"])
+    samples = {}
+    for x in (1.0, scale):
+        cfg = write_cfg(tmp_path, "d.json", {"name": "s", "kind": "sampled",
+                                             "params": dict(params, director=(x * director).tolist())})
+        assert main(["analyze", "--input", cfg, "--output", str(tmp_path / f"{x}.json")]) == 0
+        samples[x] = json.loads((tmp_path / f"{x}.json").read_text())["samples"]
+    for key, want in samples[1.0].items():
+        assert np.max(np.abs(np.array(samples[scale][key]) - want)) < 1e-9, key
+    return params
+
+
+def test_a_large_director_is_timelike(tmp_path):
+    # past |e|^2 = 2.3e3 the bound on <e,e> is 2^-51 |e|^2, the size of its rounding: with
+    # the director scaled by 1e6 it is at most 0.012 against |<e,e>| = 1e12
+    _director_scale_keeps_samples(tmp_path, 1e6)
+
+
 def test_a_small_director_is_timelike(tmp_path, capsys):
     # below unit size the bound on <e,e> scales with the director: the hyperbola with its
     # director scaled by 1e-7 gives the samples of its unit run within 1e-9
-    u = np.linspace(0.0, 2.0, 1024)
-    params = hyperbola_params(u)
+    params = _director_scale_keeps_samples(tmp_path, 1e-7)
     director = np.array(params["director"])
-    samples = {}
-    for scale in (1.0, 1e-7):
-        cfg = write_cfg(tmp_path, "d.json", {"name": "s", "kind": "sampled",
-                                             "params": dict(params, director=(scale * director).tolist())})
-        assert main(["analyze", "--input", cfg, "--output", str(tmp_path / f"{scale}.json")]) == 0
-        samples[scale] = json.loads((tmp_path / f"{scale}.json").read_text())["samples"]
-    for key, want in samples[1.0].items():
-        assert np.max(np.abs(np.array(samples[1e-7][key]) - want)) < 1e-9, key
     # a director sample with |<e,e>| <= 1e-12 |e|^2 is refused at unit size and below,
     # in one line that names the bound
     near_null = director.copy()
@@ -603,7 +616,8 @@ def test_a_small_director_is_timelike(tmp_path, capsys):
         assert main(["analyze", "--input", cfg, "--output", str(tmp_path / "n_report.json")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("NotTimelikeDirector: director sample 500 is not timelike: <e,e> = -")
-        assert err.endswith(f" (need < -1e-12 min(|e|^2, 1) = {bound})\n") and err.count("\n") == 1
+        assert err.endswith(f" (need < -max(1e-12 min(|e|^2, 1), 2^-51 |e|^2) = {bound})\n")
+        assert err.count("\n") == 1
         assert not (tmp_path / "n_report.json").exists()
 
 

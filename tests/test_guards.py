@@ -96,7 +96,8 @@ def closed_forms_on_gamma_step():
 GUARDS = {
     "renormalize_director": (
         lambda: warped_surface(20.0, 32, 0.0), NotTimelikeDirector,
-        "director sample 30 is not timelike: <e,e> = 0.000e+00 (need < 0)"),
+        "director sample 28 is not timelike: <e,e> = -1.000e+00 "
+        "(need < -max(1e-12 min(|e|^2, 1), 2^-51 |e|^2) = -1.089e+00)"),
     "indicatrix_not_spacelike": (
         lambda: warped_surface(10.0, 9, 0.0), FrameDriftExceeded,
         "indicatrix tangent is not spacelike at sample 0 (<e',e'> = -3.750e+02)"),

@@ -271,12 +271,13 @@ def _number_arrays(draw):
     text = bytearray(text.encode())
     for _ in range(draw(st.integers(0, 2))):  # structural damage
         at = draw(st.integers(0, len(text) - 1))
-        byte = draw(st.sampled_from(b" \n,[]0159.eE-+x\xff"))
+        token = draw(st.sampled_from([bytes([b]) for b in b" \n,[]0159.eE-+x\xff"]
+                                     + [b"],[", b"][", b"[[", b"]]", b",,", b"0 0"]))
         edit = draw(st.sampled_from(["insert", "delete", "replace"]))
         if edit == "insert":
-            text.insert(at, byte)
+            text[at:at] = token
         elif edit == "replace":
-            text[at] = byte
+            text[at : at + 1] = token
         elif len(text) > 2:
             del text[at]
     return bytes(text)
@@ -309,6 +310,16 @@ def test_reader_on_adversarial_arrays():
             rows = (sep.join(numbers[i : i + 3]) for i in range(0, len(numbers), 3))
             for text in ("[" + sep.join(numbers) + "]", "[[" + ("]" + sep + "[").join(rows) + "]]"):
                 assert _reads_json_bits(text.encode()) or not settled
+    # damage across piece edges, where the skeleton of one piece meets the next: at the
+    # comma that ends the first piece and at a comma inside the third, of four or more
+    text = json.dumps(x[: x.size // 3 * 3].reshape(-1, 3).tolist()).encode()
+    ends = [text.find(b",", 1 + 16 * serialize._BLOCK)]
+    ends.append(text.find(b",", ends[0] + 1 + 16 * serialize._BLOCK))
+    assert text.find(b",", ends[1] + 1 + 16 * serialize._BLOCK) > 0  # a fourth piece
+    for at in (ends[0], text.find(b",", ends[1] + 1 + 8 * serialize._BLOCK)):
+        for damaged in [text[:at] + token + text[at + 1 :] for token in (b"", b"]", b" ", b",,")] + [
+                text[: at + 1] + token + text[at + 1 :] for token in (b"0 ", b"],[", b"][")]:
+            assert _reads_json_bits(damaged) == (_json_floats(damaged) is not None), (at, damaged[at - 5 : at + 8])
     # each near-halfway decimal alone, beside 1.5: the products settle nearly all of them
     assert sum(_reads_json_bits(f"[{h}, 1.5]".encode()) for h in halfway) >= 0.9 * len(halfway)
     # json's path: not a JSON array of numbers, not finite, json's int, or no float64 array
@@ -340,6 +351,23 @@ def test_one_unsettled_number_sends_the_array_to_json(number):
     text = ("[" + ", ".join(numbers) + "]").encode()
     assert serialize.read_array(text) is None
     assert _json_floats(text) is not None
+
+
+def test_reader_memory_follows_its_output():
+    # one pass over the pieces: besides its output the reader holds the skeleton, about
+    # 2 bytes a number, and one piece of text with its events
+    import tracemalloc
+
+    text = json.dumps(np.random.default_rng(20261025).normal(size=(65536, 3)).tolist()).encode()
+    serialize._reader_tables()  # the lazy tables are not the reader's
+    tracemalloc.start()
+    try:
+        out = serialize.read_array(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (65536, 3)
+    assert peak <= 4 * out.nbytes
 
 
 def _rows(a, fmt, prefix):
